@@ -383,6 +383,26 @@ if ! grep -qF '"tid":1000' build/chaos.clean.trace.json; then
   echo "chaos: no merged worker-side trace events in the clean run" >&2
   exit 1
 fi
+# Workers build their copy of the Lemma 4.14 product (prep) while the
+# coordinator builds its own. Worker spans share the coordinator's clock,
+# so some worker's cegar.projections span must start before the
+# coordinator's first one ends; a change that serializes the builds again
+# (workers building inside their first ambiguity shard) fails here.
+python3 - build/chaos.clean.trace.json <<'PYEOF'
+import json, sys
+Spans = [json.loads(L.rstrip().rstrip(","))
+         for L in open(sys.argv[1]) if '"name":"cegar.projections"' in L]
+Coord = [S for S in Spans if S["tid"] < 1000]
+Worker = [S for S in Spans if S["tid"] >= 1000]
+assert Coord and Worker, "missing cegar.projections spans: %r" % Spans
+First = min(Coord, key=lambda S: S["ts"])
+End = First["ts"] + First["dur"]
+Start = min(S["ts"] for S in Worker)
+assert Start < End, ("worker product build started at %dus, after the "
+                     "coordinator's ended at %dus" % (Start, End))
+print("chaos: worker product build overlaps the coordinator's "
+      "(%dus < %dus)" % (Start, End))
+PYEOF
 # SIGKILL mid-query: crash@1x0:workers arms every worker process to
 # raise(SIGKILL) at its first solver query. Determinism needs no worker
 # queries for this coder so that verdict must survive; the transition-
@@ -413,6 +433,33 @@ done
 # Surviving shards keep their clean verdicts byte-for-byte.
 diff <(grep -F 'determinism:' build/chaos.crash.out) \
   <(grep -F 'determinism:' build/chaos.clean.out)
+# SIGKILL inside the product build: crash@5:workers lets every worker
+# through its determinism and transition-injectivity shards, then kills it
+# at the fifth query of its ambiguity product build, which now runs in
+# prep. Prep deaths are reaped quietly; the first ambiguity shard respawns,
+# dies the same way, is retried once, and degrades — the same exit and
+# report as when the build ran inside that shard.
+set +e
+./build/tools/genic check build/chaos.genic --jobs 2 --worker-procs 2 \
+  --worker-binary "$WORKER_BIN" --fault-inject 'crash@5:workers' \
+  --trace-out build/chaos.prep.trace.json \
+  --metrics-json build/chaos.prep.metrics.json > build/chaos.prep.out
+PREP_RC=$?
+set -e
+if [ "$PREP_RC" -ne 5 ]; then
+  echo "chaos prep crash: expected exit 5 (solver error), got $PREP_RC" >&2
+  exit 1
+fi
+grep -qF 'ambiguity shard failed: worker crashed twice on one shard' \
+  build/chaos.prep.out
+./build/tools/trace-lint build/chaos.prep.trace.json
+for Key in '"workerproc.crashes"' '"workerproc.restarts"' \
+  '"workerproc.retries"' '"workerproc.degraded"'; do
+  if ! grep -F "$Key" build/chaos.prep.metrics.json | grep -qv ': 0'; then
+    echo "chaos prep crash: $Key missing or zero in metrics snapshot" >&2
+    exit 1
+  fi
+done
 # The same worker-crash degradation served through genicd must land in the
 # daemon's access log: the request line carries api=solver-error with the
 # worker crash/degraded counters, and every line still parses.

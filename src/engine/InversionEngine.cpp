@@ -189,6 +189,7 @@ InversionEngine::runOnSession(SolverContext &Ctx, const std::string &Source,
     WCfg.Source = Source;
     WCfg.SolverTimeoutMs = Slv.timeoutMs();
     WCfg.BudgetSeconds = Req.BudgetSeconds;
+    WCfg.Cancel = Ctl.Cancel;
     WCfg.FaultSpec = describeFaultPlan(Req.Faults);
     WCfg.Incremental = Options.SolverIncremental;
     WCfg.Trace = TraceRecorder::global().enabled();

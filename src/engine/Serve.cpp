@@ -36,10 +36,49 @@ struct Cursor {
   }
 };
 
+/// Reads the four hex digits of a \uXXXX escape at the cursor into \p V.
+bool parseHex4(Cursor &C, unsigned &V) {
+  if (C.At + 4 > C.S.size())
+    return false;
+  V = 0;
+  for (int I = 0; I < 4; ++I) {
+    char H = C.S[C.At++];
+    V <<= 4;
+    if (H >= '0' && H <= '9')
+      V |= H - '0';
+    else if (H >= 'a' && H <= 'f')
+      V |= H - 'a' + 10;
+    else if (H >= 'A' && H <= 'F')
+      V |= H - 'A' + 10;
+    else
+      return false;
+  }
+  return true;
+}
+
+/// Appends code point \p V (at most 0x10FFFF, not a surrogate) as UTF-8.
+void appendUtf8(unsigned V, std::string &Out) {
+  if (V < 0x80) {
+    Out += static_cast<char>(V);
+  } else if (V < 0x800) {
+    Out += static_cast<char>(0xC0 | (V >> 6));
+    Out += static_cast<char>(0x80 | (V & 0x3F));
+  } else if (V < 0x10000) {
+    Out += static_cast<char>(0xE0 | (V >> 12));
+    Out += static_cast<char>(0x80 | ((V >> 6) & 0x3F));
+    Out += static_cast<char>(0x80 | (V & 0x3F));
+  } else {
+    Out += static_cast<char>(0xF0 | (V >> 18));
+    Out += static_cast<char>(0x80 | ((V >> 12) & 0x3F));
+    Out += static_cast<char>(0x80 | ((V >> 6) & 0x3F));
+    Out += static_cast<char>(0x80 | (V & 0x3F));
+  }
+}
+
 /// Parses a JSON string at the cursor (opening quote already consumed is
-/// NOT assumed — the cursor must sit on '"'). Handles the escapes the
-/// emitters produce plus \uXXXX for the BMP subset below 0x80; everything
-/// else is rejected rather than guessed at.
+/// NOT assumed — the cursor must sit on '"'). Handles every RFC 8259
+/// escape: \uXXXX decodes to UTF-8, surrogate pairs join into one code
+/// point, and a lone surrogate is rejected rather than guessed at.
 bool parseJsonString(Cursor &C, std::string &Out) {
   C.skipSpace();
   if (C.done() || C.peek() != '"')
@@ -83,24 +122,23 @@ bool parseJsonString(Cursor &C, std::string &Out) {
       Out += '\f';
       break;
     case 'u': {
-      if (C.At + 4 > C.S.size())
-        return false;
       unsigned V = 0;
-      for (int I = 0; I < 4; ++I) {
-        char H = C.S[C.At++];
-        V <<= 4;
-        if (H >= '0' && H <= '9')
-          V |= H - '0';
-        else if (H >= 'a' && H <= 'f')
-          V |= H - 'a' + 10;
-        else if (H >= 'A' && H <= 'F')
-          V |= H - 'A' + 10;
-        else
+      if (!parseHex4(C, V))
+        return false;
+      if (V >= 0xDC00 && V <= 0xDFFF)
+        return false; // A low surrogate with no high surrogate before it.
+      if (V >= 0xD800 && V <= 0xDBFF) {
+        // A high surrogate must be followed by an escaped low surrogate;
+        // the pair names one supplementary-plane code point.
+        unsigned Lo = 0;
+        if (C.S.compare(C.At, 2, "\\u") != 0)
           return false;
+        C.At += 2;
+        if (!parseHex4(C, Lo) || Lo < 0xDC00 || Lo > 0xDFFF)
+          return false;
+        V = 0x10000 + ((V - 0xD800) << 10) + (Lo - 0xDC00);
       }
-      if (V >= 0x80)
-        return false; // The emitters only \u-escape control characters.
-      Out += static_cast<char>(V);
+      appendUtf8(V, Out);
       break;
     }
     default:

@@ -16,6 +16,7 @@
 #include <csignal>
 #include <cstdlib>
 #include <cstring>
+#include <system_error>
 #include <thread>
 
 #include <fcntl.h>
@@ -34,11 +35,15 @@ static int workerTidBase(unsigned Index) {
 
 struct WorkerSupervisor::Slot {
   unsigned Index = 0;
-  pid_t Pid = -1;
-  int Fd = -1;
+  pid_t Pid = -1; ///< Written under Mu (statusz and teardown read it).
+  int Fd = -1;    ///< Written under Mu (teardown shuts it down).
   bool Busy = false;
-  bool Dead = false; ///< Restart budget exhausted.
+  bool Prepping = false; ///< Busy with a prep round trip, not a shard.
+  bool Dead = false;     ///< Restart budget exhausted.
   unsigned Restarts = 0;
+  /// The slot's latest prep round trip; joined before the next one and by
+  /// joinPreps().
+  std::thread Prep;
 };
 
 std::string genic::resolveWorkerBinary(const std::string &Explicit) {
@@ -82,6 +87,8 @@ WorkerSupervisor::launch(const WorkerSupervisorConfig &Cfg) {
 }
 
 WorkerSupervisor::~WorkerSupervisor() {
+  // Nothing will scan against a product still being built.
+  joinPreps(/*Abandon=*/true);
   for (auto &S : Slots) {
     if (S->Fd >= 0) {
       IpcMessage Q;
@@ -124,14 +131,22 @@ std::vector<WorkerSupervisor::SlotState> WorkerSupervisor::slotStates() const {
   return Out;
 }
 
+bool WorkerSupervisor::liveLocked(Slot &S) {
+  if (S.Restarts > Cfg.MaxRestartsPerSlot)
+    S.Dead = true;
+  return !S.Dead;
+}
+
+bool WorkerSupervisor::abandonedLocked(const Slot &S) const {
+  return S.Prepping && AbandonPreps;
+}
+
 WorkerSupervisor::Slot *WorkerSupervisor::checkout() {
   std::unique_lock<std::mutex> Lock(Mu);
   for (;;) {
     bool AnyLive = false;
     for (auto &S : Slots) {
-      if (S->Restarts > Cfg.MaxRestartsPerSlot)
-        S->Dead = true;
-      if (S->Dead)
+      if (!liveLocked(*S))
         continue;
       AnyLive = true;
       if (!S->Busy) {
@@ -148,24 +163,37 @@ WorkerSupervisor::Slot *WorkerSupervisor::checkout() {
 void WorkerSupervisor::checkin(Slot *S) {
   {
     std::lock_guard<std::mutex> Lock(Mu);
-    S->Busy = false;
+    S->Busy = S->Prepping = false;
   }
   SlotFree.notify_one();
 }
 
 void WorkerSupervisor::killSlot(Slot &S) {
-  bool WasLive = S.Fd >= 0 || S.Pid > 0;
-  if (S.Fd >= 0) {
-    ::close(S.Fd);
+  int Fd;
+  pid_t Pid;
+  {
+    // Unpublish first, so a teardown racing with this never shuts down a
+    // reused descriptor.
+    std::lock_guard<std::mutex> Lock(Mu);
+    Fd = S.Fd;
+    Pid = S.Pid;
     S.Fd = -1;
-  }
-  if (S.Pid > 0) {
-    ::kill(S.Pid, SIGKILL);
-    ::waitpid(S.Pid, nullptr, 0);
     S.Pid = -1;
+    if (Fd >= 0 || Pid > 0)
+      ++S.Restarts;
   }
-  if (WasLive)
-    ++S.Restarts;
+  if (Fd >= 0)
+    ::close(Fd);
+  if (Pid > 0) {
+    ::kill(Pid, SIGKILL);
+    ::waitpid(Pid, nullptr, 0);
+  }
+}
+
+void WorkerSupervisor::noteCrash(const Slot &S) {
+  std::lock_guard<std::mutex> Lock(Mu);
+  if (!abandonedLocked(S))
+    ++TheStats.WorkerCrashes;
 }
 
 Status WorkerSupervisor::ensureSpawned(Slot &S) {
@@ -180,13 +208,22 @@ Status WorkerSupervisor::ensureSpawned(Slot &S) {
     int DelayMs = std::min(50 << Shift, 1000);
     std::this_thread::sleep_for(std::chrono::milliseconds(DelayMs));
     std::lock_guard<std::mutex> Lock(Mu);
+    if (abandonedLocked(S))
+      return Status::cancelled("prep abandoned before respawn");
     ++TheStats.WorkerRestarts;
   }
 
+  // Both ends are close-on-exec from birth: slots spawn concurrently, and
+  // a worker exec'd by another thread must not inherit this channel —
+  // a stray copy of the worker's end would hide its death (no EOF) until
+  // the shard deadline.
   int Sv[2];
-  if (::socketpair(AF_UNIX, SOCK_STREAM, 0, Sv) != 0)
+  if (::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, Sv) != 0)
     return Status::error(std::string("socketpair failed: ") +
                          std::strerror(errno));
+  // Formatted before the fork: the child of a threaded process may only
+  // make async-signal-safe calls until exec.
+  std::string FdArg = std::to_string(Sv[1]);
   pid_t Pid = ::fork();
   if (Pid < 0) {
     ::close(Sv[0]);
@@ -194,17 +231,24 @@ Status WorkerSupervisor::ensureSpawned(Slot &S) {
     return Status::error(std::string("fork failed: ") + std::strerror(errno));
   }
   if (Pid == 0) {
-    // Child: keep only our end of the channel, then become genic-worker.
+    // Child: keep only our end of the channel, across the exec, then
+    // become genic-worker.
     ::close(Sv[0]);
-    std::string FdArg = std::to_string(Sv[1]);
+    ::fcntl(Sv[1], F_SETFD, 0);
     ::execl(Binary.c_str(), "genic-worker", "--fd", FdArg.c_str(),
             static_cast<char *>(nullptr));
     _exit(127);
   }
   ::close(Sv[1]);
-  ::fcntl(Sv[0], F_SETFD, FD_CLOEXEC);
-  S.Pid = Pid;
-  S.Fd = Sv[0];
+  {
+    std::lock_guard<std::mutex> Lock(Mu);
+    S.Pid = Pid;
+    S.Fd = Sv[0];
+    // Teardown began between the fork and now: shut the channel down
+    // ourselves, so the load below fails at once.
+    if (abandonedLocked(S))
+      ::shutdown(S.Fd, SHUT_RDWR);
+  }
 
   IpcMessage Load;
   Load.setStr("op", workerop::Load);
@@ -216,6 +260,8 @@ Status WorkerSupervisor::ensureSpawned(Slot &S) {
   Load.setU64("incremental", Cfg.Incremental ? 1 : 0);
   Load.setU64("trace", Cfg.Trace ? 1 : 0);
   Load.setU64("trace-req", Cfg.TraceReq);
+  Load.setU64("trace-epoch-ns",
+              static_cast<uint64_t>(TraceRecorder::global().epochNs()));
   Result<IpcMessage> R = roundTrip(S, Load);
   if (!R)
     return R.status();
@@ -233,10 +279,7 @@ Result<IpcMessage> WorkerSupervisor::roundTrip(Slot &S,
                                                const IpcMessage &Request) {
   Status W = writeFrame(S.Fd, encodeIpcMessage(Request), Cfg.ShardDeadlineMs);
   if (!W.isOk()) {
-    {
-      std::lock_guard<std::mutex> Lock(Mu);
-      ++TheStats.WorkerCrashes;
-    }
+    noteCrash(S);
     killSlot(S);
     return W;
   }
@@ -244,19 +287,13 @@ Result<IpcMessage> WorkerSupervisor::roundTrip(Slot &S,
   if (!Payload) {
     // Closed pipe = the worker died (SIGSEGV, SIGKILL, crash@N); deadline
     // = it hung. Either way it is unusable: kill, reap, count the crash.
-    {
-      std::lock_guard<std::mutex> Lock(Mu);
-      ++TheStats.WorkerCrashes;
-    }
+    noteCrash(S);
     killSlot(S);
     return Payload.status();
   }
   Result<IpcMessage> Reply = decodeIpcMessage(*Payload);
   if (!Reply) {
-    {
-      std::lock_guard<std::mutex> Lock(Mu);
-      ++TheStats.WorkerCrashes;
-    }
+    noteCrash(S);
     killSlot(S);
     return Reply.status();
   }
@@ -336,6 +373,68 @@ Result<uint64_t> WorkerSupervisor::transitionInjectivityShard(uint64_t Begin,
   return R->getU64("event");
 }
 
+void WorkerSupervisor::prepareAmbiguity(bool Hull) {
+  IpcMessage Req;
+  Req.setStr("op", workerop::Prep);
+  Req.setU64("hull", Hull ? 1 : 0);
+  for (auto &SP : Slots) {
+    Slot &S = *SP;
+    {
+      std::lock_guard<std::mutex> Lock(Mu);
+      if (!liveLocked(S) || S.Busy)
+        continue;
+      S.Busy = S.Prepping = true;
+    }
+    if (S.Prep.joinable())
+      S.Prep.join();
+    try {
+      S.Prep = std::thread([this, &S, Req] {
+        // Failures are dropped: the slot is already reaped, and the next
+        // shard on it respawns the worker and owns the retry/degrade policy.
+        // An exception (allocation failure) must not escape the thread; it
+        // leaves the channel in an unknown state, so the slot is reaped too.
+        try {
+          if (ensureSpawned(S).isOk())
+            (void)roundTrip(S, Req);
+        } catch (...) {
+          killSlot(S);
+        }
+        bool Abandoned;
+        {
+          std::lock_guard<std::mutex> Lock(Mu);
+          Abandoned = abandonedLocked(S);
+        }
+        // A worker that finished just as teardown shut its channel down is
+        // unusable; reap it here rather than let collect trip over it.
+        if (Abandoned)
+          killSlot(S);
+        checkin(&S);
+      });
+    } catch (const std::system_error &) {
+      // No thread, no prep: the first shard on this slot builds instead.
+      checkin(&S);
+    }
+  }
+}
+
+void WorkerSupervisor::joinPreps(bool Abandon) {
+  if (Abandon) {
+    // Shutting the channel down wakes the prep thread's blocked read with
+    // end-of-file; it then SIGKILLs and reaps the worker itself, so no pid
+    // is ever signalled after another thread reaped it.
+    std::lock_guard<std::mutex> Lock(Mu);
+    AbandonPreps = true;
+    for (auto &S : Slots)
+      if (S->Prepping && S->Fd >= 0)
+        ::shutdown(S->Fd, SHUT_RDWR);
+  }
+  for (auto &S : Slots)
+    if (S->Prep.joinable())
+      S->Prep.join();
+  std::lock_guard<std::mutex> Lock(Mu);
+  AbandonPreps = false;
+}
+
 Result<AmbShardResult> WorkerSupervisor::ambiguityShard(
     bool Hull, uint64_t Fingerprint, uint64_t CfgBase,
     const std::vector<uint64_t> &VisitedKeys,
@@ -384,9 +483,12 @@ Result<AmbShardResult> WorkerSupervisor::ambiguityShard(
 }
 
 void WorkerSupervisor::collect(MetricsRegistry *Metrics) {
-  // Runs after the phases have joined their dispatch pools, so no shard
-  // traffic is in flight; still checkout/checkin for form so a stray call
-  // cannot interleave with one.
+  // A prep still running is waited for, so its metrics and trace are
+  // drained with the rest; a cancelled or over-deadline request kills the
+  // worker instead. After that the phases have joined their dispatch pools
+  // and every prep is joined, so this thread owns every slot without a
+  // checkout.
+  joinPreps(/*Abandon=*/Cfg.Cancel.cancelled());
   for (auto &SP : Slots) {
     Slot &S = *SP;
     if (S.Fd < 0)

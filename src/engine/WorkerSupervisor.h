@@ -24,6 +24,16 @@
 ///   * A reply that carries an error (e.g. an injected throw fault inside
 ///     the worker) is NOT a crash: it maps straight to the corresponding
 ///     Status without a retry, exactly like the in-process path.
+///   * prep (prepareAmbiguity) is not a shard and never fails anything by
+///     itself: a worker that dies in prep is reaped and counted as a crash
+///     like any other, its restart is counted when the next shard respawns
+///     it, and that shard owns the retry/degrade policy above. A prep
+///     error reply is dropped; the worker keeps the failed build and its
+///     next amb shard returns that error. Preps never count in shards,
+///     retries, or degraded.
+///   * Teardown never waits on a product build nobody will scan: the
+///     destructor, and collect() of a cancelled or over-deadline request,
+///     SIGKILL every worker still in prep (not counted as a crash).
 ///
 /// Determinism: workers rebuild the program from the same source text
 /// (hash-consing makes the derivation reproducible) and return only plain
@@ -38,6 +48,7 @@
 
 #include "ipc/Message.h"
 #include "ipc/Shards.h"
+#include "support/Deadline.h"
 #include "support/Metrics.h"
 #include "support/Result.h"
 
@@ -68,6 +79,9 @@ struct WorkerSupervisorConfig {
   /// describeFaultPlan() of the request's fault plan ("-" = none). Workers
   /// arm crash faults, so a crash@N plan actually kills them.
   std::string FaultSpec = "-";
+  /// The request's cancellation (deadline or explicit cancel); once it has
+  /// fired, collect() kills workers still in prep instead of waiting.
+  CancellationToken Cancel;
   /// Mirrors InverterOptions::SolverIncremental.
   bool Incremental = true;
   /// Ask workers to record trace events for collect().
@@ -84,7 +98,8 @@ struct WorkerSupervisorConfig {
 /// Owns the worker fleet for one request and implements ShardDispatcher
 /// over it. Thread-safe: shard calls may come concurrently from the scan
 /// drivers' dispatch pools; each call checks out one worker slot for its
-/// round-trip.
+/// round-trip. prepareAmbiguity(), collect() and the destructor are called
+/// from the request's own thread.
 class WorkerSupervisor : public ShardDispatcher {
 public:
   /// Creates the supervisor with \p Cfg.Procs empty slots. Workers are
@@ -101,14 +116,21 @@ public:
   Result<uint64_t> determinismShard(uint64_t Begin, uint64_t End) override;
   Result<uint64_t> transitionInjectivityShard(uint64_t Begin,
                                               uint64_t End) override;
+  /// Checks out each live, idle slot and runs the prep round trip on it
+  /// in a background thread (spawning the worker first if needed). The
+  /// slot stays Busy until the worker has built the product, so the first
+  /// ambiguity shard simply waits for a prepped slot.
+  void prepareAmbiguity(bool Hull) override;
   Result<AmbShardResult>
   ambiguityShard(bool Hull, uint64_t Fingerprint, uint64_t CfgBase,
                  const std::vector<uint64_t> &VisitedKeys,
                  const std::vector<AmbShardConfig> &LevelChunk) override;
 
-  /// Drains every live worker's metrics and trace buffers into \p Metrics
-  /// (counters under "workerproc." prefixes are added by merge) and the
-  /// global TraceRecorder, each worker's events under its own tid range.
+  /// Joins in-flight preps (killing them if the request was cancelled),
+  /// then drains every live worker's metrics and trace buffers into
+  /// \p Metrics (counters under "workerproc." prefixes are added by merge)
+  /// and the global TraceRecorder, each worker's events under its own tid
+  /// range.
   /// Data recorded by a worker that crashed is lost — the supervision
   /// counters below still account for the crash itself.
   void collect(MetricsRegistry *Metrics);
@@ -151,6 +173,15 @@ private:
 
   Status ensureSpawned(Slot &S);
   void killSlot(Slot &S);
+  /// Counts a failed round trip as a crash, unless teardown caused it.
+  void noteCrash(const Slot &S);
+  /// Marks \p S dead once its restart budget is spent; false if dead.
+  bool liveLocked(Slot &S);
+  /// Whether \p S is in a prep that teardown is abandoning.
+  bool abandonedLocked(const Slot &S) const;
+  /// Waits for every prep thread; with \p Abandon, first shuts down the
+  /// channel of each worker still in prep so its thread kills it.
+  void joinPreps(bool Abandon);
   Slot *checkout();
   void checkin(Slot *S);
 
@@ -160,6 +191,7 @@ private:
   std::condition_variable SlotFree;
   std::vector<std::unique_ptr<Slot>> Slots;
   Stats TheStats;
+  bool AbandonPreps = false; ///< Set by joinPreps(true) while it joins.
 };
 
 /// Resolves the worker binary path per WorkerSupervisorConfig::WorkerBinary;

@@ -93,6 +93,14 @@ public:
   virtual Result<uint64_t> transitionInjectivityShard(uint64_t Begin,
                                                      uint64_t End) = 0;
 
+  /// Starts building the output automaton and product that ambiguity
+  /// shards with \p Hull scan against, on every worker, and returns
+  /// without waiting. The coordinator calls it before its own build of the
+  /// same product so the builds overlap; a shard that reaches a worker
+  /// still building waits for it. Failures are not reported here: the
+  /// next shard on that worker owns them.
+  virtual void prepareAmbiguity(bool Hull) = 0;
+
   /// Scans one chunk of an ambiguity BFS level against the output
   /// automaton built with \p Hull. \p Fingerprint is the coordinator's
   /// structural hash of the expanded product — a worker whose own

@@ -16,15 +16,26 @@
 ///   ping                                        -> {}
 ///   load  {source, fault, solver-timeout-ms,
 ///          budget-ms, incremental, trace,
-///          trace-req}                           -> {}
+///          trace-req, trace-epoch-ns}           -> {}
 ///   det   {begin, end}                          -> {event}
 ///   ti    {begin, end}                          -> {event}
+///   prep  {hull}                                -> {}
 ///   amb   {hull, fp, cfg-base, visited,
 ///          cfg-p, cfg-q, cfg-d}                 -> {fin, disc-cfg, disc-i1,
 ///                                                   disc-i2, disc-err}
 ///   collect {}                                  -> {metrics..., trace,
 ///                                                   trace-dropped}
 ///   quit  {}                                    -> {}
+///
+/// prep builds the output automaton and expanded product an amb shard with
+/// the same hull flag scans against, ahead of the first such shard; amb
+/// builds it itself when no prep came first (a respawned worker). Both the
+/// product and a failed build are kept for the worker's lifetime, so prep
+/// is idempotent and amb answers the same with or without it. prep is not
+/// a shard: its reply carries nothing the coordinator uses.
+///
+/// trace-epoch-ns is the coordinator's TraceRecorder epoch; a tracing
+/// worker records on that timeline.
 ///
 /// det/ti "event" and amb "fin" use ShardNoEvent (UINT64_MAX) for "no event
 /// in my range". The amb discovery lists are parallel arrays (one entry per
@@ -53,6 +64,7 @@ inline constexpr const char *Ping = "ping";
 inline constexpr const char *Load = "load";
 inline constexpr const char *Det = "det";
 inline constexpr const char *Ti = "ti";
+inline constexpr const char *Prep = "prep";
 inline constexpr const char *Amb = "amb";
 inline constexpr const char *Collect = "collect";
 inline constexpr const char *Quit = "quit";

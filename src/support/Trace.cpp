@@ -39,6 +39,12 @@ TraceRecorder &TraceRecorder::global() {
 }
 
 void TraceRecorder::enable() {
+  enableAt(std::chrono::duration_cast<std::chrono::nanoseconds>(
+               std::chrono::steady_clock::now().time_since_epoch())
+               .count());
+}
+
+void TraceRecorder::enableAt(int64_t Epoch) {
   std::lock_guard<std::mutex> Lock(Mu);
   for (auto &B : Buffers) {
     std::lock_guard<std::mutex> BLock(B->M);
@@ -47,11 +53,7 @@ void TraceRecorder::enable() {
     B->Dropped = 0;
   }
   External.clear();
-  EpochNs.store(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count(),
-      std::memory_order_relaxed);
+  EpochNs.store(Epoch, std::memory_order_relaxed);
   Enabled.store(true, std::memory_order_relaxed);
 }
 

@@ -105,7 +105,16 @@ public:
   /// Starts a fresh recording: clears previously drained events, resets the
   /// epoch to now, and turns recording on.
   void enable();
+  /// enable() with the epoch set to \p EpochNs (a steady_clock nanosecond
+  /// count, see epochNs()) instead of now.
+  void enableAt(int64_t EpochNs);
   void disable();
+
+  /// The current epoch as a steady_clock nanosecond count. steady_clock is
+  /// CLOCK_MONOTONIC, one clock for every process on the host, so a worker
+  /// process that adopts this value via enableAt() stamps its events on
+  /// the coordinator's timeline.
+  int64_t epochNs() const { return EpochNs.load(std::memory_order_relaxed); }
   bool enabled() const { return Enabled.load(std::memory_order_relaxed); }
 
   /// Microseconds since the current epoch (clamped to 0 before enable()).
@@ -131,9 +140,8 @@ public:
 
   /// Copies every recorded event into self-contained form (one 'M' row per
   /// named thread), for shipping to a coordinating process. Timestamps stay
-  /// relative to this recorder's epoch — nesting within a tid is preserved,
-  /// which is what trace-lint checks; cross-process clock alignment is not
-  /// attempted.
+  /// relative to this recorder's epoch, which lines up with the
+  /// coordinator's when this process was enabled at its epochNs().
   std::vector<ExternalTraceEvent> exportEvents() const;
 
   /// Splices events exported by another process into json() output, with

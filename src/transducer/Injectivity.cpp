@@ -549,6 +549,10 @@ genic::checkInjectivity(const Seft &A, Solver &S,
     if (S.cancellation().cancelled())
       return Status::cancelled(
           "injectivity CEGAR loop: global deadline exhausted");
+    // Worker processes build their copy of this round's product while we
+    // build ours, so no ambiguity shard waits on a build.
+    if (Eff.Workers && Eff.Workers->procs() > 0)
+      Eff.Workers->prepareAmbiguity(AllowHull);
     Result<CartesianSefa> AO = buildOutputAutomaton(A, S, AllowHull, Eff);
     if (!AO)
       return AO.status();

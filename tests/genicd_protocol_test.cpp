@@ -13,10 +13,13 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "coders/Corpus.h"
 #include "engine/Serve.h"
 #include "genic/Genic.h"
 
 #include <gtest/gtest.h>
+
+#include <cstdio>
 
 using namespace genic;
 
@@ -50,6 +53,85 @@ TEST(FlatJson, DecodesEscapes) {
       parseFlatJson(R"({"k":"a\"b\\c\nd\teA"})");
   ASSERT_TRUE(R.isOk()) << R.status().message();
   EXPECT_EQ(R->Strings.at("k"), "a\"b\\c\nd\teA");
+}
+
+TEST(FlatJson, DecodesUnicodeEscapesToUtf8) {
+  // One code point per UTF-8 length class, then a surrogate pair joined
+  // into U+1F600; upper- and lower-case hex digits both parse.
+  Result<FlatJson> R = parseFlatJson(
+      R"({"k":"\u0041\u00a7\u00E9\u20ac\ud83d\ude00"})");
+  ASSERT_TRUE(R.isOk()) << R.status().message();
+  EXPECT_EQ(R->Strings.at("k"), "A\xc2\xa7\xc3\xa9\xe2\x82\xac"
+                                "\xf0\x9f\x98\x80");
+}
+
+TEST(FlatJson, RejectsLoneSurrogates) {
+  for (const char *Bad : {
+           R"({"k":"\ud83d"})",        // high surrogate at end of string
+           R"({"k":"\ud83dx"})",       // high surrogate, no escape after
+           R"({"k":"\ud83d\u0041"})", // high surrogate + non-surrogate
+           R"({"k":"\ud83d\ud83d"})", // high surrogate + high surrogate
+           R"({"k":"\ude00"})",        // low surrogate with no high one
+           R"({"k":"\u00g1"})",        // not a hex digit
+           R"({"k":"\u00a"})",         // truncated escape
+       })
+    EXPECT_FALSE(parseFlatJson(Bad).isOk()) << "accepted: " << Bad;
+}
+
+/// Escapes \p S the way Python's json.dumps does by default
+/// (ensure_ascii): every non-ASCII code point becomes \uXXXX, astral ones
+/// as a surrogate pair. Expects well-formed UTF-8.
+std::string asciiJsonEscape(const std::string &S) {
+  std::string Out;
+  char Buf[16];
+  auto Escape = [&](unsigned U) {
+    std::snprintf(Buf, sizeof(Buf), "\\u%04x", U);
+    Out += Buf;
+  };
+  for (size_t I = 0; I < S.size();) {
+    unsigned char B = S[I];
+    if (B < 0x80) {
+      Out += jsonEscapeString(std::string(1, S[I++]));
+      continue;
+    }
+    unsigned Len = B >= 0xF0 ? 4 : B >= 0xE0 ? 3 : 2;
+    unsigned V = B & (0x7F >> Len);
+    for (unsigned J = 1; J < Len; ++J)
+      V = (V << 6) | (static_cast<unsigned char>(S[I + J]) & 0x3F);
+    I += Len;
+    if (V >= 0x10000) {
+      Escape(0xD800 + ((V - 0x10000) >> 10));
+      Escape(0xDC00 + ((V - 0x10000) & 0x3FF));
+    } else {
+      Escape(V);
+    }
+  }
+  return Out;
+}
+
+TEST(FlatJson, AcceptsPythonJsonDumpsRequests) {
+  // Verbatim json.dumps output: the section sign of the mod-BASE64 header
+  // comment arrives escaped.
+  Result<ServeRequest> Line = parseServeRequest(
+      R"json({"op": "invert", "id": 1, "source": "// Modified BASE64 )json"
+      R"json((XML tokens, \u00a72).\n"})json");
+  ASSERT_TRUE(Line.isOk()) << Line.status().message();
+  EXPECT_EQ(Line->Source, "// Modified BASE64 (XML tokens, \xc2\xa7"
+                          "2).\n");
+
+  // The whole program, escaped the same way, round-trips byte-for-byte.
+  const CoderSpec *ModB64 = nullptr;
+  for (const CoderSpec &C : coderCorpus())
+    if (C.name() == "mod BASE64 encoder")
+      ModB64 = &C;
+  ASSERT_NE(ModB64, nullptr);
+  std::string Escaped = asciiJsonEscape(ModB64->Source);
+  ASSERT_EQ(Escaped.find("\xc2"), std::string::npos);
+  ASSERT_NE(Escaped.find("\\u00a7"), std::string::npos);
+  Result<ServeRequest> Full = parseServeRequest(
+      R"({"op": "invert", "id": 2, "source": ")" + Escaped + "\"}");
+  ASSERT_TRUE(Full.isOk()) << Full.status().message();
+  EXPECT_EQ(Full->Source, ModB64->Source);
 }
 
 TEST(FlatJson, RejectsMalformedLines) {

@@ -13,7 +13,10 @@
 /// in-process scans, a reply-level error must not count as a crash, an
 /// injected crash@N must get exactly one supervised retry before the shard
 /// degrades to SolverError, and a full pipeline run must report
-/// byte-identically at every --jobs x --worker-procs combination.
+/// byte-identically at every --jobs x --worker-procs combination, on
+/// multi-state machines too. The prep op (product build ahead of the first
+/// ambiguity shard) is checked on a raw worker channel, and its crash and
+/// teardown paths through the supervisor.
 ///
 /// The worker binary path is baked in by CMake (GENIC_WORKER_BIN points at
 /// the genic-worker target), so these tests never depend on the
@@ -21,6 +24,8 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "coders/Corpus.h"
+#include "coders/Synthetic.h"
 #include "engine/InversionEngine.h"
 #include "engine/WorkerSupervisor.h"
 #include "genic/Lower.h"
@@ -36,11 +41,16 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <csignal>
 #include <cstdlib>
+#include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <sys/socket.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 using namespace genic;
@@ -402,6 +412,317 @@ TEST(WorkerSupervision, UnspawnableBinaryDegradesInsteadOfHanging) {
 }
 
 //===----------------------------------------------------------------------===//
+// The prep op, spoken directly to a worker
+//===----------------------------------------------------------------------===//
+
+/// A genic-worker on a raw socketpair, for protocol tests that bypass the
+/// supervisor's spawn-then-load discipline.
+struct RawWorker {
+  pid_t Pid = -1;
+  int Fd = -1;
+
+  RawWorker() {
+    int Sv[2];
+    EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, Sv), 0);
+    Pid = ::fork();
+    if (Pid == 0) {
+      ::close(Sv[0]);
+      std::string FdArg = std::to_string(Sv[1]);
+      ::execl(GENIC_WORKER_BIN, "genic-worker", "--fd", FdArg.c_str(),
+              static_cast<char *>(nullptr));
+      _exit(127);
+    }
+    ::close(Sv[1]);
+    Fd = Sv[0];
+  }
+  RawWorker(const RawWorker &) = delete;
+  RawWorker &operator=(const RawWorker &) = delete;
+  ~RawWorker() {
+    ::close(Fd);
+    ::kill(Pid, SIGKILL);
+    ::waitpid(Pid, nullptr, 0);
+  }
+
+  /// One request/reply exchange; fails only if the channel breaks.
+  Result<IpcMessage> call(const IpcMessage &Req) {
+    Status W = writeFrame(Fd, encodeIpcMessage(Req), 120000);
+    if (!W.isOk())
+      return W;
+    Result<std::string> Payload = readFrame(Fd, 120000);
+    if (!Payload)
+      return Payload.status();
+    return decodeIpcMessage(*Payload);
+  }
+
+  /// The load op the supervisor would send for \p Source.
+  Status load(const std::string &Source, const std::string &Fault = "-") {
+    IpcMessage Req;
+    Req.setStr("op", workerop::Load);
+    Req.setStr("source", Source);
+    Req.setStr("fault", Fault);
+    Req.setU64("solver-timeout-ms", 0);
+    Req.setU64("budget-ms", 0);
+    Req.setU64("incremental", 1);
+    Req.setU64("trace", 0);
+    Req.setU64("trace-req", 0);
+    Req.setU64("trace-epoch-ns", 0);
+    Result<IpcMessage> R = call(Req);
+    return R ? replyStatus(*R) : R.status();
+  }
+
+  Result<IpcMessage> prep(bool Hull) {
+    IpcMessage Req;
+    Req.setStr("op", workerop::Prep);
+    Req.setU64("hull", Hull ? 1 : 0);
+    return call(Req);
+  }
+
+  Result<IpcMessage> collect() {
+    IpcMessage Req;
+    Req.setStr("op", workerop::Collect);
+    return call(Req);
+  }
+};
+
+/// One ambiguity shard request, as the coordinator shipped it.
+struct AmbCall {
+  bool Hull = true;
+  uint64_t Fingerprint = 0;
+  uint64_t CfgBase = 0;
+  std::vector<uint64_t> VisitedKeys;
+  std::vector<AmbShardConfig> LevelChunk;
+
+  IpcMessage request() const {
+    IpcMessage Req;
+    Req.setStr("op", workerop::Amb);
+    Req.setU64("hull", Hull ? 1 : 0);
+    Req.setU64("fp", Fingerprint);
+    Req.setU64("cfg-base", CfgBase);
+    Req.setU64List("visited", VisitedKeys);
+    std::vector<uint64_t> P, Q, D;
+    for (const AmbShardConfig &C : LevelChunk) {
+      P.push_back(C.P);
+      Q.push_back(C.Q);
+      D.push_back(C.D ? 1 : 0);
+    }
+    Req.setU64List("cfg-p", P);
+    Req.setU64List("cfg-q", Q);
+    Req.setU64List("cfg-d", D);
+    return Req;
+  }
+};
+
+/// Forwards every call to a real WorkerSupervisor and records the
+/// ambiguity shards that went through it.
+class RecordingDispatcher : public ShardDispatcher {
+public:
+  explicit RecordingDispatcher(WorkerSupervisor &Inner) : Inner(Inner) {}
+
+  unsigned procs() const override { return Inner.procs(); }
+  Result<uint64_t> determinismShard(uint64_t Begin, uint64_t End) override {
+    return Inner.determinismShard(Begin, End);
+  }
+  Result<uint64_t> transitionInjectivityShard(uint64_t Begin,
+                                              uint64_t End) override {
+    return Inner.transitionInjectivityShard(Begin, End);
+  }
+  void prepareAmbiguity(bool Hull) override { Inner.prepareAmbiguity(Hull); }
+  Result<AmbShardResult>
+  ambiguityShard(bool Hull, uint64_t Fingerprint, uint64_t CfgBase,
+                 const std::vector<uint64_t> &VisitedKeys,
+                 const std::vector<AmbShardConfig> &LevelChunk) override {
+    {
+      std::lock_guard<std::mutex> Lock(Mu);
+      Calls.push_back({Hull, Fingerprint, CfgBase, VisitedKeys, LevelChunk});
+    }
+    return Inner.ambiguityShard(Hull, Fingerprint, CfgBase, VisitedKeys,
+                                LevelChunk);
+  }
+
+  /// Shards scanned past BFS level 0: level 0 is the lone initial
+  /// configuration, whose visited snapshot holds only itself.
+  size_t shardsPastLevelZero() const {
+    size_t N = 0;
+    for (const AmbCall &C : Calls)
+      N += C.VisitedKeys.size() > 1;
+    return N;
+  }
+
+  std::vector<AmbCall> Calls;
+
+private:
+  WorkerSupervisor &Inner;
+  std::mutex Mu;
+};
+
+/// A multi-state program whose ambiguity search ships shards.
+std::string multiStateProgram() { return makeRandomLiaProgram(1, 5); }
+
+/// A worker fleet with a recorder in front of it.
+struct RecordedRun {
+  std::unique_ptr<WorkerSupervisor> Sup;
+  std::unique_ptr<RecordingDispatcher> Rec;
+};
+
+/// Runs the injectivity check of \p Source with its shards shipped to
+/// \p Procs workers, recording every ambiguity shard into \p Run.
+void recordAmbiguityShards(const std::string &Source, unsigned Procs,
+                           unsigned Jobs, RecordedRun &Run) {
+  SolverContext Ctx;
+  Result<AstProgram> Ast = parseGenic(Source);
+  ASSERT_TRUE(Ast.isOk()) << Ast.status().message();
+  Result<LoweredProgram> Prog = lowerProgram(Ctx.factory(), *Ast);
+  ASSERT_TRUE(Prog.isOk()) << Prog.status().message();
+  WorkerSupervisorConfig Cfg = workerConfig(Procs);
+  Cfg.Source = Source;
+  Result<std::unique_ptr<WorkerSupervisor>> W = WorkerSupervisor::launch(Cfg);
+  ASSERT_TRUE(W.isOk()) << W.status().message();
+  Run.Sup = std::move(*W);
+  Run.Rec = std::make_unique<RecordingDispatcher>(*Run.Sup);
+  InjectivityOptions Opts;
+  Opts.Jobs = Jobs;
+  Opts.Workers = Run.Rec.get();
+  Result<InjectivityResult> R =
+      checkInjectivity(Prog->Machine, Ctx.solver(), Opts);
+  ASSERT_TRUE(R.isOk()) << R.status().message();
+  EXPECT_TRUE(R->Injective);
+}
+
+/// The first ambiguity shard the coordinator ships for
+/// multiStateProgram().
+AmbCall firstAmbiguityShard() {
+  RecordedRun Run;
+  recordAmbiguityShards(multiStateProgram(), 1, 1, Run);
+  if (!Run.Rec || Run.Rec->Calls.empty()) {
+    ADD_FAILURE() << "no ambiguity shard was shipped";
+    return AmbCall();
+  }
+  return Run.Rec->Calls.front();
+}
+
+TEST(WorkerSupervision, PrepBeforeLoadIsAnErrorReplyNotACrash) {
+  RawWorker W;
+  Result<IpcMessage> R = W.prep(true);
+  ASSERT_TRUE(R.isOk()) << R.status().message();
+  Status St = replyStatus(*R);
+  EXPECT_FALSE(St.isOk());
+  EXPECT_NE(St.message().find("before load"), std::string::npos)
+      << St.message();
+  // Still serving: the error reply did not take the process down.
+  IpcMessage Ping;
+  Ping.setStr("op", workerop::Ping);
+  Result<IpcMessage> Pong = W.call(Ping);
+  ASSERT_TRUE(Pong.isOk()) << Pong.status().message();
+  EXPECT_TRUE(replyStatus(*Pong).isOk());
+}
+
+TEST(WorkerSupervision, PrepTwiceIsIdempotent) {
+  RawWorker W;
+  ASSERT_TRUE(W.load(multiStateProgram()).isOk());
+  Result<IpcMessage> First = W.prep(true);
+  ASSERT_TRUE(First.isOk()) << First.status().message();
+  EXPECT_TRUE(replyStatus(*First).isOk());
+  Result<IpcMessage> After1 = W.collect();
+  Result<IpcMessage> Second = W.prep(true);
+  ASSERT_TRUE(Second.isOk()) << Second.status().message();
+  EXPECT_EQ(encodeIpcMessage(*Second), encodeIpcMessage(*First));
+  Result<IpcMessage> After2 = W.collect();
+  ASSERT_TRUE(After1.isOk() && After2.isOk());
+  // The second prep reused the product: not one more solver query.
+  Result<MetricsSnapshot> S1 = decodeMetricsSnapshot(*After1);
+  Result<MetricsSnapshot> S2 = decodeMetricsSnapshot(*After2);
+  ASSERT_TRUE(S1.isOk() && S2.isOk());
+  EXPECT_FALSE(S1->Histograms.empty());
+  EXPECT_EQ(S1->Counters, S2->Counters);
+  ASSERT_EQ(S1->Histograms.size(), S2->Histograms.size());
+  for (const auto &[Name, H] : S1->Histograms)
+    EXPECT_EQ(H.Count, S2->Histograms.at(Name).Count) << Name;
+}
+
+TEST(WorkerSupervision, PrepThenAmbAnswersLikeAmbAlone) {
+  AmbCall Shard = firstAmbiguityShard();
+  ASSERT_NE(Shard.Fingerprint, 0u);
+  // Clean, and with an injected throw at the Kth query of each worker
+  // session: a build that failed in prep must fail the following amb the
+  // same way, not be retried with the fault already spent.
+  size_t FailedPreps = 0;
+  for (const char *Fault : {"-", "throw@1:workers", "throw@4:workers",
+                            "throw@16:workers", "throw@64:workers"}) {
+    RawWorker Prepped, Cold;
+    ASSERT_TRUE(Prepped.load(multiStateProgram(), Fault).isOk());
+    ASSERT_TRUE(Cold.load(multiStateProgram(), Fault).isOk());
+    Result<IpcMessage> P = Prepped.prep(Shard.Hull);
+    ASSERT_TRUE(P.isOk()) << P.status().message();
+    FailedPreps += !replyStatus(*P).isOk();
+    Result<IpcMessage> A = Prepped.call(Shard.request());
+    Result<IpcMessage> B = Cold.call(Shard.request());
+    ASSERT_TRUE(A.isOk() && B.isOk());
+    EXPECT_EQ(encodeIpcMessage(*A), encodeIpcMessage(*B)) << Fault;
+    if (std::string(Fault) == "-") {
+      EXPECT_TRUE(replyStatus(*A).isOk()) << replyStatus(*A).message();
+    }
+  }
+  EXPECT_GT(FailedPreps, 0u) << "no fault landed in the product build";
+}
+
+TEST(WorkerSupervision, PrepDoesNotBypassTheFingerprintCheck) {
+  AmbCall Shard = firstAmbiguityShard();
+  RawWorker W;
+  ASSERT_TRUE(W.load(multiStateProgram()).isOk());
+  Result<IpcMessage> P = W.prep(Shard.Hull);
+  ASSERT_TRUE(P.isOk() && replyStatus(*P).isOk());
+  Shard.Fingerprint ^= 1;
+  Result<IpcMessage> R = W.call(Shard.request());
+  ASSERT_TRUE(R.isOk()) << R.status().message();
+  Status St = replyStatus(*R);
+  EXPECT_FALSE(St.isOk());
+  EXPECT_NE(St.message().find("fingerprint mismatch"), std::string::npos)
+      << St.message();
+}
+
+/// The source of corpus coder \p Name.
+std::string corpusSource(const std::string &Name) {
+  for (const CoderSpec &C : coderCorpus())
+    if (C.name() == Name)
+      return C.Source;
+  ADD_FAILURE() << "no corpus coder " << Name;
+  return "";
+}
+
+TEST(WorkerSupervision, CancelledCollectKillsAWorkerStillInPrep) {
+  // The UTF-8 decoder's product takes seconds to build on one thread.
+  // Once the request is cancelled, collect() must kill the worker
+  // mid-build instead of waiting for it — and not call that a crash.
+  WorkerSupervisorConfig Cfg = workerConfig(1);
+  Cfg.Source = corpusSource("UTF-8 decoder");
+  CancellationToken Cancel(Deadline::never());
+  Cfg.Cancel = Cancel;
+  Result<std::unique_ptr<WorkerSupervisor>> W = WorkerSupervisor::launch(Cfg);
+  ASSERT_TRUE(W.isOk()) << W.status().message();
+  (*W)->prepareAmbiguity(true);
+  while ((*W)->slotStates()[0].Pid <= 0)
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  ASSERT_TRUE((*W)->slotStates()[0].Busy) << "prep finished too early";
+
+  Cancel.cancel();
+  auto Start = std::chrono::steady_clock::now();
+  MetricsRegistry Metrics;
+  (*W)->collect(&Metrics);
+  double Seconds = std::chrono::duration<double>(
+                       std::chrono::steady_clock::now() - Start)
+                       .count();
+  EXPECT_LT(Seconds, 1.0);
+  WorkerSupervisor::SlotState Slot = (*W)->slotStates()[0];
+  EXPECT_EQ(Slot.Pid, -1);
+  EXPECT_FALSE(Slot.Busy);
+  WorkerSupervisor::Stats S = (*W)->stats();
+  EXPECT_EQ(S.WorkerCrashes, 0u);
+  EXPECT_EQ(S.ShardsDispatched, 0u);
+  EXPECT_EQ(S.ShardsDegraded, 0u);
+}
+
+//===----------------------------------------------------------------------===//
 // Full pipeline through --worker-procs
 //===----------------------------------------------------------------------===//
 
@@ -434,6 +755,45 @@ TEST(WorkerPipeline, ReportsByteIdenticalAcrossJobsAndWorkerProcs) {
   }
 }
 
+TEST(WorkerPipeline, MultiStateReportsByteIdenticalAcrossJobsAndWorkerProcs) {
+  // The same contract where the Lemma 4.14 product has real depth: random
+  // LIA machines of 2, 5 and 8 states and the ST family's S_2.
+  std::vector<std::string> Programs;
+  for (unsigned States : {2u, 5u, 8u})
+    Programs.push_back(makeRandomLiaProgram(1, States));
+  Programs.push_back(makeStProgram(2));
+  for (const std::string &Source : Programs) {
+    std::string Baseline;
+    for (unsigned Jobs : {1u, 2u}) {
+      for (unsigned Procs : {0u, 2u}) {
+        InverterOptions Options;
+        Options.Jobs = Jobs;
+        GenicTool Tool(Options);
+        if (Procs > 0)
+          Tool.setWorkerProcs(Procs, GENIC_WORKER_BIN);
+        Result<GenicReport> R = Tool.run(Source);
+        ASSERT_TRUE(R.isOk()) << R.status().message();
+        std::string Report = formatOutcomeReport(*R);
+        if (Baseline.empty())
+          Baseline = Report;
+        EXPECT_EQ(Report, Baseline) << Source << "jobs " << Jobs
+                                    << " worker-procs " << Procs;
+        if (Procs > 0) {
+          EXPECT_EQ(Tool.metrics().counter("workerproc.crashes").value(),
+                    0u);
+        }
+      }
+    }
+
+    // The ambiguity search really ran out of process past its first
+    // level, i.e. against worker-built products at depth.
+    RecordedRun Run;
+    recordAmbiguityShards(Source, 2, 2, Run);
+    ASSERT_TRUE(Run.Rec);
+    EXPECT_GT(Run.Rec->shardsPastLevelZero(), 0u) << Source;
+  }
+}
+
 TEST(WorkerPipeline, CrashedWorkerDegradesOnlyItsShard) {
   // The headline robustness contract: a SIGKILLed worker costs one shard
   // (degraded to SolverError after its supervised retry), not the run —
@@ -457,6 +817,63 @@ TEST(WorkerPipeline, CrashedWorkerDegradesOnlyItsShard) {
   Result<GenicReport> After = Tool.run(EncProgram);
   ASSERT_TRUE(After.isOk()) << After.status().message();
   EXPECT_EQ(suggestedExitCode(*After), ExitOk);
+  EXPECT_EQ(Tool.metrics().counter("workerproc.crashes").value(), 0u);
+}
+
+TEST(WorkerPipeline, CrashInsideTheProductBuildDegradesAsBeforePrep) {
+  // crash@5:workers on the BASE64 encoder: every worker survives its
+  // determinism and transition-injectivity shards, then dies at the fifth
+  // query of its product build — now inside prep. The run must end
+  // exactly as it did when the build ran inside the first ambiguity
+  // shard: that shard crashes, its retry crashes, the phase degrades.
+  InverterOptions Options;
+  Options.Jobs = 2;
+  GenicTool Tool(Options);
+  Tool.setWorkerProcs(2, GENIC_WORKER_BIN);
+  Tool.setFaultPlan(*parseFaultPlan("crash@5:workers"));
+  Result<GenicReport> R = Tool.run(corpusSource("BASE64 encoder"));
+  ASSERT_TRUE(R.isOk()) << R.status().message();
+  EXPECT_EQ(suggestedExitCode(*R), ExitInternalError);
+  EXPECT_EQ(formatOutcomeReport(*R),
+            "outcome report for B64E\n"
+            "  determinism: deterministic\n"
+            "  injectivity: solver error\n"
+            "  inversion: not run\n"
+            "  degraded: injectivity check: ambiguity shard failed: worker "
+            "crashed twice on one shard: ipc: peer closed (eof)\n");
+
+  // Shards, retries and degradations are what they were before prep
+  // existed; the two prep deaths add to crashes and (on respawn) restarts.
+  MetricsRegistry &M = Tool.metrics();
+  EXPECT_EQ(M.counter("workerproc.shards").value(), 10u);
+  EXPECT_EQ(M.counter("workerproc.retries").value(), 1u);
+  EXPECT_EQ(M.counter("workerproc.degraded").value(), 1u);
+  EXPECT_EQ(M.counter("workerproc.crashes").value(), 2u + 2u);
+  EXPECT_EQ(M.counter("workerproc.restarts").value(), 1u + 1u);
+}
+
+TEST(WorkerPipeline, TimedOutRequestDoesNotWaitForPrep) {
+  // A one-second budget runs out while the coordinator and both workers
+  // are still building the UTF-8 decoder's product (seconds of work). The
+  // run returns budget-exhausted at about the deadline, and a worker
+  // killed in prep is not reported as a crash. (The workers' own copy of
+  // the deadline stops their solver queries too, so the kill itself is
+  // pinned by CancelledCollectKillsAWorkerStillInPrep.)
+  InverterOptions Options;
+  Options.Jobs = 2;
+  GenicTool Tool(Options);
+  Tool.setWorkerProcs(2, GENIC_WORKER_BIN);
+  Tool.setRunBudgetSeconds(1.0);
+  auto Start = std::chrono::steady_clock::now();
+  Result<GenicReport> R = Tool.run(corpusSource("UTF-8 decoder"),
+                                   /*ForceInjectivity=*/true);
+  double Seconds = std::chrono::duration<double>(
+                       std::chrono::steady_clock::now() - Start)
+                       .count();
+  ASSERT_TRUE(R.isOk()) << R.status().message();
+  EXPECT_EQ(suggestedExitCode(*R), ExitBudgetExhausted)
+      << formatOutcomeReport(*R);
+  EXPECT_LT(Seconds, 2.0);
   EXPECT_EQ(Tool.metrics().counter("workerproc.crashes").value(), 0u);
 }
 

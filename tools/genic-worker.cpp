@@ -61,8 +61,10 @@ struct WorkerState {
   std::optional<std::vector<std::pair<unsigned, unsigned>>> DetPairs;
   std::optional<std::vector<unsigned>> TiRules;
 
-  // One product scanner per AllowHull flavor, built on first amb shard.
-  std::unique_ptr<AmbiguityShardScanner> Scanner[2];
+  // One product build per AllowHull flavor, run by prep (or, after a
+  // respawn, by the first amb shard). A failed build is kept too, so amb
+  // after prep answers exactly like amb alone.
+  std::optional<Result<std::unique_ptr<AmbiguityShardScanner>>> Scanner[2];
 };
 
 Status handleLoad(WorkerState &St, const IpcMessage &Req) {
@@ -73,8 +75,9 @@ Status handleLoad(WorkerState &St, const IpcMessage &Req) {
   Result<uint64_t> Incremental = Req.getU64("incremental");
   Result<uint64_t> Trace = Req.getU64("trace");
   Result<uint64_t> TraceReq = Req.getU64("trace-req");
+  Result<uint64_t> TraceEpoch = Req.getU64("trace-epoch-ns");
   if (!Source || !FaultSpec || !TimeoutMs || !BudgetMs || !Incremental ||
-      !Trace || !TraceReq)
+      !Trace || !TraceReq || !TraceEpoch)
     return Status::error("malformed load request");
 
   FaultPlan Faults;
@@ -120,7 +123,9 @@ Status handleLoad(WorkerState &St, const IpcMessage &Req) {
   St.Pool = std::make_unique<SolverSessionPool>(St.Ctx->factory(), Slv);
 
   if (*Trace != 0) {
-    TraceRecorder::global().enable();
+    // Record on the coordinator's timeline, so the merged trace shows
+    // worker spans where they really ran relative to its own.
+    TraceRecorder::global().enableAt(static_cast<int64_t>(*TraceEpoch));
     TraceRecorder::global().nameThisThread("genic-worker");
     St.TraceReq = std::make_unique<TraceRequestScope>(*TraceReq);
   }
@@ -163,6 +168,43 @@ Result<IpcMessage> handleTi(WorkerState &St, const IpcMessage &Req) {
   return Reply;
 }
 
+/// Builds the output automaton and its product for one AllowHull flavor,
+/// once per worker: the body of prep, and amb's no-op fallback. Exceptions
+/// (injected throw faults) are memoized as the error reply they would have
+/// produced.
+Result<AmbiguityShardScanner *> ensureScanner(WorkerState &St, bool Hull) {
+  std::optional<Result<std::unique_ptr<AmbiguityShardScanner>>> &Built =
+      St.Scanner[Hull ? 1 : 0];
+  if (!Built) {
+    Solver &Slv = St.Ctx->solver();
+    try {
+      Result<CartesianSefa> AO =
+          buildOutputAutomaton(St.Prog->Machine, Slv, /*AllowHull=*/Hull);
+      Built = AO ? AmbiguityShardScanner::create(*AO, Slv)
+                 : Result<std::unique_ptr<AmbiguityShardScanner>>(
+                       AO.status());
+    } catch (const std::exception &Ex) {
+      Built = Status::solverError(std::string("worker exception: ") +
+                                  Ex.what());
+    }
+  }
+  if (!*Built)
+    return Built->status();
+  return Built->value().get();
+}
+
+Result<IpcMessage> handlePrep(WorkerState &St, const IpcMessage &Req) {
+  if (!St.Prog)
+    return Status::error("prep before load");
+  Result<uint64_t> Hull = Req.getU64("hull");
+  if (!Hull)
+    return Status::error("malformed prep request");
+  Result<AmbiguityShardScanner *> Scanner = ensureScanner(St, *Hull != 0);
+  if (!Scanner)
+    return Scanner.status();
+  return IpcMessage();
+}
+
 Result<IpcMessage> handleAmb(WorkerState &St, const IpcMessage &Req) {
   if (!St.Prog)
     return Status::error("amb shard before load");
@@ -178,21 +220,10 @@ Result<IpcMessage> handleAmb(WorkerState &St, const IpcMessage &Req) {
   if (P->size() != Q->size() || P->size() != D->size())
     return Status::error("amb config arrays disagree in length");
 
-  std::unique_ptr<AmbiguityShardScanner> &Scanner =
-      St.Scanner[*Hull != 0 ? 1 : 0];
-  if (!Scanner) {
-    Solver &Slv = St.Ctx->solver();
-    Result<CartesianSefa> AO =
-        buildOutputAutomaton(St.Prog->Machine, Slv, /*AllowHull=*/*Hull != 0);
-    if (!AO)
-      return AO.status();
-    Result<std::unique_ptr<AmbiguityShardScanner>> Sc =
-        AmbiguityShardScanner::create(*AO, Slv);
-    if (!Sc)
-      return Sc.status();
-    Scanner = std::move(*Sc);
-  }
-  if (Scanner->fingerprint() != *Fp)
+  Result<AmbiguityShardScanner *> Scanner = ensureScanner(St, *Hull != 0);
+  if (!Scanner)
+    return Scanner.status();
+  if ((*Scanner)->fingerprint() != *Fp)
     return Status::error(
         "product fingerprint mismatch: the worker derived a different "
         "expanded product than the coordinator");
@@ -201,7 +232,7 @@ Result<IpcMessage> handleAmb(WorkerState &St, const IpcMessage &Req) {
   for (size_t I = 0; I != P->size(); ++I)
     Chunk[I] = {(*P)[I], (*Q)[I], (*D)[I] != 0};
   Result<AmbShardResult> R =
-      Scanner->scan(*St.Pool, *Visited, *CfgBase, Chunk);
+      (*Scanner)->scan(*St.Pool, *Visited, *CfgBase, Chunk);
   if (!R)
     return R.status();
 
@@ -254,13 +285,14 @@ IpcMessage serveRequest(WorkerState &St, const IpcMessage &Req, bool &Quit) {
     }
     if (*Op == workerop::Collect)
       return handleCollect(St);
-    Result<IpcMessage> R = *Op == workerop::Det   ? handleDet(St, Req)
-                           : *Op == workerop::Ti  ? handleTi(St, Req)
-                           : *Op == workerop::Amb ? handleAmb(St, Req)
-                                                  : Result<IpcMessage>(
-                                                        Status::error(
-                                                            "unknown op: " +
-                                                            *Op));
+    Result<IpcMessage> R = *Op == workerop::Det    ? handleDet(St, Req)
+                           : *Op == workerop::Ti   ? handleTi(St, Req)
+                           : *Op == workerop::Prep ? handlePrep(St, Req)
+                           : *Op == workerop::Amb  ? handleAmb(St, Req)
+                                                   : Result<IpcMessage>(
+                                                         Status::error(
+                                                             "unknown op: " +
+                                                             *Op));
     return R ? *R : makeErrorReply(R.status());
   } catch (const std::exception &Ex) {
     // Injected throw faults (and any backend exception) become an error
