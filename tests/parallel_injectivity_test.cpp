@@ -43,6 +43,11 @@ std::string withoutInvert(std::string Source) {
   return Source;
 }
 
+/// (family, variant) of a corpus coder. Held as strings, not `const char *`,
+/// so gtest prints the values rather than their addresses and the test
+/// names are the same in every build.
+using CoderParam = std::pair<std::string, std::string>;
+
 const CoderSpec &findCoder(const std::string &Family,
                            const std::string &Variant) {
   for (const CoderSpec &Spec : coderCorpus())
@@ -84,9 +89,7 @@ std::string checkWithJobs(const std::string &Source, unsigned Jobs) {
   return checkerSummary(*Report);
 }
 
-class ParallelInjectivityTest
-    : public ::testing::TestWithParam<std::pair<const char *, const char *>> {
-};
+class ParallelInjectivityTest : public ::testing::TestWithParam<CoderParam> {};
 
 TEST_P(ParallelInjectivityTest, VerdictIsByteIdenticalAcrossJobs) {
   const CoderSpec &Spec = findCoder(GetParam().first, GetParam().second);
@@ -106,14 +109,12 @@ TEST_P(ParallelInjectivityTest, VerdictIsByteIdenticalAcrossJobs) {
 // determinism scan).
 INSTANTIATE_TEST_SUITE_P(
     Coders, ParallelInjectivityTest,
-    ::testing::Values(std::make_pair("UTF-8", "encoder"),
-                      std::make_pair("UTF-16", "encoder"),
-                      std::make_pair("BASE64", "encoder"),
-                      std::make_pair("BASE64", "decoder")),
-    [](const ::testing::TestParamInfo<std::pair<const char *, const char *>>
-           &Info) {
-      std::string Name =
-          std::string(Info.param.first) + "_" + Info.param.second;
+    ::testing::Values(CoderParam("UTF-8", "encoder"),
+                      CoderParam("UTF-16", "encoder"),
+                      CoderParam("BASE64", "encoder"),
+                      CoderParam("BASE64", "decoder")),
+    [](const ::testing::TestParamInfo<CoderParam> &Info) {
+      std::string Name = Info.param.first + "_" + Info.param.second;
       for (char &C : Name)
         if (C == '-')
           C = '_';

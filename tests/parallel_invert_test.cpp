@@ -35,6 +35,11 @@ std::string withoutInjectivity(std::string Source) {
   return Source;
 }
 
+/// (family, variant) of a corpus coder. Held as strings, not `const char *`,
+/// so gtest prints the values rather than their addresses and the test
+/// names are the same in every build.
+using CoderParam = std::pair<std::string, std::string>;
+
 const CoderSpec &findCoder(const std::string &Family,
                            const std::string &Variant) {
   for (const CoderSpec &Spec : coderCorpus())
@@ -58,9 +63,7 @@ GenicReport invertWithJobs(GenicTool &Tool, const std::string &Source) {
   return *Report;
 }
 
-class ParallelInvertTest
-    : public ::testing::TestWithParam<std::pair<const char *, const char *>> {
-};
+class ParallelInvertTest : public ::testing::TestWithParam<CoderParam> {};
 
 TEST_P(ParallelInvertTest, OutputIsByteIdenticalAcrossJobs) {
   const CoderSpec &Spec = findCoder(GetParam().first, GetParam().second);
@@ -116,12 +119,11 @@ TEST_P(ParallelInvertTest, ParallelInverseRoundTrips) {
 // encoder adds a third machine with different aux structure.
 INSTANTIATE_TEST_SUITE_P(
     Coders, ParallelInvertTest,
-    ::testing::Values(std::make_pair("BASE16", "encoder"),
-                      std::make_pair("BASE16", "decoder"),
-                      std::make_pair("UU", "encoder")),
-    [](const ::testing::TestParamInfo<std::pair<const char *, const char *>>
-           &Info) {
-      return std::string(Info.param.first) + "_" + Info.param.second;
+    ::testing::Values(CoderParam("BASE16", "encoder"),
+                      CoderParam("BASE16", "decoder"),
+                      CoderParam("UU", "encoder")),
+    [](const ::testing::TestParamInfo<CoderParam> &Info) {
+      return Info.param.first + "_" + Info.param.second;
     });
 
 } // namespace
