@@ -910,8 +910,7 @@ genic::checkAmbiguity(const CartesianSefa &Input, Solver &S,
       TP.wait();
       for (const Status &E : ShardErr)
         if (!E.isOk())
-          return Status::solverError("ambiguity shard failed: " +
-                                     E.message());
+          return shardFailure("ambiguity", E);
     } else {
       auto IsVisited = [&Visited](uint64_t K) {
         return Visited.count(K) != 0;

@@ -301,6 +301,17 @@ Result<IpcMessage> WorkerSupervisor::roundTrip(Slot &S,
 }
 
 Result<IpcMessage> WorkerSupervisor::dispatch(const IpcMessage &Request) {
+  Result<IpcMessage> R = supervise(Request);
+  // Once the request's deadline has fired, a failed shard was cut short by
+  // the budget: the worker's own copy of the deadline cancelled its
+  // queries, or teardown killed it mid-shard. Report budget exhaustion,
+  // as the in-process scan would, not a solver fault.
+  if (!R && !R.status().isBudget() && Cfg.Cancel.cancelled())
+    return Status::cancelled(R.status().message());
+  return R;
+}
+
+Result<IpcMessage> WorkerSupervisor::supervise(const IpcMessage &Request) {
   {
     std::lock_guard<std::mutex> Lock(Mu);
     ++TheStats.ShardsDispatched;

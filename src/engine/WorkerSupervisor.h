@@ -31,6 +31,12 @@
 ///     error reply is dropped; the worker keeps the failed build and its
 ///     next amb shard returns that error. Preps never count in shards,
 ///     retries, or degraded.
+///   * Once the request's cancellation token has fired (deadline or
+///     explicit cancel), any shard failure — crash, unusable slot, or
+///     error reply — is reported as Status::cancelled: the budget cut the
+///     shard short, so the run ends budget-exhausted (exit 4), as an
+///     in-process scan would, not solver-error (exit 5). The scan drivers
+///     keep budget codes (shardFailure in ipc/Shards.h).
 ///   * Teardown never waits on a product build nobody will scan: the
 ///     destructor, and collect() of a cancelled or over-deadline request,
 ///     SIGKILL every worker still in prep (not counted as a crash).
@@ -163,9 +169,14 @@ private:
   struct Slot;
   explicit WorkerSupervisor(WorkerSupervisorConfig Cfg);
 
+  /// Runs \p Request under supervise(). A failure after the request's
+  /// cancellation token has fired is reported as Cancelled (budget
+  /// exhausted), whatever supervision saw.
+  Result<IpcMessage> dispatch(const IpcMessage &Request);
+
   /// Runs \p Request on a checked-out worker, with the crash-retry policy
   /// described above. Returns the reply or the degrading Status.
-  Result<IpcMessage> dispatch(const IpcMessage &Request);
+  Result<IpcMessage> supervise(const IpcMessage &Request);
 
   /// One request/reply exchange on \p S. On failure the slot is killed,
   /// reaped, and marked for respawn.

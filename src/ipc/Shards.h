@@ -33,6 +33,7 @@
 #include "support/Result.h"
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 namespace genic {
@@ -68,6 +69,22 @@ struct AmbShardResult {
   uint64_t FinEvent = ShardNoEvent;
   std::vector<AmbShardDiscovery> Discoveries;
 };
+
+/// The status a scan driver reports for a shard that failed with \p E: a
+/// budget status (the request's deadline cut the shard short) keeps its
+/// code, so the phase degrades as budget-exhausted exactly like an
+/// in-process scan; anything else poisons the phase to SolverError.
+inline Status shardFailure(const char *Scan, const Status &E) {
+  std::string Message = std::string(Scan) + " shard failed: " + E.message();
+  switch (E.code()) {
+  case StatusCode::Timeout:
+    return Status::timeout(std::move(Message));
+  case StatusCode::Cancelled:
+    return Status::cancelled(std::move(Message));
+  default:
+    return Status::solverError(std::move(Message));
+  }
+}
 
 /// Fans verdict-only scan shards to some execution substrate (in practice
 /// the engine's WorkerSupervisor over genic-worker processes). Calls are

@@ -118,6 +118,10 @@ genic::encodeTraceEvents(const std::vector<ExternalTraceEvent> &Events) {
     appendSanitized(Out, E.Arg2Name);
     Out += FieldSep;
     Out += std::to_string(E.Arg2);
+    Out += FieldSep;
+    appendSanitized(Out, E.Arg3Name);
+    Out += FieldSep;
+    Out += std::to_string(E.Arg3);
     Out += '\n';
   }
   return Out;
@@ -130,7 +134,7 @@ genic::decodeTraceEvents(const std::string &Blob) {
     if (Line.empty())
       continue;
     std::vector<std::string> F = split(Line, FieldSep);
-    if (F.size() != 11 || F[0].size() != 1)
+    if (F.size() != 13 || F[0].size() != 1)
       return Status::error("malformed trace event line");
     ExternalTraceEvent E;
     E.Ph = F[0][0];
@@ -144,6 +148,8 @@ genic::decodeTraceEvents(const std::string &Blob) {
     E.Arg1 = std::strtoll(F[8].c_str(), nullptr, 10);
     E.Arg2Name = F[9];
     E.Arg2 = std::strtoll(F[10].c_str(), nullptr, 10);
+    E.Arg3Name = F[11];
+    E.Arg3 = std::strtoll(F[12].c_str(), nullptr, 10);
     Events.push_back(std::move(E));
   }
   return Events;

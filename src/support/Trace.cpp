@@ -165,6 +165,10 @@ std::vector<ExternalTraceEvent> TraceRecorder::exportEvents() const {
         X.Arg2Name = E.Arg2Name;
         X.Arg2 = E.Arg2;
       }
+      if (E.Arg3Name) {
+        X.Arg3Name = E.Arg3Name;
+        X.Arg3 = E.Arg3;
+      }
       Out.push_back(std::move(X));
     }
   }
@@ -191,6 +195,7 @@ std::string TraceRecorder::json() const {
     const std::string *CatStr = nullptr;
     const std::string *Arg1Str = nullptr;
     const std::string *Arg2Str = nullptr;
+    const std::string *Arg3Str = nullptr;
   };
   std::vector<Row> Rows;
   std::vector<std::pair<int, std::string>> Names;
@@ -219,12 +224,15 @@ std::string TraceRecorder::json() const {
     R.E.Req = X.Req;
     R.E.Arg1 = X.Arg1;
     R.E.Arg2 = X.Arg2;
+    R.E.Arg3 = X.Arg3;
     R.NameStr = &X.Name;
     R.CatStr = &X.Cat;
     if (!X.Arg1Name.empty())
       R.Arg1Str = &X.Arg1Name;
     if (!X.Arg2Name.empty())
       R.Arg2Str = &X.Arg2Name;
+    if (!X.Arg3Name.empty())
+      R.Arg3Str = &X.Arg3Name;
     Rows.push_back(R);
   }
   // Sort each thread's track by start time, longest span first on ties, so
@@ -277,6 +285,7 @@ std::string TraceRecorder::json() const {
       Out += ",\"s\":\"t\"";
     const char *Arg1Name = R.Arg1Str ? R.Arg1Str->c_str() : R.E.Arg1Name;
     const char *Arg2Name = R.Arg2Str ? R.Arg2Str->c_str() : R.E.Arg2Name;
+    const char *Arg3Name = R.Arg3Str ? R.Arg3Str->c_str() : R.E.Arg3Name;
     if (Arg1Name || R.E.Req) {
       bool FirstArg = true;
       Out += ",\"args\":{";
@@ -295,6 +304,11 @@ std::string TraceRecorder::json() const {
       if (Arg2Name) {
         std::snprintf(Buf, sizeof(Buf), ",\"%s\":%lld", Arg2Name,
                       static_cast<long long>(R.E.Arg2));
+        Out += Buf;
+      }
+      if (Arg3Name) {
+        std::snprintf(Buf, sizeof(Buf), ",\"%s\":%lld", Arg3Name,
+                      static_cast<long long>(R.E.Arg3));
         Out += Buf;
       }
       Out += "}";

@@ -47,11 +47,13 @@ struct TraceEvent {
   /// "req" argument so concurrent requests' spans stay distinguishable in
   /// one trace (tools/trace-lint checks nesting per (tid, req)).
   uint64_t Req = 0;
-  /// Up to two integer arguments, rendered under "args" in the JSON.
+  /// Up to three integer arguments, rendered under "args" in the JSON.
   const char *Arg1Name = nullptr;
   int64_t Arg1 = 0;
   const char *Arg2Name = nullptr;
   int64_t Arg2 = 0;
+  const char *Arg3Name = nullptr;
+  int64_t Arg3 = 0;
 };
 
 /// A trace event in self-contained form — owned strings, explicit tid — for
@@ -72,6 +74,8 @@ struct ExternalTraceEvent {
   int64_t Arg1 = 0;
   std::string Arg2Name;
   int64_t Arg2 = 0;
+  std::string Arg3Name;
+  int64_t Arg3 = 0;
 };
 
 /// The calling thread's current request epoch (0 when none is installed).
@@ -218,7 +222,7 @@ public:
         .count();
   }
 
-  /// Attaches an integer argument (at most two; extras are ignored).
+  /// Attaches an integer argument (at most three; extras are ignored).
   void arg(const char *Name, int64_t Value) {
     if (!E.Arg1Name) {
       E.Arg1Name = Name;
@@ -226,6 +230,9 @@ public:
     } else if (!E.Arg2Name) {
       E.Arg2Name = Name;
       E.Arg2 = Value;
+    } else if (!E.Arg3Name) {
+      E.Arg3Name = Name;
+      E.Arg3 = Value;
     }
   }
 

@@ -16,6 +16,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <optional>
 
 using namespace genic;
 
@@ -24,27 +25,62 @@ Inverter::Inverter(Solver &S, InverterOptions O)
 
 namespace {
 
+/// One rule's private inversion session. Nothing is cloned in: the fork
+/// shares the frozen prefix (components, guards, outputs) by pointer, and
+/// only interns the terms the synthesis itself builds. The fork's history
+/// is a pure function of the rule, so the synthesized terms — and
+/// therefore the merged inverse — do not depend on how tasks interleave.
+struct RuleTask {
+  std::unique_ptr<SolverContext> Ctx;
+  std::unique_ptr<SygusEngine> Engine;
+  RuleInversionResult Result;
+  /// Variable reduction's usable outputs per input position (empty = no
+  /// restriction), computed at the rule's first recovery request or
+  /// adopted from a warm session.
+  std::optional<Inverter::OutputSubsets> Reduced;
+  /// Whether Reduced is final: no position stopped on a budget or solver
+  /// failure, so a warm repeat may reuse it instead of re-deriving it.
+  bool ReducedSettled = false;
+  /// Traffic of the child sessions variable reduction ran in; counted
+  /// with the rule's own session.
+  Solver::Stats ReductionSmt;
+};
+
 /// The per-rule recovery synthesizer (§6): variable reduction, grammar
-/// mining, CEGIS, then the unrestricted fallback. Parameterized on the
-/// session so the same logic drives both the shared engine (aux inversion)
-/// and the per-rule worker sessions; all referenced objects must outlive
-/// the returned hook.
+/// mining, CEGIS, then the unrestricted fallback, all in \p Task's session;
+/// \p Task and the referenced objects must outlive the returned hook.
 RecoverySynthesizer
-makeRecoveryHook(Solver &S, SygusEngine &Engine, TermFactory &F,
+makeRecoveryHook(RuleTask &Task, unsigned Rule,
                  const std::vector<const FuncDef *> &Components,
                  const InverterOptions &Opts) {
-  return [&S, &Engine, &F, &Components, &Opts](
+  return [&Task, Rule, &Components, &Opts](
              const ImagePredicate &P, unsigned XIndex,
              Type InputType) -> Result<TermRef> {
+    Solver &S = Task.Ctx->solver();
+    TermFactory &F = Task.Ctx->factory();
+    SygusEngine &Engine = *Task.Engine;
     SynthesisSpec Spec{P, F.mkVar(XIndex, InputType)};
 
-    // Optimization 2a: variable reduction.
+    // Optimization 2a: variable reduction, for all of the rule's inputs at
+    // once (every hook call of a rule sees the same predicate).
     std::vector<unsigned> Usable;
     if (Opts.UseMining && P.arity() > 1) {
-      Result<std::vector<unsigned>> Subset =
-          sufficientOutputSubset(S, P, XIndex, InputType);
-      if (Subset)
-        Usable = *Subset;
+      if (!Task.Reduced) {
+        TraceSpan Span("sygus.varreduce");
+        Span.arg("rule", static_cast<int64_t>(Rule));
+        Span.arg("positions", static_cast<int64_t>(P.NumInputs));
+        OutputReduction R = sufficientOutputSubsets(S, P, InputType);
+        Span.arg("queries", static_cast<int64_t>(R.Smt.SatQueries));
+        Task.ReductionSmt += R.Smt;
+        Task.Reduced.emplace();
+        Task.ReducedSettled = true;
+        for (const Result<std::vector<unsigned>> &Subset : R.Subsets) {
+          Task.Reduced->push_back(Subset ? *Subset : std::vector<unsigned>());
+          if (!Subset && Subset.status().code() != StatusCode::Error)
+            Task.ReducedSettled = false;
+        }
+      }
+      Usable = (*Task.Reduced)[XIndex];
     }
 
     // Optimization 2b: operator/constant mining.
@@ -81,17 +117,6 @@ struct AuxTask {
   const FuncDef *Fn = nullptr;
   std::string InvName;
   Result<const FuncDef *> Inv = Status::error("aux task did not run");
-};
-
-/// One rule's private inversion session. Nothing is cloned in: the fork
-/// shares the frozen prefix (components, guards, outputs) by pointer, and
-/// only interns the terms the synthesis itself builds. The fork's history
-/// is a pure function of the rule, so the synthesized terms — and
-/// therefore the merged inverse — do not depend on how tasks interleave.
-struct RuleTask {
-  std::unique_ptr<SolverContext> Ctx;
-  std::unique_ptr<SygusEngine> Engine;
-  RuleInversionResult Result;
 };
 
 /// Counter snapshot taken when a persisted worker session is re-armed for a
@@ -195,6 +220,8 @@ Inverter::invert(const Seft &A, const std::vector<const FuncDef *> &AuxFuncs) {
     for (size_t I = 0; I != Ts.size(); ++I) {
       Tasks[I].Ctx = std::move(Bank.Rules[I].Ctx);
       Tasks[I].Engine = std::move(Bank.Rules[I].Engine);
+      Tasks[I].Reduced = std::move(Bank.Rules[I].Reduced);
+      Tasks[I].ReducedSettled = Tasks[I].Reduced.has_value();
       Solver &W = Tasks[I].Ctx->solver();
       SolverControl C = S.control();
       C.WorkerSession = true;
@@ -229,10 +256,11 @@ Inverter::invert(const Seft &A, const std::vector<const FuncDef *> &AuxFuncs) {
         TraceSpan RuleSpan("invert.rule");
         RuleSpan.arg("rule", static_cast<int64_t>(I));
         RecoverySynthesizer Hook =
-            makeRecoveryHook(Task->Ctx->solver(), *Task->Engine,
-                             Task->Ctx->factory(), *Comps, *O);
+            makeRecoveryHook(*Task, static_cast<unsigned>(I), *Comps, *O);
         Task->Result = invertOneRule(*T, static_cast<unsigned>(I), InTy,
                                      OutTy, Task->Ctx->solver(), Hook);
+        Task->Result.Record.Retries +=
+            static_cast<unsigned>(Task->ReductionSmt.Retries);
       });
     }
     Pool.wait();
@@ -263,14 +291,18 @@ Inverter::invert(const Seft &A, const std::vector<const FuncDef *> &AuxFuncs) {
     Engine.appendCalls(Task.Engine->calls());
     AccumulateWorker(Task.Ctx->solver(), *Task.Engine,
                      Baselines[&Task - Tasks.data()]);
+    LastWorkerStats.Smt += Task.ReductionSmt;
   }
   LastWorkerStats.CloneOutNodes += Back.clonedNodes();
 
   // Stash the forks for the next request on this program (the engine's
   // warm pool carries them via releaseRuleSessions / adoptRuleSessions).
   Sessions.Rules.clear();
-  for (RuleTask &Task : Tasks)
-    Sessions.Rules.push_back(
-        RuleSessionBank::Entry{std::move(Task.Ctx), std::move(Task.Engine)});
+  for (RuleTask &Task : Tasks) {
+    if (!Task.ReducedSettled)
+      Task.Reduced.reset();
+    Sessions.Rules.push_back(RuleSessionBank::Entry{
+        std::move(Task.Ctx), std::move(Task.Engine), std::move(Task.Reduced)});
+  }
   return Out;
 }

@@ -22,6 +22,7 @@
 #include "transducer/Invert.h"
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -69,10 +70,16 @@ public:
   SygusEngine &engine() { return Engine; }
   const InverterOptions &options() const { return Opts; }
 
+  /// Variable reduction's usable output indices, one list per input
+  /// position of a rule (empty = no restriction).
+  using OutputSubsets = std::vector<std::vector<unsigned>>;
+
   /// Persisted per-rule worker sessions: each entry is one rule's
   /// copy-on-write fork of the shared factory plus its private CEGIS
   /// engine, with the memoized importer, checkSat memo, compiled-eval
-  /// cache, and enumeration banks all still warm. The engine's warm-pool
+  /// cache, and enumeration banks all still warm, and the rule's variable
+  /// reduction result (data only: it ran in a discarded child session, so
+  /// the fork's memo cannot replay it). The engine's warm-pool
   /// path keeps these resident across requests on the same program, so a
   /// repeat inversion replays its per-rule queries against hot caches
   /// instead of re-deriving everything in fresh forks. Reuse preserves
@@ -83,6 +90,9 @@ public:
     struct Entry {
       std::unique_ptr<SolverContext> Ctx;
       std::unique_ptr<SygusEngine> Engine;
+      /// Absent until computed, and when a budget or solver failure cut
+      /// the analysis short (a later request retries it).
+      std::optional<OutputSubsets> Reduced;
     };
     std::vector<Entry> Rules;
     bool empty() const { return Rules.empty(); }

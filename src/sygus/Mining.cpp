@@ -6,6 +6,8 @@
 
 #include "sygus/Mining.h"
 
+#include "solver/SolverContext.h"
+
 #include <algorithm>
 #include <unordered_set>
 
@@ -102,10 +104,17 @@ Grammar genic::mineTransitionGrammar(
   return G;
 }
 
-Result<std::vector<unsigned>>
-genic::sufficientOutputSubset(Solver &S, const ImagePredicate &P,
-                              unsigned XIndex, Type InputType) {
-  TermFactory &F = S.factory();
+OutputReduction genic::sufficientOutputSubsets(Solver &S,
+                                               const ImagePredicate &P,
+                                               Type InputType) {
+  // The private child session: a fork of S's factory with its own solver
+  // and Z3 context, discarded on return. Nothing below interns a term in
+  // S.factory(), and S's Z3 context never sees a reduction query, so
+  // nothing here can steer S's later models.
+  SolverContext Child(S.factory(), S);
+  FreezeGuard Quiesce(S.factory());
+  TermFactory &F = Child.factory();
+  Solver &CS = Child.solver();
   const unsigned N = P.NumInputs;
   const unsigned K = P.arity();
 
@@ -126,50 +135,88 @@ genic::sufficientOutputSubset(Solver &S, const ImagePredicate &P,
       Note(Note, F.inlineCalls(O));
   }
 
-  auto Shift = [&](TermRef T) {
-    std::vector<TermRef> Repl(N);
-    for (unsigned I = 0; I < N; ++I)
-      Repl[I] = F.mkVar(N + I, Types[I]);
-    return F.substitute(T, Repl);
-  };
+  std::vector<TermRef> Primed(N);
+  for (unsigned I = 0; I < N; ++I)
+    Primed[I] = F.mkVar(N + I, Types[I]);
+  auto Shift = [&](TermRef T) { return F.substitute(T, Primed); };
 
-  // Determination check for a subset of output indices.
-  auto Determines = [&](const std::vector<unsigned> &Subset) -> Result<bool> {
-    std::vector<TermRef> Conjuncts{P.Guard, Shift(P.Guard)};
-    for (unsigned J : Subset)
-      Conjuncts.push_back(F.mkEq(P.Outputs[J], Shift(P.Outputs[J])));
-    Conjuncts.push_back(F.mkDistinct(F.mkVar(XIndex, Types[XIndex]),
-                                     F.mkVar(N + XIndex, Types[XIndex])));
-    Result<bool> Sat = S.isSat(F.mkAnd(std::move(Conjuncts)));
-    if (!Sat)
-      return Sat;
-    return !*Sat;
-  };
-
-  std::vector<unsigned> Subset;
-  for (unsigned J = 0; J < K; ++J)
-    Subset.push_back(J);
-  Result<bool> Full = Determines(Subset);
-  if (!Full)
-    return Full.status();
-  if (!*Full)
-    return Status::error("the outputs do not determine input " +
-                         std::to_string(XIndex) +
-                         " (the transition is not injective on it)");
-
-  // Greedy elimination: drop any output whose removal keeps determination.
-  for (unsigned J = K; J-- > 0;) {
-    std::vector<unsigned> Without;
-    for (unsigned M : Subset)
-      if (M != J)
-        Without.push_back(M);
-    if (Without.size() == Subset.size())
-      continue;
-    Result<bool> Ok = Determines(Without);
-    if (!Ok)
-      return Ok.status();
-    if (*Ok)
-      Subset = std::move(Without);
+  // The two-copy formula, asserted once in the child's base frame (the
+  // child is discarded, so no scope is needed): phi(x) /\ phi(x'), under
+  // selector s_j f_j(x) = f_j(x'), and under selector d_i x_i != x'_i.
+  // Each determination check is then one check-sat-assuming over
+  // selectors.
+  std::vector<TermRef> Same(K), Differs(N), SameSel(K), DiffersSel(N);
+  CS.assertFormula(P.Guard);
+  CS.assertFormula(Shift(P.Guard));
+  for (unsigned J = 0; J < K; ++J) {
+    Same[J] = F.mkEq(P.Outputs[J], Shift(P.Outputs[J]));
+    SameSel[J] = F.mkVar(2 * N + J, Type::boolTy());
+    CS.assertFormula(F.mkImplies(SameSel[J], Same[J]));
   }
-  return Subset;
+  for (unsigned I = 0; I < N; ++I) {
+    Differs[I] = F.mkDistinct(F.mkVar(I, Types[I]), Primed[I]);
+    DiffersSel[I] = F.mkVar(2 * N + K + I, Type::boolTy());
+    CS.assertFormula(F.mkImplies(DiffersSel[I], Differs[I]));
+  }
+
+  // Determination check: do the outputs in Subset fix x_XIndex?
+  auto Determines = [&](const std::vector<unsigned> &Subset,
+                        unsigned XIndex) -> Result<bool> {
+    std::vector<TermRef> Assume;
+    for (unsigned J : Subset)
+      Assume.push_back(SameSel[J]);
+    Assume.push_back(DiffersSel[XIndex]);
+    SatResult Sat = CS.checkSatAssuming(Assume);
+    if (Sat == SatResult::Unknown) {
+      // As in CEGIS verification: retry the flat one-shot query before
+      // giving up, so the outcome can only match or improve on it.
+      std::vector<TermRef> Conjuncts{P.Guard, Shift(P.Guard)};
+      for (unsigned J : Subset)
+        Conjuncts.push_back(Same[J]);
+      Conjuncts.push_back(Differs[XIndex]);
+      Sat = CS.checkSat(F.mkAnd(std::move(Conjuncts)));
+    }
+    if (Sat == SatResult::Unknown)
+      return CS.unknownStatus("variable reduction query");
+    return Sat == SatResult::Unsat;
+  };
+
+  // Per position: the full output tuple must determine x_i; then greedy
+  // elimination drops any output whose removal keeps determination.
+  auto Reduce = [&](unsigned XIndex) -> Result<std::vector<unsigned>> {
+    std::vector<unsigned> Subset;
+    for (unsigned J = 0; J < K; ++J)
+      Subset.push_back(J);
+    Result<bool> Full = Determines(Subset, XIndex);
+    if (!Full)
+      return Full.status();
+    if (!*Full)
+      return Status::error("the outputs do not determine input " +
+                           std::to_string(XIndex) +
+                           " (the transition is not injective on it)");
+    for (unsigned J = K; J-- > 0;) {
+      std::vector<unsigned> Without;
+      for (unsigned M : Subset)
+        if (M != J)
+          Without.push_back(M);
+      Result<bool> Ok = Determines(Without, XIndex);
+      if (!Ok)
+        return Ok.status();
+      if (*Ok)
+        Subset = std::move(Without);
+    }
+    return Subset;
+  };
+
+  OutputReduction Out;
+  for (unsigned I = 0; I < N; ++I)
+    Out.Subsets.push_back(Reduce(I));
+  Out.Smt = CS.stats();
+  return Out;
+}
+
+Result<std::vector<unsigned>>
+genic::sufficientOutputSubset(Solver &S, const ImagePredicate &P,
+                              unsigned XIndex, Type InputType) {
+  return std::move(sufficientOutputSubsets(S, P, InputType).Subsets[XIndex]);
 }

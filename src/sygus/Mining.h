@@ -22,7 +22,17 @@
 ///        unsat( phi(x) /\ phi(x') /\ /\_{j in y*} f_j(x) = f_j(x')
 ///               /\ x_i != x'_i ).
 ///    A greedy elimination pass yields a minimal (not necessarily minimum)
-///    sufficient subset with at most |y| queries.
+///    sufficient subset with at most |y| + 1 queries per input.
+///
+///    All inputs of a rule are reduced in one private child session, a
+///    fork of the rule's session that is discarded afterwards. The child
+///    asserts the two-copy formula once, with each equation f_j and each
+///    disequation x_i != x'_i behind a selector literal, so every check
+///    is one check-sat-assuming on the same backend solver. The rule's own
+///    factory never interns a reduction term: commutative operands are
+///    ordered by term id, so extra terms there would change the printed
+///    inverse, and differently under --solver-incremental on and off
+///    (DESIGN.md, "Variable reduction in a child session").
 ///
 //===----------------------------------------------------------------------===//
 
@@ -49,9 +59,23 @@ Grammar mineTransitionGrammar(TermFactory &F, const ImagePredicate &P,
                               const std::vector<const FuncDef *> &Components,
                               bool MineOps);
 
-/// The variable-reduction analysis; returns sorted output indices that
-/// suffice to recover Var(XIndex). Requires the full output tuple to
-/// determine x_i (true for injective transitions); errors otherwise.
+/// The variable-reduction analysis for every input of a rule.
+struct OutputReduction {
+  /// Per input position x_i: sorted output indices that suffice to recover
+  /// it, or why the analysis stopped. Requires the full output tuple to
+  /// determine x_i (true for injective transitions); errors otherwise.
+  std::vector<Result<std::vector<unsigned>>> Subsets;
+  /// The child session's solver traffic, for the caller's counters.
+  Solver::Stats Smt;
+};
+
+/// Reduces every input of \p P in one child session forked from \p S
+/// (see the file comment). Queries are counted in the calling thread's
+/// metrics phase; nothing is interned in S.factory().
+OutputReduction sufficientOutputSubsets(Solver &S, const ImagePredicate &P,
+                                        Type InputType);
+
+/// sufficientOutputSubsets for the single input Var(XIndex).
 Result<std::vector<unsigned>>
 sufficientOutputSubset(Solver &S, const ImagePredicate &P, unsigned XIndex,
                        Type InputType);

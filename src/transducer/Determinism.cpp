@@ -276,8 +276,7 @@ genic::checkDeterminism(const Seft &A, Solver &S,
     TP.wait();
     for (const Status &E : ShardErr)
       if (!E)
-        return Status::solverError("determinism shard failed: " +
-                                   E.message());
+        return shardFailure("determinism", E);
     for (size_t E : FirstEvent)
       Min = std::min(Min, E);
   } else {

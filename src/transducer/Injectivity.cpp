@@ -220,8 +220,7 @@ genic::checkTransitionInjectivity(const Seft &A, Solver &S,
     TP.wait();
     for (const Status &E : ShardErr)
       if (!E)
-        return Status::solverError("transition-injectivity shard failed: " +
-                                   E.message());
+        return shardFailure("transition-injectivity", E);
     for (size_t E : FirstEvent)
       Min = std::min(Min, E);
   } else {

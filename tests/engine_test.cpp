@@ -15,8 +15,10 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "coders/Corpus.h"
 #include "engine/InversionEngine.h"
 #include "solver/FaultInjector.h"
+#include "support/Trace.h"
 
 #include <gtest/gtest.h>
 
@@ -157,6 +159,60 @@ TEST(EngineServe, WarmRunReportsByteIdentical) {
   EXPECT_EQ(Engine.pool().stats().Misses, 1u);
   EXPECT_EQ(Engine.metrics().counter("serve.requests").value(), 2u);
   EXPECT_EQ(Engine.metrics().counter("serve.warm_hits").value(), 1u);
+}
+
+/// The sygus.varreduce spans recorded since the last clear(), as
+/// (rule, queries) pairs.
+std::vector<std::pair<int64_t, int64_t>> varReduceSpans() {
+  std::vector<std::pair<int64_t, int64_t>> Spans;
+  for (const ExternalTraceEvent &E : TraceRecorder::global().exportEvents())
+    if (E.Name == "sygus.varreduce") {
+      EXPECT_EQ(E.Arg1Name, "rule");
+      EXPECT_EQ(E.Arg2Name, "positions");
+      EXPECT_EQ(E.Arg3Name, "queries");
+      Spans.emplace_back(E.Arg1, E.Arg3);
+    }
+  return Spans;
+}
+
+TEST(EngineServe, WarmRepeatIssuesNoVariableReductionQueries) {
+  // Variable reduction runs in a child session the rule's fork never
+  // sees, so the fork's memo cannot replay it; the warm entry keeps the
+  // computed subsets instead. A warm repeat of the BASE32 decoder (the
+  // corpus's heaviest reduction) must issue no reduction query at all,
+  // and still report byte-identically.
+  std::string Source;
+  for (const CoderSpec &Spec : coderCorpus())
+    if (Spec.name() == "BASE32 decoder")
+      Source = Spec.Source;
+  ASSERT_FALSE(Source.empty());
+  TraceRecorder &Trace = TraceRecorder::global();
+  Trace.enable();
+  Trace.clear();
+
+  InversionEngine Engine;
+  RequestContext Req;
+  Result<EngineResponse> Cold = Engine.serve(Source, Req);
+  ASSERT_TRUE(Cold.isOk()) << Cold.status().message();
+  EXPECT_FALSE(Cold->WarmHit);
+  EXPECT_EQ(Cold->Exit, ExitOk);
+  std::vector<std::pair<int64_t, int64_t>> ColdSpans = varReduceSpans();
+  ASSERT_FALSE(ColdSpans.empty());
+  for (const auto &[Rule, Queries] : ColdSpans)
+    EXPECT_GT(Queries, 0) << "rule " << Rule;
+  EXPECT_NE(Trace.json().find("\"queries\":"), std::string::npos);
+
+  Trace.clear();
+  Result<EngineResponse> Warm = Engine.serve(Source, Req);
+  ASSERT_TRUE(Warm.isOk()) << Warm.status().message();
+  EXPECT_TRUE(Warm->WarmHit);
+  EXPECT_TRUE(varReduceSpans().empty());
+  EXPECT_LT(Warm->Report.WorkerStats.Smt.SatQueries,
+            Cold->Report.WorkerStats.Smt.SatQueries);
+  EXPECT_EQ(formatOutcomeReport(Warm->Report),
+            formatOutcomeReport(Cold->Report));
+  Trace.disable();
+  Trace.clear();
 }
 
 TEST(EngineServe, MatchesFreshProcessAtEveryJobsValue) {

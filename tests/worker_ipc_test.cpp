@@ -263,6 +263,8 @@ TEST(WorkerProtocol, TraceEventsRoundTrip) {
   Events[0].Req = 42;
   Events[0].Arg1Name = "ordinal";
   Events[0].Arg1 = -1;
+  Events[0].Arg3Name = "queries";
+  Events[0].Arg3 = 9;
   Events[1].Name = "genic-worker";
   Events[1].Ph = 'M';
 
@@ -279,6 +281,9 @@ TEST(WorkerProtocol, TraceEventsRoundTrip) {
   EXPECT_EQ((*D)[0].Req, 42u);
   EXPECT_EQ((*D)[0].Arg1Name, "ordinal");
   EXPECT_EQ((*D)[0].Arg1, -1);
+  EXPECT_EQ((*D)[0].Arg2Name, "");
+  EXPECT_EQ((*D)[0].Arg3Name, "queries");
+  EXPECT_EQ((*D)[0].Arg3, 9);
   EXPECT_EQ((*D)[1].Ph, 'M');
   EXPECT_FALSE(decodeTraceEvents("not a trace line").isOk());
 }
@@ -720,6 +725,118 @@ TEST(WorkerSupervision, CancelledCollectKillsAWorkerStillInPrep) {
   EXPECT_EQ(S.WorkerCrashes, 0u);
   EXPECT_EQ(S.ShardsDispatched, 0u);
   EXPECT_EQ(S.ShardsDegraded, 0u);
+}
+
+//===----------------------------------------------------------------------===//
+// Shards cut short by the request's deadline
+//===----------------------------------------------------------------------===//
+
+TEST(WorkerSupervision, ShardFailingAfterTheDeadlineIsBudgetExhausted) {
+  // A shard that fails once the request's token has fired was cut short by
+  // the budget. crash@1x0:workers kills the worker and its retry, which
+  // without the fired token degrades to SolverError (see
+  // CrashGetsOneRetryThenDegradesToSolverError); with it, the shard must
+  // come back Cancelled so the run exits budget-exhausted, not
+  // solver-error. Supervision accounting is unchanged.
+  WorkerSupervisorConfig Cfg = workerConfig(1);
+  Cfg.FaultSpec = "crash@1x0:workers";
+  CancellationToken Cancel(Deadline::never());
+  Cfg.Cancel = Cancel;
+  Result<std::unique_ptr<WorkerSupervisor>> W = WorkerSupervisor::launch(Cfg);
+  ASSERT_TRUE(W.isOk()) << W.status().message();
+  Cancel.cancel();
+
+  Result<uint64_t> R = (*W)->transitionInjectivityShard(0, 1);
+  ASSERT_FALSE(R.isOk());
+  EXPECT_EQ(R.status().code(), StatusCode::Cancelled);
+  EXPECT_NE(R.status().message().find("crashed twice"), std::string::npos);
+  WorkerSupervisor::Stats S = (*W)->stats();
+  EXPECT_EQ(S.ShardRetries, 1u);
+  EXPECT_EQ(S.WorkerCrashes, 2u);
+  EXPECT_EQ(S.ShardsDegraded, 1u);
+
+  // An error reply after the deadline is budget exhaustion too.
+  WorkerSupervisorConfig Clean = workerConfig(1);
+  Clean.Cancel = Cancel;
+  Result<std::unique_ptr<WorkerSupervisor>> W2 =
+      WorkerSupervisor::launch(Clean);
+  ASSERT_TRUE(W2.isOk()) << W2.status().message();
+  Result<uint64_t> Bad = (*W2)->transitionInjectivityShard(1u << 20, 1u << 21);
+  ASSERT_FALSE(Bad.isOk());
+  EXPECT_EQ(Bad.status().code(), StatusCode::Cancelled);
+}
+
+/// Answers every determinism and transition-injectivity shard with "no
+/// event" (correct for an injective-by-construction program) and fails
+/// every ambiguity shard with \p Failure, as a worker cut short by the
+/// request's deadline would.
+class FailingDispatcher : public ShardDispatcher {
+public:
+  explicit FailingDispatcher(Status Failure, bool FailDet)
+      : Failure(std::move(Failure)), FailDet(FailDet) {}
+  unsigned procs() const override { return 2; }
+  Result<uint64_t> determinismShard(uint64_t, uint64_t) override {
+    if (FailDet)
+      return Failure;
+    return ShardNoEvent;
+  }
+  Result<uint64_t> transitionInjectivityShard(uint64_t, uint64_t) override {
+    return ShardNoEvent;
+  }
+  void prepareAmbiguity(bool) override {}
+  Result<AmbShardResult>
+  ambiguityShard(bool, uint64_t, uint64_t, const std::vector<uint64_t> &,
+                 const std::vector<AmbShardConfig> &) override {
+    return Failure;
+  }
+
+private:
+  Status Failure;
+  bool FailDet;
+};
+
+TEST(WorkerPipeline, ScanDriversKeepBudgetCodesOfFailedShards) {
+  // A worker shard cut short by the deadline must end the phase as budget
+  // exhaustion (exit 4), not as a solver fault (exit 5): seen on the UTF-8
+  // decoder at --worker-procs 2 with a short --timeout-seconds. Budget
+  // codes pass through the scan drivers; other failures poison the phase.
+  SolverContext Ctx;
+  Result<AstProgram> Ast = parseGenic(multiStateProgram());
+  ASSERT_TRUE(Ast.isOk()) << Ast.status().message();
+  Result<LoweredProgram> Prog = lowerProgram(Ctx.factory(), *Ast);
+  ASSERT_TRUE(Prog.isOk()) << Prog.status().message();
+
+  for (StatusCode Code : {StatusCode::Cancelled, StatusCode::Timeout,
+                          StatusCode::SolverError, StatusCode::Error}) {
+    Status Failure = Code == StatusCode::Cancelled
+                         ? Status::cancelled("cancelled by global deadline")
+                     : Code == StatusCode::Timeout
+                         ? Status::timeout("solver returned unknown")
+                     : Code == StatusCode::SolverError
+                         ? Status::solverError("worker crashed twice")
+                         : Status::error("product fingerprint mismatch");
+    StatusCode Expected =
+        Code == StatusCode::Error ? StatusCode::SolverError : Code;
+
+    FailingDispatcher Amb(Failure, /*FailDet=*/false);
+    InjectivityOptions IOpts;
+    IOpts.Workers = &Amb;
+    Result<InjectivityResult> Inj =
+        checkInjectivity(Prog->Machine, Ctx.solver(), IOpts);
+    ASSERT_FALSE(Inj.isOk());
+    EXPECT_EQ(Inj.status().code(), Expected) << Inj.status().message();
+    EXPECT_NE(Inj.status().message().find("ambiguity shard failed"),
+              std::string::npos)
+        << Inj.status().message();
+
+    FailingDispatcher Det(Failure, /*FailDet=*/true);
+    DeterminismOptions DOpts;
+    DOpts.Workers = &Det;
+    Result<std::optional<DeterminismViolation>> D =
+        checkDeterminism(Prog->Machine, Ctx.solver(), DOpts);
+    ASSERT_FALSE(D.isOk());
+    EXPECT_EQ(D.status().code(), Expected) << D.status().message();
+  }
 }
 
 //===----------------------------------------------------------------------===//
