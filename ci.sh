@@ -10,7 +10,9 @@
 #      solver-query histograms. Finally an incremental parity check:
 #      --solver-incremental on and off must print byte-identical
 #      inverses and structural outcomes for the UTF-8 encoder and the
-#      BASE32 and BASE64 decoders.
+#      BASE32 and BASE64 decoders. Then a Z3 context gate: at --jobs 4
+#      the peak of live Z3 contexts of the UTF-16 and BASE64 encoders must
+#      stay within four task slots plus the root and checker-pool sessions.
 #   2. Sanitizers: rebuild with -fsanitize=address,undefined and re-run the
 #      suites that exercise new machinery with threads and compiled
 #      evaluation (plus the term/solver cores under them), including the
@@ -96,6 +98,34 @@ for Prog in UTF-8_encoder BASE32_decoder BASE64_decoder; do
     echo "incremental parity: $Prog output differs between modes" >&2
     exit 1
   fi
+done
+
+echo "=== z3 context gate: live contexts bounded by the running tasks ==="
+# A deterministic count, not a timing. A fork builds its Z3 context on its
+# first query and drops it when its task ends, so at --jobs 4 the peak of
+# live contexts is at most four task slots next to the root session and
+# the checker pool's sessions. A rule task may hold a second context while
+# variable reduction runs in its child session: the UTF-16 encoder reduces
+# one of its three rules, so its four slots hold at most four contexts;
+# the BASE64 encoder reduces every rule, so up to two per slot. Forks that
+# kept their contexts until the serial merge read 16 on the BASE64
+# encoder, against a bound of 13; the UTF-16 encoder alone cannot tell
+# the two patterns apart (8 against 8).
+for Spec in UTF-16_encoder:1 BASE64_encoder:2; do
+  Prog=${Spec%:*}
+  ./build/tools/genic invert programs/$Prog.genic --jobs 4 \
+    --metrics-json build/$Prog.contexts.json > /dev/null
+  python3 - build/$Prog.contexts.json "${Spec#*:}" <<'PYEOF'
+import json, sys
+M = json.load(open(sys.argv[1]))
+Peak = M["gauges"]["solver.backend.peak_live"]
+Bound = 4 * int(sys.argv[2]) + 1 + M["gauges"]["sessions.checker"]
+print("%s: %d z3 contexts created, peak %d live (bound %d)"
+      % (sys.argv[1], M["counters"]["solver.backend.contexts"], Peak, Bound))
+if Peak > Bound:
+    sys.exit("z3 context gate: peak %d live contexts exceeds %d"
+             % (Peak, Bound))
+PYEOF
 done
 
 echo "=== decode smoke: traced --decode-file through trace-lint ==="
@@ -511,10 +541,10 @@ if [ "$SKIP_ASAN" -eq 0 ]; then
   cmake --build build-asan -j --target \
     compiled_eval_test parallel_invert_test enumerator_test \
     term_test eval_test solver_test support_test fault_injection_test \
-    incremental_solver_test stream_decode_test
+    incremental_solver_test stream_decode_test backend_lifetime_test
   for T in compiled_eval_test parallel_invert_test enumerator_test \
     term_test eval_test solver_test support_test fault_injection_test \
-    incremental_solver_test; do
+    incremental_solver_test backend_lifetime_test; do
     echo "--- asan/ubsan: $T"
     ./build-asan/tests/"$T"
   done
@@ -565,7 +595,8 @@ if [ "$SKIP_TSAN" -eq 0 ]; then
     -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread"
   cmake --build build-tsan -j --target support_test \
     parallel_injectivity_test solver_context_test bank_reuse_test \
-    fault_injection_test incremental_solver_test stream_decode_test
+    fault_injection_test incremental_solver_test stream_decode_test \
+    backend_lifetime_test
   # tsan.supp silences the uninstrumented libz3's internal locking (false
   # positives); our own code is fully checked.
   export TSAN_OPTIONS="suppressions=$PWD/tsan.supp"
@@ -582,6 +613,10 @@ if [ "$SKIP_TSAN" -eq 0 ]; then
   ./build-tsan/tests/fault_injection_test
   echo "--- tsan: incremental_solver_test"
   ./build-tsan/tests/incremental_solver_test
+  echo "--- tsan: backend_lifetime_test"
+  # Forks build and drop their Z3 contexts on pool threads, counted in one
+  # process-wide live count.
+  ./build-tsan/tests/backend_lifetime_test
   echo "--- tsan: stream_decode_test (unit + synthetic)"
   # The decoder itself is single-threaded; what tsan checks here is the
   # cancellation token it polls, which another thread's deadline can trip

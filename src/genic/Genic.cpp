@@ -186,8 +186,18 @@ std::string genic::formatStatsReport(const GenicReport &R) {
 std::string genic::formatStatsReport(const GenicReport &R,
                                      const MetricsSnapshot &Snapshot) {
   std::string Out = formatStatsReport(R);
-  bool Headed = false;
   char Buf[256];
+  auto Contexts = Snapshot.Counters.find("solver.backend.contexts");
+  if (Contexts != Snapshot.Counters.end()) {
+    auto Peak = Snapshot.Gauges.find("solver.backend.peak_live");
+    std::snprintf(Buf, sizeof(Buf),
+                  "z3 contexts: %llu created, peak %lld live\n",
+                  (unsigned long long)Contexts->second,
+                  Peak == Snapshot.Gauges.end() ? 0LL
+                                                : (long long)Peak->second);
+    Out += Buf;
+  }
+  bool Headed = false;
   for (const auto &[Name, H] : Snapshot.Histograms) {
     if (Name.rfind("solver.query.us.", 0) != 0)
       continue;

@@ -161,7 +161,9 @@ std::string formatOutcomeReport(const GenicReport &Report);
 /// the CLI just prints it.
 std::string formatStatsReport(const GenicReport &Report);
 
-/// formatStatsReport plus a "solver query latency" block: one line per
+/// formatStatsReport plus a "z3 contexts" line (contexts created and the
+/// peak alive at once, from the `solver.backend.*` metrics) and a "solver
+/// query latency" block: one line per
 /// `solver.query.us.*` histogram in \p Snapshot with the query count,
 /// estimated p50/p90/p99 (interpolated from the log2 buckets, see
 /// support/Prometheus.h) and the recorded max.

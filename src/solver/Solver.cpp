@@ -30,12 +30,14 @@
 #include "solver/QueryCache.h"
 #include "solver/QueryWatch.h"
 #include "support/Metrics.h"
+#include "support/Trace.h"
 #include "term/Eval.h"
 #include "term/Printer.h"
 
 #include <z3++.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <csignal>
 #include <limits>
@@ -114,6 +116,9 @@ bool hasQuantifier(const z3::expr &E) {
   return false;
 }
 
+/// Z3 contexts alive in this process (Solver::liveBackendContexts).
+std::atomic<int64_t> LiveBackends{0};
+
 } // namespace
 
 const char *genic::toString(SolverSessionKind Kind) {
@@ -130,10 +135,17 @@ const char *genic::toString(SolverSessionKind Kind) {
 
 class Solver::Impl {
 public:
-  explicit Impl(TermFactory &Factory) : Factory(Factory), Ctx() {}
+  explicit Impl(TermFactory &Factory) : Factory(Factory) {}
+  ~Impl() { dropBackend(); }
 
   TermFactory &Factory;
-  z3::context Ctx;
+  /// The Z3 context, built on first use by ctx() and dropped by
+  /// dropBackend(). Every Z3 object of the session (Inc included) lives
+  /// in it, so a fork that never reaches Z3 never pays for one, and a
+  /// task that is done gives it back (about 17 MB) before the serial
+  /// merge instead of after it. Its history is still exactly this
+  /// session's queries, in order.
+  std::unique_ptr<z3::context> Backend;
   Stats TheStats;
   unsigned TimeoutMs = 20000;
   /// Robustness contract: cancellation token, fault plan, retry policy.
@@ -194,14 +206,48 @@ public:
     Impl &I;
   };
 
+  // -- Backend lifetime ------------------------------------------------------
+
+  z3::context &ctx() {
+    if (!Backend)
+      createBackend();
+    return *Backend;
+  }
+
+  /// Builds the context under a solver.backend.create span, so trace folds
+  /// show set-up apart from queries, and counts it in the control's sink:
+  /// contexts created, and the process-wide live count as a high-water
+  /// mark. Only creation touches the sink; a context may outlive the
+  /// request whose registry counted it.
+  void createBackend() {
+    TraceSpan Span("solver.backend.create", "session");
+    Backend = std::make_unique<z3::context>();
+    int64_t Live = LiveBackends.fetch_add(1, std::memory_order_relaxed) + 1;
+    if (MetricsRegistry *M = Control.Metrics) {
+      M->counter("solver.backend.contexts").add(1);
+      M->gauge("solver.backend.peak_live").setMax(Live);
+    }
+  }
+
+  /// Drops the live incremental session, then the context. Scopes, memos
+  /// and Stats stay; the next query builds a fresh context and ensureInc()
+  /// replays the stack into it.
+  void dropBackend() {
+    Inc.reset();
+    if (Backend) {
+      Backend.reset();
+      LiveBackends.fetch_sub(1, std::memory_order_relaxed);
+    }
+  }
+
   // -- Translation ---------------------------------------------------------
 
   z3::sort sortOf(const Type &Ty) {
     if (Ty.isBool())
-      return Ctx.bool_sort();
+      return ctx().bool_sort();
     if (Ty.isInt())
-      return Ctx.int_sort();
-    return Ctx.bv_sort(Ty.width());
+      return ctx().int_sort();
+    return ctx().bv_sort(Ty.width());
   }
 
   z3::expr varExpr(unsigned Index, const Type &Ty) {
@@ -210,15 +256,15 @@ public:
       Name = "b" + std::to_string(VarNameTag) + "v" + std::to_string(Index);
     else
       Name = "v" + std::to_string(Index);
-    return Ctx.constant(Name.c_str(), sortOf(Ty));
+    return ctx().constant(Name.c_str(), sortOf(Ty));
   }
 
   z3::expr valueExpr(const Value &V) {
     if (V.type().isBool())
-      return Ctx.bool_val(V.getBool());
+      return ctx().bool_val(V.getBool());
     if (V.type().isInt())
-      return Ctx.int_val(static_cast<int64_t>(V.getInt()));
-    return Ctx.bv_val(V.getBits(), V.type().width());
+      return ctx().int_val(static_cast<int64_t>(V.getInt()));
+    return ctx().bv_val(V.getBits(), V.type().width());
   }
 
   /// Translates \p T (auxiliary calls inlined) to a Z3 expression.
@@ -249,13 +295,13 @@ public:
     case Op::Not:
       return !Arg(0);
     case Op::And: {
-      z3::expr_vector V(Ctx);
+      z3::expr_vector V(ctx());
       for (size_t I = 0, E = T->arity(); I != E; ++I)
         V.push_back(Arg(I));
       return z3::mk_and(V);
     }
     case Op::Or: {
-      z3::expr_vector V(Ctx);
+      z3::expr_vector V(ctx());
       for (size_t I = 0, E = T->arity(); I != E; ++I)
         V.push_back(Arg(I));
       return z3::mk_or(V);
@@ -497,17 +543,23 @@ public:
     return Control.Cancel.deadline().remainingMsClamped(LocalMs);
   }
 
-  void applyTimeout(z3::solver &S, unsigned Ms) {
-    if (Ms != 0) {
-      z3::params P(Ctx);
-      P.set("timeout", Ms);
-      S.set(P);
-    }
+  /// Sets the soft timeout of every later check on this session. It is
+  /// the context's `timeout` parameter, which Z3 reads as each check
+  /// starts, so live solvers (the incremental session, the probes) pick
+  /// up a new value without being reconfigured. z3::solver::set would
+  /// instead validate and push the parameters through the whole combined
+  /// solver, about 1.5 ms a call against 0.06 ms for a small
+  /// push/check/pop (Z3 4.8.12). No solver carries solver-level
+  /// parameters. 0 sets "unlimited" explicitly, since the value outlives
+  /// any one solver.
+  void applyTimeout(unsigned Ms) {
+    unsigned Value = Ms ? Ms : std::numeric_limits<unsigned>::max();
+    ctx().set("timeout", std::to_string(Value).c_str());
   }
 
   z3::solver makeSolver() {
-    z3::solver S(Ctx);
-    applyTimeout(S, effectiveTimeoutMs(TimeoutMs));
+    z3::solver S(ctx());
+    applyTimeout(effectiveTimeoutMs(TimeoutMs));
     return S;
   }
 
@@ -620,11 +672,11 @@ public:
                                ? 0
                                : saturatingMulMs(TimeoutMs,
                                                  Control.RetryTimeoutFactor);
-      applyTimeout(S, effectiveTimeoutMs(Escalated));
+      applyTimeout(effectiveTimeoutMs(Escalated));
       R = rawCheck(S, Assumptions);
       // Restore the base budget for later queries on this solver state
       // (incremental loops keep checking after a masked hiccup).
-      applyTimeout(S, effectiveTimeoutMs(TimeoutMs));
+      applyTimeout(effectiveTimeoutMs(TimeoutMs));
     }
     if (R == z3::unknown && LastUnknown == UnknownCause::Timeout)
       ++TheStats.QueryTimeouts;
@@ -696,7 +748,7 @@ public:
   /// the global deadline shrinks between queries.
   z3::solver &ensureInc() {
     if (!Inc) {
-      Inc = std::make_unique<z3::solver>(Ctx);
+      Inc = std::make_unique<z3::solver>(ctx());
       ++TheStats.FullRestarts;
       for (size_t I = 0, E = Scopes.size(); I != E; ++I) {
         if (I != 0)
@@ -705,7 +757,7 @@ public:
           Inc->add(translate(T));
       }
     }
-    applyTimeout(*Inc, effectiveTimeoutMs(TimeoutMs));
+    applyTimeout(effectiveTimeoutMs(TimeoutMs));
     return *Inc;
   }
 
@@ -770,7 +822,7 @@ public:
         S.push();
         try {
           S.add(translate(Formula));
-          z3::expr_vector As(Ctx);
+          z3::expr_vector As(ctx());
           for (TermRef A : Assumptions)
             As.push_back(translate(A));
           SatResult R = toSatResult(check(S, &As, /*IncrementalQuery=*/true));
@@ -781,7 +833,7 @@ public:
           throw;
         }
       }
-      z3::expr_vector As(Ctx);
+      z3::expr_vector As(ctx());
       for (TermRef A : Assumptions)
         As.push_back(translate(A));
       return toSatResult(check(S, &As, /*IncrementalQuery=*/true));
@@ -809,8 +861,8 @@ public:
     for (size_t J = 0; J != Pending.size(); ++J) {
       VarTagScope Tag(*this, static_cast<unsigned>(J + 1));
       z3::expr Member = translate(Formulas[Pending[J]]);
-      z3::expr Sel = Ctx.constant(
-          ("sel_b" + std::to_string(J)).c_str(), Ctx.bool_sort());
+      z3::expr Sel = ctx().constant(
+          ("sel_b" + std::to_string(J)).c_str(), ctx().bool_sort());
       S.add(z3::implies(Sel, Member));
       Sels.push_back(Sel);
     }
@@ -824,7 +876,7 @@ public:
       Live[J] = J;
     const unsigned MaxRounds = 8;
     for (unsigned Round = 0; Round != MaxRounds && !Live.empty(); ++Round) {
-      z3::expr_vector As(Ctx);
+      z3::expr_vector As(ctx());
       for (size_t J : Live)
         As.push_back(Sels[J]);
       z3::check_result R = check(S, &As, /*IncrementalQuery=*/true);
@@ -850,7 +902,7 @@ public:
         // is unsat; with disjoint variables at least one of them is
         // individually unsat, but each needs its own verdict.
         AnySuspect = true;
-        z3::expr_vector One(Ctx);
+        z3::expr_vector One(ctx());
         One.push_back(Sels[J]);
         z3::check_result RJ = check(S, &One, /*IncrementalQuery=*/true);
         if (RJ == z3::sat)
@@ -900,27 +952,32 @@ public:
     ++TheStats.QeCalls;
     std::map<unsigned, Type> Types = varTypes(Phi);
     z3::expr Body = translate(Phi);
-    z3::expr_vector Bound(Ctx);
+    z3::expr_vector Bound(ctx());
     for (const auto &[Index, Ty] : Types)
       if (Index < NumEliminate)
         Bound.push_back(varExpr(Index, Ty));
     z3::expr Quantified =
         Bound.empty() ? Body : z3::exists(Bound, Body);
 
+    // Z3 also times tactic application by the context's timeout; lift it
+    // so each tactic's own try_for budget governs, as it does when no
+    // query has set one. Every check path re-applies the query timeout
+    // before it runs.
+    applyTimeout(0);
     const char *Tactics[] = {"qe_lite", "qe", "qe2"};
     for (const char *Name : Tactics) {
-      z3::expr Eliminated(Ctx);
+      z3::expr Eliminated(ctx());
       try {
         z3::tactic T = z3::try_for(
-            z3::tactic(Ctx, Name) & z3::tactic(Ctx, "simplify"),
+            z3::tactic(ctx(), Name) & z3::tactic(ctx(), "simplify"),
             TimeoutMs ? TimeoutMs : 60000);
-        z3::goal G(Ctx);
+        z3::goal G(ctx());
         G.add(Quantified);
         z3::apply_result R = T(G);
         if (R.size() == 0) {
-          Eliminated = Ctx.bool_val(false);
+          Eliminated = ctx().bool_val(false);
         } else {
-          z3::expr_vector Goals(Ctx);
+          z3::expr_vector Goals(ctx());
           for (unsigned I = 0, N = R.size(); I != N; ++I)
             Goals.push_back(R[I].as_expr());
           Eliminated = Goals.size() == 1 ? Goals[0] : z3::mk_or(Goals);
@@ -977,7 +1034,7 @@ public:
     for (TermRef Out : P.Outputs)
       for (const auto &[Index, Ty] : varTypes(Out))
         Types.emplace(Index, Ty);
-    z3::expr_vector Bound(Ctx);
+    z3::expr_vector Bound(ctx());
     for (const auto &[Index, Ty] : Types)
       if (Index < P.NumInputs)
         Bound.push_back(varExpr(Index, Ty));
@@ -1034,7 +1091,7 @@ public:
   Result<TermRef> enumerateBvImage(const ImagePredicate &P, unsigned I,
                                    unsigned Cap) {
     const unsigned Width = P.Outputs[I]->type().width();
-    z3::expr Y = Ctx.constant("img_y", Ctx.bv_sort(Width));
+    z3::expr Y = ctx().constant("img_y", ctx().bv_sort(Width));
     z3::expr Member = translate(P.Guard) && Y == translate(P.Outputs[I]);
     z3::solver S = makeSolver();
     S.add(Member);
@@ -1049,7 +1106,7 @@ public:
       uint64_t V = 0;
       S.get_model().eval(Y, true).is_numeral_u64(V);
       Values.push_back(V);
-      S.add(Y != Ctx.bv_val(V, Width));
+      S.add(Y != ctx().bv_val(V, Width));
     }
     if (Values.size() >= Limit)
       return Status::error("image enumeration: cap exceeded");
@@ -1069,7 +1126,7 @@ public:
   Result<TermRef> bvImageHull(const ImagePredicate &P, unsigned I) {
     const unsigned Width = P.Outputs[I]->type().width();
     const uint64_t Max = Value::maskOf(Width);
-    z3::expr Y = Ctx.constant("img_y", Ctx.bv_sort(Width));
+    z3::expr Y = ctx().constant("img_y", ctx().bv_sort(Width));
     z3::expr Member = translate(P.Guard) && Y == translate(P.Outputs[I]);
     // With incremental sessions on, the Member core is asserted once into a
     // private solver and every binary-search probe runs as a push/pop delta
@@ -1077,8 +1134,8 @@ public:
     // re-sends Member through a fresh solver (the seed behavior).
     std::optional<z3::solver> Probe;
     if (Control.Incremental) {
-      Probe.emplace(Ctx);
-      applyTimeout(*Probe, effectiveTimeoutMs(TimeoutMs));
+      Probe.emplace(ctx());
+      applyTimeout(effectiveTimeoutMs(TimeoutMs));
       Probe->add(Member);
     }
     auto ProbeSat = [&](const z3::expr &Q, const char *What) -> Result<bool> {
@@ -1114,8 +1171,8 @@ public:
       uint64_t Lo = 0, Hi = Max;
       while (Lo < Hi) {
         uint64_t Mid = FindMax ? Lo + (Hi - Lo + 1) / 2 : Lo + (Hi - Lo) / 2;
-        z3::expr Q = FindMax ? z3::uge(Y, Ctx.bv_val(Mid, Width))
-                             : z3::ule(Y, Ctx.bv_val(Mid, Width));
+        z3::expr Q = FindMax ? z3::uge(Y, ctx().bv_val(Mid, Width))
+                             : z3::ule(Y, ctx().bv_val(Mid, Width));
         Result<bool> Sat = ProbeSat(Q, "image hull bound");
         if (!Sat)
           return Sat.status();
@@ -1148,7 +1205,7 @@ public:
   Result<TermRef> learnUnaryBvImage(const ImagePredicate &P, unsigned I) {
     const unsigned Width = P.Outputs[I]->type().width();
     const uint64_t Max = Value::maskOf(Width);
-    z3::expr Y = Ctx.constant("img_y", Ctx.bv_sort(Width));
+    z3::expr Y = ctx().constant("img_y", ctx().bv_sort(Width));
     z3::expr Member =
         translate(P.Guard) && Y == translate(P.Outputs[I]);
     // The quantified no-witness core is loop-invariant; build it once.
@@ -1156,7 +1213,7 @@ public:
       std::map<unsigned, Type> Types = varTypes(P.Guard);
       for (const auto &[Index, Ty] : varTypes(P.Outputs[I]))
         Types.emplace(Index, Ty);
-      z3::expr_vector Bound(Ctx);
+      z3::expr_vector Bound(ctx());
       for (const auto &[Index, Ty] : Types)
         if (Index < P.NumInputs)
           Bound.push_back(varExpr(Index, Ty));
@@ -1170,15 +1227,13 @@ public:
     // solver exactly as before.
     std::optional<z3::solver> MemberS, ContS, SeedS;
     if (Control.Incremental) {
-      MemberS.emplace(Ctx);
+      MemberS.emplace(ctx());
       MemberS->add(Member);
-      applyTimeout(*MemberS, effectiveTimeoutMs(TimeoutMs));
-      ContS.emplace(Ctx);
+      ContS.emplace(ctx());
       ContS->add(NoWitness);
-      applyTimeout(*ContS, effectiveTimeoutMs(TimeoutMs));
-      SeedS.emplace(Ctx);
+      SeedS.emplace(ctx());
       SeedS->add(Member);
-      applyTimeout(*SeedS, effectiveTimeoutMs(TimeoutMs));
+      applyTimeout(effectiveTimeoutMs(TimeoutMs));
     }
     auto ProbeDelta = [&](z3::solver &S, const z3::expr &Q) {
       S.push();
@@ -1190,7 +1245,7 @@ public:
 
     // Membership of a single concrete value.
     auto IsMember = [&](uint64_t V) -> Result<bool> {
-      z3::expr Pin = Y == Ctx.bv_val(V, Width);
+      z3::expr Pin = Y == ctx().bv_val(V, Width);
       SatResult R = MemberS ? ProbeDelta(*MemberS, Pin)
                             : checkExpr(Member && Pin);
       if (R == SatResult::Unknown)
@@ -1200,8 +1255,8 @@ public:
     // Whole-interval containment: no hole in [Lo, Hi]. One quantifier
     // alternation; falls back to pointwise scanning on unknown.
     auto IntervalContained = [&](uint64_t Lo, uint64_t Hi) -> Result<bool> {
-      z3::expr Bounds = z3::uge(Y, Ctx.bv_val(Lo, Width)) &&
-                        z3::ule(Y, Ctx.bv_val(Hi, Width));
+      z3::expr Bounds = z3::uge(Y, ctx().bv_val(Lo, Width)) &&
+                        z3::ule(Y, ctx().bv_val(Hi, Width));
       SatResult R = ContS ? ProbeDelta(*ContS, Bounds)
                           : checkExpr(Bounds && NoWitness);
       if (R == SatResult::Unknown) {
@@ -1224,10 +1279,10 @@ public:
 
     std::vector<Interval> Intervals;
     auto InHypothesis = [&](const z3::expr &E) {
-      z3::expr Any = Ctx.bool_val(false);
+      z3::expr Any = ctx().bool_val(false);
       for (const Interval &Iv : Intervals)
-        Any = Any || (z3::uge(E, Ctx.bv_val(Iv.Lo, Width)) &&
-                      z3::ule(E, Ctx.bv_val(Iv.Hi, Width)));
+        Any = Any || (z3::uge(E, ctx().bv_val(Iv.Lo, Width)) &&
+                      z3::ule(E, ctx().bv_val(Iv.Hi, Width)));
       return Any;
     };
 
@@ -1358,7 +1413,7 @@ public:
       return true;
     // psi -> /\ psi_i holds by construction of the projections; Cartesian
     // iff the converse holds: unsat( /\ psi_i(y_i)  /\  not psi(y) ).
-    z3::expr Conj = Ctx.bool_val(true);
+    z3::expr Conj = ctx().bool_val(true);
     for (unsigned I = 0, E = P.arity(); I != E; ++I) {
       Result<TermRef> Psi = project(P, I, /*AllowHull=*/false);
       if (!Psi)
@@ -1408,6 +1463,12 @@ Solver::Solver(TermFactory &Factory)
     : TheImpl(std::make_unique<Impl>(Factory)) {}
 
 Solver::~Solver() = default;
+
+void Solver::releaseBackend() { TheImpl->dropBackend(); }
+
+int64_t Solver::liveBackendContexts() {
+  return LiveBackends.load(std::memory_order_relaxed);
+}
 
 void Solver::setTimeoutMs(unsigned Milliseconds) {
   TheImpl->TimeoutMs = Milliseconds;

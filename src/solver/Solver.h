@@ -66,8 +66,11 @@ struct SolverControl {
   unsigned RetryTimeoutFactor = 2;
   /// When set, every query's wall-clock latency is observed into the
   /// registry's "solver.query.us.<phase>.<kind>" histogram at the single
-  /// check() chokepoint. Shared across sessions; the registry is
-  /// thread-safe. Null disables recording entirely.
+  /// check() chokepoint, and every Z3 context the session creates is
+  /// counted ("solver.backend.contexts", with the process-wide live count
+  /// as the "solver.backend.peak_live" high-water mark). Shared across
+  /// sessions; the registry is thread-safe. Null disables recording
+  /// entirely.
   MetricsRegistry *Metrics = nullptr;
   /// The session-kind tag for this session's queries. The pool and fork
   /// plumbing overwrite it (Pooled / Worker) where they set WorkerSession.
@@ -117,6 +120,17 @@ public:
   /// 0 disables memoization entirely.
   void setSatCacheCapacity(size_t MaxEntries);
   size_t satCacheCapacity() const;
+
+  /// The Z3 context is created by the session's first query that needs
+  /// one. releaseBackend() drops it, with the live incremental session,
+  /// once a task's solver work is done; the memos, the scoped assertion
+  /// stack, the control and Stats stay, and a later query simply builds a
+  /// fresh context. Parallel stages call it at the end of each task, so
+  /// memory is bounded by the tasks running, not by the tasks created.
+  void releaseBackend();
+
+  /// Z3 contexts alive in this process, across all sessions.
+  static int64_t liveBackendContexts();
 
   // Base queries ------------------------------------------------------------
 

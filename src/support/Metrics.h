@@ -60,6 +60,14 @@ private:
 class MetricsGauge {
 public:
   void set(int64_t N) { V.store(N, std::memory_order_relaxed); }
+  /// Raises the gauge to \p N if it is currently lower: a high-water mark
+  /// that concurrent writers can share.
+  void setMax(int64_t N) {
+    int64_t Prev = V.load(std::memory_order_relaxed);
+    while (Prev < N &&
+           !V.compare_exchange_weak(Prev, N, std::memory_order_relaxed))
+      ;
+  }
   int64_t value() const { return V.load(std::memory_order_relaxed); }
   void reset() { V.store(0, std::memory_order_relaxed); }
 

@@ -30,6 +30,8 @@ namespace {
 /// only interns the terms the synthesis itself builds. The fork's history
 /// is a pure function of the rule, so the synthesized terms — and
 /// therefore the merged inverse — do not depend on how tasks interleave.
+/// The fork's Z3 context lives only while its task runs: built by the
+/// task's first query, released when the task ends.
 struct RuleTask {
   std::unique_ptr<SolverContext> Ctx;
   std::unique_ptr<SygusEngine> Engine;
@@ -182,6 +184,7 @@ Inverter::invert(const Seft &A, const std::vector<const FuncDef *> &AuxFuncs) {
           TraceSpan AuxSpan("invert.aux");
           AuxSpan.arg("index", static_cast<int64_t>(I));
           T->Inv = invertAuxFunction(*T->Engine, T->Fn, T->InvName);
+          T->Ctx->solver().releaseBackend();
         });
       }
       Pool.wait();
@@ -261,6 +264,7 @@ Inverter::invert(const Seft &A, const std::vector<const FuncDef *> &AuxFuncs) {
                                      OutTy, Task->Ctx->solver(), Hook);
         Task->Result.Record.Retries +=
             static_cast<unsigned>(Task->ReductionSmt.Retries);
+        Task->Ctx->solver().releaseBackend();
       });
     }
     Pool.wait();

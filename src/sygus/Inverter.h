@@ -79,7 +79,9 @@ public:
   /// engine, with the memoized importer, checkSat memo, compiled-eval
   /// cache, and enumeration banks all still warm, and the rule's variable
   /// reduction result (data only: it ran in a discarded child session, so
-  /// the fork's memo cannot replay it). The engine's warm-pool
+  /// the fork's memo cannot replay it). Its Z3 context is not kept: the
+  /// rule task released it, and a repeat builds a fresh one for whatever
+  /// its memos do not answer. The engine's warm-pool
   /// path keeps these resident across requests on the same program, so a
   /// repeat inversion replays its per-rule queries against hot caches
   /// instead of re-deriving everything in fresh forks. Reuse preserves

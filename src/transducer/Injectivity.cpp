@@ -280,7 +280,9 @@ Result<CartesianSefa> genic::buildOutputAutomaton(
   // same frozen parent state, so a fork's history is a pure function of its
   // rule and the projection's structure cannot depend on which tasks ran
   // before it on the same thread. Forking shares the rule's guard and
-  // outputs by pointer, so task setup clones nothing.
+  // outputs by pointer, so task setup clones nothing. A fork builds its Z3
+  // context on its first query, on the pool thread, and drops it when its
+  // task ends; only the factory stays alive for the clone-back below.
   struct ProjTask {
     std::unique_ptr<SolverContext> Ctx;
     ImagePredicate P{nullptr, {}, 0};
@@ -311,6 +313,7 @@ Result<CartesianSefa> genic::buildOutputAutomaton(
       TP.submit([T, Hull] {
         MetricsPhaseScope WorkerPhase("cegar");
         T->Psi = T->Ctx->solver().project(T->P, T->J, Hull);
+        T->Ctx->solver().releaseBackend();
       });
     }
     TP.wait();

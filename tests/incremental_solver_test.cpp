@@ -368,4 +368,87 @@ TEST_F(IncrementalSolverTest, OffModeFlattensToGlobalMemo) {
   EXPECT_EQ(S.stats().ScopedCacheMisses, 0u);
 }
 
+// ---------------------------------------------------------------------------
+// Timeouts live on the session's Z3 context
+// ---------------------------------------------------------------------------
+
+/// x * y = N over BitVec \p Width with both factors in (1, 2^(Width/2)):
+/// factoring by bit-blasting. \p Tag offsets the variable indices so
+/// several instances are distinct formulas.
+TermRef factoring(TermFactory &F, uint64_t N, unsigned Width,
+                  unsigned Tag = 0) {
+  Type Ty = Type::bitVecTy(Width);
+  TermRef X = F.mkVar(2 * Tag, Ty), Y = F.mkVar(2 * Tag + 1, Ty);
+  TermRef One = F.mkBv(1, Width);
+  TermRef Half = F.mkBv(Value::maskOf(Width / 2), Width);
+  return F.mkAnd({F.mkEq(F.mkBvOp(Op::BvMul, X, Y), F.mkBv(N, Width)),
+                  F.mkBvOp(Op::BvUgt, X, One), F.mkBvOp(Op::BvUgt, Y, One),
+                  F.mkBvOp(Op::BvUle, X, Half), F.mkBvOp(Op::BvUle, Y, Half)});
+}
+
+/// (2^32 - 5) * (2^32 - 17), both prime: far beyond a 1 ms budget.
+TermRef hardQuery(TermFactory &F, unsigned Tag = 0) {
+  return factoring(F, 18446743979220271189ULL, 64, Tag);
+}
+
+/// 65521 * 65519 in BitVec 32: tens of milliseconds, well over the 1 ms
+/// (2 ms on the retry) budget used below, yet quick without one.
+TermRef mediumQuery(TermFactory &F, unsigned Tag = 0) {
+  return factoring(F, 65521ULL * 65519ULL, 32, Tag);
+}
+
+TEST_F(IncrementalSolverTest, TimeoutReachesEveryEntryPoint) {
+  Solver S(F);
+  S.setControl(incrementalControl(true));
+  S.setTimeoutMs(1);
+  TermRef Hard = hardQuery(F);
+  TermRef Easy = F.mkEq(V0, F.mkBv(7, 8));
+
+  Result<bool> Sat = S.isSat(Hard);
+  ASSERT_FALSE(Sat.isOk());
+  EXPECT_EQ(Sat.status().code(), StatusCode::Timeout);
+
+  Result<std::vector<Value>> Model =
+      S.getModel(Hard, {Type::bitVecTy(64), Type::bitVecTy(64)});
+  ASSERT_FALSE(Model.isOk());
+  EXPECT_EQ(Model.status().code(), StatusCode::Timeout);
+
+  // The incremental session: a live backend solver under a scope.
+  S.push();
+  S.assertFormula(F.mkBvOp(Op::BvUle, V0, F.mkBv(0x40, 8)));
+  EXPECT_EQ(S.checkSatAssuming({}, Hard), SatResult::Unknown);
+  EXPECT_EQ(S.unknownStatus("scoped").code(), StatusCode::Timeout);
+
+  std::vector<SatResult> Batch =
+      S.checkSatBatch({Hard, hardQuery(F, 1)});
+  EXPECT_EQ(Batch[0], SatResult::Unknown);
+  EXPECT_EQ(Batch[1], SatResult::Unknown);
+  EXPECT_GE(S.stats().QueryTimeouts, 4u);
+
+  // The same live session still answers an easy query.
+  EXPECT_EQ(S.checkSatAssuming({Easy}), SatResult::Sat);
+  EXPECT_EQ(S.checkSatAssuming({}, F.mkEq(V0, F.mkBv(0x41, 8))),
+            SatResult::Unsat);
+  S.pop();
+}
+
+TEST_F(IncrementalSolverTest, ZeroTimeoutLiftsEarlierLimit) {
+  Solver S(F);
+  S.setControl(incrementalControl(true));
+  S.setTimeoutMs(1);
+  S.push();
+  S.assertFormula(F.mkBvOp(Op::BvUle, V0, F.mkBv(0x40, 8)));
+  EXPECT_EQ(S.checkSatAssuming({}, hardQuery(F)), SatResult::Unknown);
+
+  // Set back to "no limit", the live session must not keep the 1 ms the
+  // context was given before, and neither must a fresh one-shot solver.
+  S.setTimeoutMs(0);
+  EXPECT_EQ(S.checkSatAssuming({}, mediumQuery(F)), SatResult::Sat);
+  EXPECT_EQ(S.stats().IncrementalHits, 1u);
+  S.pop();
+  Result<bool> OneShot = S.isSat(mediumQuery(F, 1));
+  ASSERT_TRUE(OneShot.isOk());
+  EXPECT_TRUE(*OneShot);
+}
+
 } // namespace

@@ -258,7 +258,12 @@ Result<IpcMessage> handleAmb(WorkerState &St, const IpcMessage &Req) {
 
 IpcMessage handleCollect(WorkerState &St) {
   IpcMessage Reply;
-  encodeMetricsSnapshot(St.Registry.snapshot(), Reply);
+  // The coordinator merges this snapshot into its registry, where a gauge
+  // takes the last value written. The live-context peak describes one
+  // process, so it stays out; the contexts-created counter adds up.
+  MetricsSnapshot Snap = St.Registry.snapshot();
+  Snap.Gauges.erase("solver.backend.peak_live");
+  encodeMetricsSnapshot(Snap, Reply);
   TraceRecorder &R = TraceRecorder::global();
   if (R.enabled()) {
     Reply.setStr("trace", encodeTraceEvents(R.exportEvents()));
