@@ -149,7 +149,6 @@ int main(int Argc, char **Argv) {
   unsigned Jobs = 1;
   unsigned WorkerProcs = 0;
   std::string WorkerBinary;
-  bool SolverIncremental = true;
   std::string JsonPath = "BENCH_table1.json";
   std::string Only;
   std::string BaselinePath;
@@ -161,8 +160,6 @@ int main(int Argc, char **Argv) {
       WorkerProcs = std::max(0, std::atoi(Argv[++I]));
     else if (!std::strcmp(Argv[I], "--worker-binary") && I + 1 < Argc)
       WorkerBinary = Argv[++I];
-    else if (!std::strcmp(Argv[I], "--solver-incremental") && I + 1 < Argc)
-      SolverIncremental = std::strcmp(Argv[++I], "off") != 0;
     else if (!std::strcmp(Argv[I], "--json") && I + 1 < Argc)
       JsonPath = Argv[++I];
     else if (!std::strcmp(Argv[I], "--only") && I + 1 < Argc)
@@ -173,8 +170,8 @@ int main(int Argc, char **Argv) {
       MaxRegressPct = std::atof(Argv[++I]);
     else {
       std::fprintf(stderr,
-                   "usage: %s [--jobs N] [--solver-incremental on|off]\n"
-                   "          [--worker-procs N] [--worker-binary PATH]\n"
+                   "usage: %s [--jobs N] [--worker-procs N] "
+                   "[--worker-binary PATH]\n"
                    "          [--json FILE] [--only SUBSTR]\n"
                    "          [--baseline FILE] [--max-regress PCT]\n"
                    "  --worker-procs run verification shards in N worker "
@@ -222,7 +219,6 @@ int main(int Argc, char **Argv) {
     ++Ran;
     InverterOptions Options;
     Options.Jobs = Jobs;
-    Options.SolverIncremental = SolverIncremental;
     GenicTool Tool(Options);
     if (WorkerProcs > 0)
       Tool.setWorkerProcs(WorkerProcs, WorkerBinary);

@@ -381,15 +381,18 @@ void scanLevelChunk(const Expanded &X,
                     std::atomic<size_t> *Cutoff, ShardChunkOut &Out) {
   MetricsPhaseScope WorkerPhase("ambiguity");
   SolverSessionPool::Lease Sess = Pool.lease();
+  // The overlap query of an ordered guard pair, in the session's factory.
+  auto OverlapQuery = [&](const std::pair<TermRef, TermRef> &PK) {
+    TermRef A2 = Sess->Import.clone(PK.first);
+    return PK.first == PK.second
+               ? A2
+               : Sess->Factory.mkAnd(A2, Sess->Import.clone(PK.second));
+  };
   auto Overlap = [&](TermRef GA, TermRef GB) -> Result<bool> {
     std::pair<TermRef, TermRef> PK = std::minmax(GA, GB);
     if (std::optional<bool> Hit = Overlaps.lookup(PK.first, PK.second))
       return *Hit;
-    TermRef A2 = Sess->Import.clone(PK.first);
-    TermRef Q2 = PK.first == PK.second
-                     ? A2
-                     : Sess->Factory.mkAnd(A2, Sess->Import.clone(PK.second));
-    Result<bool> R = Sess->Slv.isSat(Q2);
+    Result<bool> R = Sess->Slv.isSat(OverlapQuery(PK));
     if (R)
       Overlaps.record(PK.first, PK.second, *R);
     return R;
@@ -408,48 +411,41 @@ void scanLevelChunk(const Expanded &X,
     // verdicts land in the same shared cache the scans below (and
     // the serial merge) consult, and Unknowns are left for the
     // scans' individual queries, so the outcome is unchanged.
-    if (Sess->Slv.control().Incremental) {
-      std::vector<std::pair<TermRef, TermRef>> PKs;
-      std::set<std::pair<TermRef, TermRef>> InBatch;
-      auto Note = [&](TermRef GA, TermRef GB) {
-        std::pair<TermRef, TermRef> PK = std::minmax(GA, GB);
-        if (!InBatch.insert(PK).second)
-          return;
-        if (Overlaps.lookup(PK.first, PK.second))
-          return;
-        PKs.push_back(PK);
-      };
-      for (size_t I1 : FinishersFrom[P])
-        for (size_t I2 : FinishersFrom[Q]) {
-          if (!D && X.Finishers[I1].Id == X.Finishers[I2].Id)
-            continue;
-          Note(X.Finishers[I1].Guard, X.Finishers[I2].Guard);
-        }
-      for (size_t I1 : StepsFrom[P])
-        for (size_t I2 : StepsFrom[Q]) {
-          const Piece &T1 = X.Steps[I1];
-          const Piece &T2 = X.Steps[I2];
-          uint64_t NK = productKey(X, T1.To, T2.To, D || T1.Id != T2.Id);
-          if (IsVisited(NK) || NewKeys.count(NK))
-            continue;
-          Note(T1.Guard, T2.Guard);
-        }
-      if (PKs.size() > 1) {
-        std::vector<TermRef> Queries;
-        Queries.reserve(PKs.size());
-        for (const auto &PK : PKs) {
-          TermRef A2 = Sess->Import.clone(PK.first);
-          Queries.push_back(
-              PK.first == PK.second
-                  ? A2
-                  : Sess->Factory.mkAnd(A2, Sess->Import.clone(PK.second)));
-        }
-        std::vector<SatResult> Verdicts = Sess->Slv.checkSatBatch(Queries);
-        for (size_t K = 0; K != PKs.size(); ++K)
-          if (Verdicts[K] != SatResult::Unknown)
-            Overlaps.record(PKs[K].first, PKs[K].second,
-                            Verdicts[K] == SatResult::Sat);
+    std::vector<std::pair<TermRef, TermRef>> PKs;
+    std::set<std::pair<TermRef, TermRef>> InBatch;
+    auto Note = [&](TermRef GA, TermRef GB) {
+      std::pair<TermRef, TermRef> PK = std::minmax(GA, GB);
+      if (!InBatch.insert(PK).second)
+        return;
+      if (Overlaps.lookup(PK.first, PK.second))
+        return;
+      PKs.push_back(PK);
+    };
+    for (size_t I1 : FinishersFrom[P])
+      for (size_t I2 : FinishersFrom[Q]) {
+        if (!D && X.Finishers[I1].Id == X.Finishers[I2].Id)
+          continue;
+        Note(X.Finishers[I1].Guard, X.Finishers[I2].Guard);
       }
+    for (size_t I1 : StepsFrom[P])
+      for (size_t I2 : StepsFrom[Q]) {
+        const Piece &T1 = X.Steps[I1];
+        const Piece &T2 = X.Steps[I2];
+        uint64_t NK = productKey(X, T1.To, T2.To, D || T1.Id != T2.Id);
+        if (IsVisited(NK) || NewKeys.count(NK))
+          continue;
+        Note(T1.Guard, T2.Guard);
+      }
+    if (PKs.size() > 1) {
+      std::vector<TermRef> Queries;
+      Queries.reserve(PKs.size());
+      for (const auto &PK : PKs)
+        Queries.push_back(OverlapQuery(PK));
+      std::vector<SatResult> Verdicts = Sess->Slv.checkSatBatch(Queries);
+      for (size_t K = 0; K != PKs.size(); ++K)
+        if (Verdicts[K] != SatResult::Unknown)
+          Overlaps.record(PKs[K].first, PKs[K].second,
+                          Verdicts[K] == SatResult::Sat);
     }
     bool Fin = false;
     for (size_t I1 : FinishersFrom[P]) {

@@ -112,7 +112,6 @@ InversionEngine::runOnSession(SolverContext &Ctx, const std::string &Source,
   Ctl.Faults = Req.Faults;
   Ctl.Metrics = &Registry;
   Ctl.Kind = SolverSessionKind::Shared;
-  Ctl.Incremental = Options.SolverIncremental;
   Slv.setControl(Ctl);
 
   // Parse and lower, unless a warm pool entry already carries the lowered
@@ -191,7 +190,6 @@ InversionEngine::runOnSession(SolverContext &Ctx, const std::string &Source,
     WCfg.BudgetSeconds = Req.BudgetSeconds;
     WCfg.Cancel = Ctl.Cancel;
     WCfg.FaultSpec = describeFaultPlan(Req.Faults);
-    WCfg.Incremental = Options.SolverIncremental;
     WCfg.Trace = TraceRecorder::global().enabled();
     WCfg.TraceReq = Req.TraceId;
     Result<std::unique_ptr<WorkerSupervisor>> W =

@@ -257,7 +257,6 @@ Status WorkerSupervisor::ensureSpawned(Slot &S) {
   Load.setU64("solver-timeout-ms", Cfg.SolverTimeoutMs);
   Load.setU64("budget-ms",
               static_cast<uint64_t>(Cfg.BudgetSeconds * 1000.0));
-  Load.setU64("incremental", Cfg.Incremental ? 1 : 0);
   Load.setU64("trace", Cfg.Trace ? 1 : 0);
   Load.setU64("trace-req", Cfg.TraceReq);
   Load.setU64("trace-epoch-ns",

@@ -88,8 +88,6 @@ struct WorkerSupervisorConfig {
   /// The request's cancellation (deadline or explicit cancel); once it has
   /// fired, collect() kills workers still in prep instead of waiting.
   CancellationToken Cancel;
-  /// Mirrors InverterOptions::SolverIncremental.
-  bool Incremental = true;
   /// Ask workers to record trace events for collect().
   bool Trace = false;
   /// Request epoch worker spans are stamped with (0 = untagged).

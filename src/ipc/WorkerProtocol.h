@@ -15,8 +15,8 @@
 ///
 ///   ping                                        -> {}
 ///   load  {source, fault, solver-timeout-ms,
-///          budget-ms, incremental, trace,
-///          trace-req, trace-epoch-ns}           -> {}
+///          budget-ms, trace, trace-req,
+///          trace-epoch-ns}                      -> {}
 ///   det   {begin, end}                          -> {event}
 ///   ti    {begin, end}                          -> {event}
 ///   prep  {hull}                                -> {}

@@ -178,10 +178,9 @@ public:
   // -- Incremental sessions --------------------------------------------------
 
   /// Term-level assertion stack, the source of truth for scoped solving.
-  /// Scopes[0] is the base frame; push/pop append and drop frames. Always
-  /// maintained — even with incremental solving off — so the one-shot
-  /// fallback and a rebuild after a dropped backend session see identical
-  /// semantics.
+  /// Scopes[0] is the base frame; push/pop append and drop frames. A
+  /// rebuild after a dropped backend session replays it, so the rebuilt
+  /// session answers exactly as the dropped one would have.
   std::vector<std::vector<TermRef>> Scopes =
       std::vector<std::vector<TermRef>>(1);
   /// Bumped by every push, pop, and scoped assertion; keys the scoped memo
@@ -1128,40 +1127,28 @@ public:
     const uint64_t Max = Value::maskOf(Width);
     z3::expr Y = ctx().constant("img_y", ctx().bv_sort(Width));
     z3::expr Member = translate(P.Guard) && Y == translate(P.Outputs[I]);
-    // With incremental sessions on, the Member core is asserted once into a
-    // private solver and every binary-search probe runs as a push/pop delta
-    // against it, letting the backend keep its lemmas; off, each probe
-    // re-sends Member through a fresh solver (the seed behavior).
-    std::optional<z3::solver> Probe;
-    if (Control.Incremental) {
-      Probe.emplace(ctx());
-      applyTimeout(effectiveTimeoutMs(TimeoutMs));
-      Probe->add(Member);
-    }
-    auto ProbeSat = [&](const z3::expr &Q, const char *What) -> Result<bool> {
-      if (!Probe)
-        return isSatExpr(Member && Q, What);
-      Probe->push();
-      Probe->add(Q);
-      z3::check_result CR = check(*Probe, nullptr, /*IncrementalQuery=*/true);
-      Probe->pop();
+    // The Member core is asserted once into a private solver and every
+    // binary-search probe runs as a push/pop delta against it, letting the
+    // backend keep its lemmas.
+    z3::solver Probe(ctx());
+    applyTimeout(effectiveTimeoutMs(TimeoutMs));
+    Probe.add(Member);
+    auto Verdict = [&](z3::check_result CR, const char *What) -> Result<bool> {
       if (CR == z3::sat)
         return true;
       if (CR == z3::unsat)
         return false;
       return unknownStatus(std::string("solver query for ") + What);
     };
-    Result<bool> Any =
-        Probe ? [&]() -> Result<bool> {
-          z3::check_result CR =
-              check(*Probe, nullptr, /*IncrementalQuery=*/true);
-          if (CR == z3::sat)
-            return true;
-          if (CR == z3::unsat)
-            return false;
-          return unknownStatus("solver query for image hull seed");
-        }()
-              : isSatExpr(Member, "image hull seed");
+    auto ProbeSat = [&](const z3::expr &Q, const char *What) -> Result<bool> {
+      Probe.push();
+      Probe.add(Q);
+      z3::check_result CR = check(Probe, nullptr, /*IncrementalQuery=*/true);
+      Probe.pop();
+      return Verdict(CR, What);
+    };
+    Result<bool> Any = Verdict(
+        check(Probe, nullptr, /*IncrementalQuery=*/true), "image hull seed");
     if (!Any)
       return Any.status();
     if (!*Any)
@@ -1220,21 +1207,16 @@ public:
       return Bound.empty() ? !Member : z3::forall(Bound, !Member);
     }();
 
-    // Incremental probing (SolverControl::Incremental): the loop discharges
-    // hundreds of queries that differ only in the concrete Y bounds, so the
-    // Member / NoWitness cores are asserted once into private solvers and
-    // every probe runs as a push/pop delta. Off, each probe builds a fresh
-    // solver exactly as before.
-    std::optional<z3::solver> MemberS, ContS, SeedS;
-    if (Control.Incremental) {
-      MemberS.emplace(ctx());
-      MemberS->add(Member);
-      ContS.emplace(ctx());
-      ContS->add(NoWitness);
-      SeedS.emplace(ctx());
-      SeedS->add(Member);
-      applyTimeout(effectiveTimeoutMs(TimeoutMs));
-    }
+    // The loop discharges hundreds of queries that differ only in the
+    // concrete Y bounds, so the Member / NoWitness cores are asserted once
+    // into private solvers and every probe runs as a push/pop delta.
+    z3::solver MemberS(ctx());
+    MemberS.add(Member);
+    z3::solver ContS(ctx());
+    ContS.add(NoWitness);
+    z3::solver SeedS(ctx());
+    SeedS.add(Member);
+    applyTimeout(effectiveTimeoutMs(TimeoutMs));
     auto ProbeDelta = [&](z3::solver &S, const z3::expr &Q) {
       S.push();
       S.add(Q);
@@ -1246,8 +1228,7 @@ public:
     // Membership of a single concrete value.
     auto IsMember = [&](uint64_t V) -> Result<bool> {
       z3::expr Pin = Y == ctx().bv_val(V, Width);
-      SatResult R = MemberS ? ProbeDelta(*MemberS, Pin)
-                            : checkExpr(Member && Pin);
+      SatResult R = ProbeDelta(MemberS, Pin);
       if (R == SatResult::Unknown)
         return unknownStatus("solver query for interval-learning membership");
       return R == SatResult::Sat;
@@ -1257,8 +1238,7 @@ public:
     auto IntervalContained = [&](uint64_t Lo, uint64_t Hi) -> Result<bool> {
       z3::expr Bounds = z3::uge(Y, ctx().bv_val(Lo, Width)) &&
                         z3::ule(Y, ctx().bv_val(Hi, Width));
-      SatResult R = ContS ? ProbeDelta(*ContS, Bounds)
-                          : checkExpr(Bounds && NoWitness);
+      SatResult R = ProbeDelta(ContS, Bounds);
       if (R == SatResult::Unknown) {
         // Pointwise fallback; only viable for short intervals.
         if (Hi - Lo > 4096)
@@ -1290,25 +1270,15 @@ public:
     while (Intervals.size() <= MaxIntervals) {
       // Find a member outside the hypothesis. The learned result is
       // seed-order independent — each round discovers one maximal run of
-      // the image and the final union is canonical — so the incremental
-      // and one-shot paths converge on the same term.
-      z3::check_result CR;
+      // the image and the final union is canonical — so the term does not
+      // depend on which model the seed solver returns.
       uint64_t Seed = 0;
-      if (SeedS) {
-        SeedS->push();
-        SeedS->add(!InHypothesis(Y));
-        CR = check(*SeedS, nullptr, /*IncrementalQuery=*/true);
-        if (CR == z3::sat)
-          SeedS->get_model().eval(Y, true).is_numeral_u64(Seed);
-        SeedS->pop();
-      } else {
-        z3::expr Q = Member && !InHypothesis(Y);
-        z3::solver S = makeSolver();
-        S.add(Q);
-        CR = check(S);
-        if (CR == z3::sat)
-          S.get_model().eval(Y, true).is_numeral_u64(Seed);
-      }
+      SeedS.push();
+      SeedS.add(!InHypothesis(Y));
+      z3::check_result CR = check(SeedS, nullptr, /*IncrementalQuery=*/true);
+      if (CR == z3::sat)
+        SeedS.get_model().eval(Y, true).is_numeral_u64(Seed);
+      SeedS.pop();
       if (CR == z3::unsat)
         break; // Hypothesis covers the image exactly.
       if (CR != z3::sat)
@@ -1523,19 +1493,6 @@ void Solver::assertFormula(TermRef Formula) {
 SatResult Solver::checkSatAssuming(const std::vector<TermRef> &Assumptions,
                                    TermRef Formula) {
   Impl &I = *TheImpl;
-  if (!I.Control.Incremental) {
-    // One-shot fallback: the scoped query is just the conjunction of the
-    // asserted stack, the extra formula, and the assumptions, routed
-    // through checkSat so it shares the global memo and exception
-    // handling. Verdicts match the incremental path by construction.
-    std::vector<TermRef> Conj;
-    for (const auto &Frame : I.Scopes)
-      Conj.insert(Conj.end(), Frame.begin(), Frame.end());
-    if (Formula)
-      Conj.push_back(Formula);
-    Conj.insert(Conj.end(), Assumptions.begin(), Assumptions.end());
-    return checkSat(I.Factory.mkAnd(std::move(Conj)));
-  }
   ScopedQueryKey Key{I.ScopeGen, Formula, Assumptions};
   if (const SatResult *Cached = I.ScopedCache.find(Key))
     return *Cached;
@@ -1558,7 +1515,7 @@ Solver::checkSatBatch(const std::vector<TermRef> &Formulas) {
   }
   if (Pending.empty())
     return Out;
-  if (!I.Control.Incremental || Pending.size() < 2) {
+  if (Pending.size() < 2) {
     for (size_t K : Pending)
       Out[K] = checkSat(Formulas[K]);
     return Out;

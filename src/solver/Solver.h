@@ -75,13 +75,6 @@ struct SolverControl {
   /// The session-kind tag for this session's queries. The pool and fork
   /// plumbing overwrite it (Pooled / Worker) where they set WorkerSession.
   SolverSessionKind Kind = SolverSessionKind::Shared;
-  /// Master switch for incremental solving (scoped backend sessions,
-  /// assumption-literal checks, coalesced batches). When false every scoped
-  /// or batched entry point degrades to the one-shot path: identical
-  /// verdicts, re-sent assertion stacks. Propagated to forked and pooled
-  /// sessions with the rest of the control, so one flag flips the whole
-  /// pipeline (--solver-incremental).
-  bool Incremental = true;
 };
 
 /// A session with the underlying SMT solver. Not thread-safe.
@@ -166,12 +159,11 @@ public:
   // Incremental sessions ------------------------------------------------------
   //
   // A scoped assertion stack lives alongside the one-shot entry points
-  // above. Only checkSatAssuming consults it; checkSat/getModel/... remain
-  // stack-independent (their memo tables stay sound). With
-  // SolverControl::Incremental set the stack is mirrored into a persistent
-  // backend solver so consecutive scoped checks pay only for their delta;
-  // with it clear the same calls re-send the whole conjunction through the
-  // one-shot path — verdicts agree either way.
+  // above and is mirrored into a persistent backend solver, so consecutive
+  // scoped checks pay only for their delta. Only checkSatAssuming consults
+  // it. checkSat and getModel stay stack-independent: each runs on a fresh
+  // backend solver, so its answer depends only on the formula, which is
+  // what keeps their memo tables sound and the printed inverses fixed.
 
   /// Opens a new assertion scope.
   void push();
@@ -206,10 +198,11 @@ public:
   /// variable-disjointly renamed, asserted under selector literals in one
   /// backend solver, and decided with at most a handful of
   /// check-sat-assuming rounds (a sat answer settles every pending member
-  /// at once; an unsat core narrows the suspects). Verdicts are identical
-  /// to k checkSat calls — members the batch cannot settle (Unknown) fall
-  /// back to the one-shot path individually — and Sat/Unsat answers land
-  /// in the same global memo. Independent of the scoped assertion stack.
+  /// at once; an unsat core narrows the suspects). A single pending member
+  /// goes straight to checkSat, as does every member the batch cannot
+  /// settle (Unknown), so a verdict is never weaker than k checkSat calls.
+  /// Sat/Unsat answers land in the same global memo. Independent of the
+  /// scoped assertion stack.
   std::vector<SatResult> checkSatBatch(const std::vector<TermRef> &Formulas);
 
   // Quantifier elimination ----------------------------------------------------

@@ -41,11 +41,6 @@ struct InverterOptions {
   /// bit-identical for every jobs value; >1 merely runs the forks
   /// concurrently.
   unsigned Jobs = 1;
-  /// Master switch for the incremental solver core (scoped push/pop
-  /// sessions, assumption-literal CEGAR, coalesced guard-overlap batches).
-  /// Copied into SolverControl::Incremental for the run, so every pooled
-  /// and forked session inherits it; off falls back to one-shot queries.
-  bool SolverIncremental = true;
   SygusEngine::Options Engine;
 };
 

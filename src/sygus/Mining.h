@@ -30,8 +30,8 @@
 ///    disequation x_i != x'_i behind a selector literal, so every check
 ///    is one check-sat-assuming on the same backend solver. The rule's own
 ///    factory never interns a reduction term: commutative operands are
-///    ordered by term id, so extra terms there would change the printed
-///    inverse, and differently under --solver-incremental on and off
+///    ordered by term id, so extra terms there would shift the ids of the
+///    terms synthesis builds later and change the printed inverse
 ///    (DESIGN.md, "Variable reduction in a child session").
 ///
 //===----------------------------------------------------------------------===//

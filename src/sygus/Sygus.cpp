@@ -83,12 +83,11 @@ SygusEngine::sampleInputs(const SynthesisSpec &Spec, unsigned Want) {
   }
 
   // Phase 2: solver models with blocking, for guards rejection sampling
-  // cannot hit (e.g. equality-pinned inputs). Deliberately one-shot even
-  // when incremental solving is on: Z3's incremental and one-shot engines
-  // can disagree on Unknown-vs-Sat for these guard queries, and a
-  // different sample set changes which (equally correct) candidate CEGIS
-  // settles on — breaking byte-identity between --solver-incremental
-  // modes. The loop is bounded at 8 queries, so nothing is lost.
+  // cannot hit (e.g. equality-pinned inputs). Each sample comes from
+  // checkSat and getModel, which run on memoized one-shot solvers, so it
+  // depends only on the formula. The sample set decides which (equally
+  // correct) candidate CEGIS settles on, and the inverse fixtures pin that
+  // choice. The loop is bounded at 8 queries.
   unsigned SolverWant = Inputs.empty() ? std::min(Want, 8u) : 0;
   std::vector<TermRef> Blocked;
   while (SolverWant-- > 0) {
@@ -198,9 +197,9 @@ Result<TermRef> SygusEngine::synthesize(const SynthesisSpec &Spec,
   // CEGAR skeleton: the guard is asserted once for the whole CEGIS run;
   // each iteration's verification varies only the candidate's negated
   // correctness condition, sent as an assumption literal. Counterexample
-  // models still come from the one-shot getModel path, so the refinement
-  // sequence — and with it the synthesized term — is byte-identical
-  // between incremental on and off.
+  // models come from getModel's memoized one-shot solver, so each depends
+  // only on the flattened query. The refinement sequence, and with it the
+  // synthesized term, is what the inverse fixtures pin.
   ScopedAssertions VerifyScope(S);
   VerifyScope.add(P.Guard);
   TermRef LastSliceGuess = nullptr;
@@ -301,9 +300,9 @@ Result<TermRef> SygusEngine::synthesize(const SynthesisSpec &Spec,
     TermRef Query = F.mkAnd(P.Guard, F.mkNot(Meets));
     SatResult Sat = S.checkSatAssuming({F.mkNot(Meets)});
     if (Sat == SatResult::Unknown)
-      // The incremental engine gave up where the one-shot engine might
-      // not; retry the flattened query before reporting unknown so the
-      // outcome can only match or improve on --solver-incremental off.
+      // Z3's incremental engine can give up on a query its one-shot
+      // engine decides; retry the flattened query on a fresh solver
+      // before reporting unknown.
       Sat = S.checkSat(Query);
     if (Sat == SatResult::Unsat)
       return Finish(*Candidate);

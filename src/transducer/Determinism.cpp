@@ -130,11 +130,11 @@ SeftTransition importTransition(TermCloner &Import, const SeftTransition &T) {
 }
 
 /// One chunk of the pair scan: leases a session, primes the chunk's
-/// overlap-guard batch when the session is incremental, and walks the
-/// pairs until the first event (violation or solver error). \p Cutoff,
-/// when present, lets sibling chunks prune each other; a null cutoff (the
-/// out-of-process shard path) only costs skipped pruning, never changes
-/// which index is returned as a chunk's first event.
+/// overlap-guard batch, and walks the pairs until the first event
+/// (violation or solver error). \p Cutoff, when present, lets sibling
+/// chunks prune each other; a null cutoff (the out-of-process shard path)
+/// only costs skipped pruning, never changes which index is returned as a
+/// chunk's first event.
 size_t scanPairRange(const Seft &A,
                      const std::vector<std::pair<unsigned, unsigned>> &Pairs,
                      size_t Begin, size_t End, SolverSessionPool &Pool,
@@ -147,30 +147,28 @@ size_t scanPairRange(const Seft &A,
   // sat memo. Pairs the Definition 3.7 shortcuts never query are
   // skipped; Unknowns fall back to the scan's individual queries, so
   // verdicts are unchanged.
-  if (Sess->Slv.control().Incremental) {
-    std::vector<TermRef> Queries;
-    std::unordered_set<TermRef> InBatch;
-    for (size_t K = Begin; K != End; ++K) {
-      const SeftTransition &TA0 = Ts[Pairs[K].first];
-      const SeftTransition &TB0 = Ts[Pairs[K].second];
-      bool FinalA = TA0.To == Seft::FinalState;
-      bool FinalB = TB0.To == Seft::FinalState;
-      if (FinalA != FinalB) {
-        const SeftTransition &Continue = FinalA ? TB0 : TA0;
-        const SeftTransition &Finish = FinalA ? TA0 : TB0;
-        if (Continue.Lookahead > Finish.Lookahead)
-          continue;
-      } else if (FinalA && FinalB && TA0.Lookahead != TB0.Lookahead) {
+  std::vector<TermRef> Queries;
+  std::unordered_set<TermRef> InBatch;
+  for (size_t K = Begin; K != End; ++K) {
+    const SeftTransition &TA0 = Ts[Pairs[K].first];
+    const SeftTransition &TB0 = Ts[Pairs[K].second];
+    bool FinalA = TA0.To == Seft::FinalState;
+    bool FinalB = TB0.To == Seft::FinalState;
+    if (FinalA != FinalB) {
+      const SeftTransition &Continue = FinalA ? TB0 : TA0;
+      const SeftTransition &Finish = FinalA ? TA0 : TB0;
+      if (Continue.Lookahead > Finish.Lookahead)
         continue;
-      }
-      TermRef Q = Sess->Factory.mkAnd(Sess->Import.clone(TA0.Guard),
-                                      Sess->Import.clone(TB0.Guard));
-      if (InBatch.insert(Q).second)
-        Queries.push_back(Q);
+    } else if (FinalA && FinalB && TA0.Lookahead != TB0.Lookahead) {
+      continue;
     }
-    if (Queries.size() > 1)
-      Sess->Slv.checkSatBatch(Queries);
+    TermRef Q = Sess->Factory.mkAnd(Sess->Import.clone(TA0.Guard),
+                                    Sess->Import.clone(TB0.Guard));
+    if (InBatch.insert(Q).second)
+      Queries.push_back(Q);
   }
+  if (Queries.size() > 1)
+    Sess->Slv.checkSatBatch(Queries);
   for (size_t K = Begin; K != End; ++K) {
     if (Cutoff && K > Cutoff->load(std::memory_order_relaxed))
       continue;

@@ -83,39 +83,18 @@ queryTransition(const Seft &A, Solver &S, unsigned Index) {
 }
 
 /// One chunk of the Lemma 4.7 scan: leases a session, primes the chunk's
-/// query batch when incremental, and walks the rules until the first event
-/// (sat or solver error). Null \p Cutoff (the out-of-process shard path)
-/// only skips cross-chunk pruning; the returned first event is unchanged.
+/// query batch, and walks the rules until the first event (sat or solver
+/// error). Null \p Cutoff (the out-of-process shard path) only skips
+/// cross-chunk pruning; the returned first event is unchanged.
 size_t scanRuleRange(const Seft &A, const std::vector<unsigned> &Rules,
                      size_t Begin, size_t End, SolverSessionPool &Pool,
                      std::atomic<size_t> *Cutoff) {
   const auto &Ts = A.transitions();
   MetricsPhaseScope WorkerPhase("ti");
   SolverSessionPool::Lease Sess = Pool.lease();
-  // Coalesce the chunk's Lemma 4.7 queries into one selector-literal
-  // batch; the scan below then answers from the session's sat memo.
-  // Unknowns fall back to the individual isSat calls, so verdicts are
-  // unchanged.
-  if (Sess->Slv.control().Incremental && End - Begin > 1) {
-    std::vector<TermRef> Queries;
-    for (size_t K = Begin; K != End; ++K) {
-      const SeftTransition &T = Ts[Rules[K]];
-      SeftTransition Local;
-      Local.From = T.From;
-      Local.To = T.To;
-      Local.Lookahead = T.Lookahead;
-      Local.Guard = Sess->Import.clone(T.Guard);
-      for (TermRef O : T.Outputs)
-        Local.Outputs.push_back(Sess->Import.clone(O));
-      Queries.push_back(
-          transitionInjectivityQuery(Sess->Factory, Local, A.inputType()));
-    }
-    if (Queries.size() > 1)
-      Sess->Slv.checkSatBatch(Queries);
-  }
-  for (size_t K = Begin; K != End; ++K) {
-    if (Cutoff && K > Cutoff->load(std::memory_order_relaxed))
-      continue;
+  // The Lemma 4.7 query of rule K, built in the session's factory
+  // (hash-consed, so the batch and the scan share memo keys).
+  auto QueryOf = [&](size_t K) {
     const SeftTransition &T = Ts[Rules[K]];
     SeftTransition Local;
     Local.From = T.From;
@@ -124,8 +103,22 @@ size_t scanRuleRange(const Seft &A, const std::vector<unsigned> &Rules,
     Local.Guard = Sess->Import.clone(T.Guard);
     for (TermRef O : T.Outputs)
       Local.Outputs.push_back(Sess->Import.clone(O));
-    TermRef Query =
-        transitionInjectivityQuery(Sess->Factory, Local, A.inputType());
+    return transitionInjectivityQuery(Sess->Factory, Local, A.inputType());
+  };
+  // Coalesce the chunk's Lemma 4.7 queries into one selector-literal
+  // batch; the scan below then answers from the session's sat memo.
+  // Unknowns fall back to the individual isSat calls, so verdicts are
+  // unchanged.
+  if (End - Begin > 1) {
+    std::vector<TermRef> Queries;
+    for (size_t K = Begin; K != End; ++K)
+      Queries.push_back(QueryOf(K));
+    Sess->Slv.checkSatBatch(Queries);
+  }
+  for (size_t K = Begin; K != End; ++K) {
+    if (Cutoff && K > Cutoff->load(std::memory_order_relaxed))
+      continue;
+    TermRef Query = QueryOf(K);
     Result<bool> Sat = Sess->Slv.isSat(Query);
     if (Sat && !*Sat)
       continue;

@@ -70,11 +70,6 @@ double InversionOutcome::maxRuleSeconds() const {
 
 namespace {
 
-/// Greedy redundant-conjunct elimination: drops any conjunct implied by the
-/// remaining ones, largest first. The g-derived guards contain membership
-/// disjunctions that the round-trip equations already entail; stripping
-/// them is what keeps the emitted programs close to hand-written size
-/// (Figure 6).
 /// Largest variable index mentioned anywhere in \p T, or -1 if none.
 int64_t maxVarIndex(TermRef T) {
   int64_t Max = T->isVar() ? static_cast<int64_t>(T->varIndex()) : -1;
@@ -83,6 +78,11 @@ int64_t maxVarIndex(TermRef T) {
   return Max;
 }
 
+/// Greedy redundant-conjunct elimination: drops any conjunct implied by the
+/// remaining ones, largest first. The g-derived guards contain membership
+/// disjunctions that the round-trip equations already entail; stripping
+/// them is what keeps the emitted programs close to hand-written size
+/// (Figure 6).
 TermRef simplifyGuard(TermFactory &F, Solver &S, TermRef Guard) {
   std::vector<TermRef> Conjuncts;
   if (Guard->op() == Op::And)
@@ -92,60 +92,51 @@ TermRef simplifyGuard(TermFactory &F, Solver &S, TermRef Guard) {
   std::sort(Conjuncts.begin(), Conjuncts.end(),
             [](TermRef A, TermRef B) { return A->size() > B->size(); });
 
-  // Incremental mode: assert (s_j -> C_j) and (t_j -> not C_j) once in a
-  // scope, with the selector variables s_j / t_j at indices above every
-  // guard variable so they are fresh. Dropping conjunct I is then one
+  // A lone conjunct is dropped iff it is valid (the guard of a total
+  // bijection). Unknown keeps it — sound either way; the guard is exact by
+  // construction.
+  if (Conjuncts.size() == 1) {
+    if (S.checkSat(F.mkAnd({F.mkNot(Conjuncts[0])})) == SatResult::Unsat)
+      return F.mkTrue();
+    return F.mkAnd(std::move(Conjuncts));
+  }
+
+  // Otherwise a conjunct is dropped iff the kept rest implies it. Assert
+  // (s_j -> C_j) and (t_j -> not C_j) once in a scope, with the selector
+  // variables s_j / t_j at indices above every guard variable so they are
+  // fresh. Dropping conjunct I is then one
   // checkSatAssuming({s_j : j kept, j != I} u {t_I}) — the solver keeps
   // the implication skeleton and only the assumption set varies across the
   // O(n^2) candidate tests. Selector indices are a pure function of the
   // conjunct order, so the verdict sequence is jobs-invariant.
-  if (S.control().Incremental && Conjuncts.size() > 1) {
-    int64_t Base = -1;
-    for (TermRef C : Conjuncts)
-      Base = std::max(Base, maxVarIndex(C));
-    unsigned KeepBase = static_cast<unsigned>(Base + 1);
-    unsigned DropBase = KeepBase + Conjuncts.size();
-    ScopedAssertions Scope(S);
-    std::vector<TermRef> Keep, Drop;
-    for (size_t J = 0; J < Conjuncts.size(); ++J) {
-      Keep.push_back(F.mkVar(KeepBase + J, Type::boolTy()));
-      Drop.push_back(F.mkVar(DropBase + J, Type::boolTy()));
-      Scope.add(F.mkImplies(Keep[J], Conjuncts[J]));
-      Scope.add(F.mkImplies(Drop[J], F.mkNot(Conjuncts[J])));
-    }
-    std::vector<bool> Alive(Conjuncts.size(), true);
-    for (size_t I = 0; I < Conjuncts.size(); ++I) {
-      std::vector<TermRef> Assume;
-      for (size_t J = 0; J < Conjuncts.size(); ++J)
-        if (Alive[J] && J != I)
-          Assume.push_back(Keep[J]);
-      Assume.push_back(Drop[I]);
-      if (S.checkSatAssuming(Assume) == SatResult::Unsat)
-        Alive[I] = false;
-    }
-    std::vector<TermRef> Kept;
-    for (size_t J = 0; J < Conjuncts.size(); ++J)
-      if (Alive[J])
-        Kept.push_back(Conjuncts[J]);
-    return F.mkAnd(std::move(Kept));
+  int64_t Base = -1;
+  for (TermRef C : Conjuncts)
+    Base = std::max(Base, maxVarIndex(C));
+  unsigned KeepBase = static_cast<unsigned>(Base + 1);
+  unsigned DropBase = KeepBase + Conjuncts.size();
+  ScopedAssertions Scope(S);
+  std::vector<TermRef> Keep, Drop;
+  for (size_t J = 0; J < Conjuncts.size(); ++J) {
+    Keep.push_back(F.mkVar(KeepBase + J, Type::boolTy()));
+    Drop.push_back(F.mkVar(DropBase + J, Type::boolTy()));
+    Scope.add(F.mkImplies(Keep[J], Conjuncts[J]));
+    Scope.add(F.mkImplies(Drop[J], F.mkNot(Conjuncts[J])));
   }
-
-  for (size_t I = 0; I < Conjuncts.size();) {
-    std::vector<TermRef> Rest;
+  std::vector<bool> Alive(Conjuncts.size(), true);
+  for (size_t I = 0; I < Conjuncts.size(); ++I) {
+    std::vector<TermRef> Assume;
     for (size_t J = 0; J < Conjuncts.size(); ++J)
-      if (J != I)
-        Rest.push_back(Conjuncts[J]);
-    // Implied iff Rest /\ not C is unsatisfiable (with Rest empty this is
-    // a validity check, dropping guards of total bijections). Unknown
-    // keeps the conjunct — sound either way; the guard is exact by
-    // construction.
-    TermRef Query = F.mkAnd(F.mkAnd(Rest), F.mkNot(Conjuncts[I]));
-    if (S.checkSat(Query) == SatResult::Unsat)
-      Conjuncts.erase(Conjuncts.begin() + I);
-    else
-      ++I;
+      if (Alive[J] && J != I)
+        Assume.push_back(Keep[J]);
+    Assume.push_back(Drop[I]);
+    if (S.checkSatAssuming(Assume) == SatResult::Unsat)
+      Alive[I] = false;
   }
-  return F.mkAnd(std::move(Conjuncts));
+  std::vector<TermRef> Kept;
+  for (size_t J = 0; J < Conjuncts.size(); ++J)
+    if (Alive[J])
+      Kept.push_back(Conjuncts[J]);
+  return F.mkAnd(std::move(Kept));
 }
 
 } // namespace

@@ -6,10 +6,11 @@
 ///
 /// \file
 /// Parity and robustness tests for the incremental solver core: randomized
-/// push/pop/assume sequences must produce identical verdicts with
-/// --solver-incremental on and off, scoped-memo entries must die with their
-/// scope, and injected faults / exhausted deadlines that strike mid-scope
-/// must unwind without leaking assertions into later queries.
+/// push/pop/assume sequences must give the verdicts of a flat checkSat of
+/// the whole conjunction on a plain session, scoped queries must not steer
+/// getModel, scoped-memo entries must die with their scope, and injected
+/// faults / exhausted deadlines that strike mid-scope must unwind without
+/// leaking assertions into later queries.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -26,44 +27,47 @@ using namespace genic;
 
 namespace {
 
-SolverControl incrementalControl(bool On) {
-  SolverControl Ctl;
-  Ctl.Incremental = On;
-  return Ctl;
-}
-
-/// A pair of solvers over one factory, one incremental and one one-shot,
-/// driven in lockstep. Every mutation is mirrored; every query is answered
-/// by both and the verdicts compared.
+/// A scoped session and its reference, driven in lockstep. The harness
+/// keeps its own copy of the assertion stack; every scoped query on the
+/// session is also answered by checkSat of the flattened conjunction
+/// (stack, formula, assumptions) on a separate plain session, and the
+/// verdicts are compared.
 class ParityHarness {
 public:
-  explicit ParityHarness(TermFactory &F)
-      : On(F), Off(F) {
-    On.setControl(incrementalControl(true));
-    Off.setControl(incrementalControl(false));
-  }
+  explicit ParityHarness(TermFactory &F) : F(F), Scoped(F), Reference(F) {}
 
   void push() {
-    On.push();
-    Off.push();
+    Scoped.push();
+    Stack.emplace_back();
   }
   void pop() {
-    On.pop();
-    Off.pop();
+    Scoped.pop();
+    if (Stack.size() > 1)
+      Stack.pop_back();
   }
   void assertFormula(TermRef T) {
-    On.assertFormula(T);
-    Off.assertFormula(T);
+    Scoped.assertFormula(T);
+    Stack.back().push_back(T);
   }
   SatResult query(const std::vector<TermRef> &Assumptions,
                   TermRef Formula = nullptr) {
-    SatResult A = On.checkSatAssuming(Assumptions, Formula);
-    SatResult B = Off.checkSatAssuming(Assumptions, Formula);
-    EXPECT_EQ(A, B) << "incremental and one-shot verdicts diverged";
+    std::vector<TermRef> Conj;
+    for (const auto &Frame : Stack)
+      Conj.insert(Conj.end(), Frame.begin(), Frame.end());
+    if (Formula)
+      Conj.push_back(Formula);
+    Conj.insert(Conj.end(), Assumptions.begin(), Assumptions.end());
+    SatResult A = Scoped.checkSatAssuming(Assumptions, Formula);
+    SatResult B = Reference.checkSat(F.mkAnd(std::move(Conj)));
+    EXPECT_EQ(A, B) << "scoped verdict diverged from the flat reference";
     return A;
   }
+  unsigned stackDepth() const { return Stack.size() - 1; }
 
-  Solver On, Off;
+  TermFactory &F;
+  Solver Scoped, Reference;
+  std::vector<std::vector<TermRef>> Stack =
+      std::vector<std::vector<TermRef>>(1);
 };
 
 class IncrementalSolverTest : public ::testing::Test {
@@ -106,14 +110,14 @@ TEST_F(IncrementalSolverTest, RandomizedScopedSequencesAgree) {
   for (unsigned Step = 0; Step < 300; ++Step) {
     switch (Rng() % 5) {
     case 0:
-      if (H.On.scopeDepth() < 4)
+      if (H.Scoped.scopeDepth() < 4)
         H.push();
       break;
     case 1:
-      H.pop(); // No-op at depth 0 on both sides.
+      H.pop(); // No-op at depth 0.
       break;
     case 2:
-      if (H.On.scopeDepth() > 0)
+      if (H.Scoped.scopeDepth() > 0)
         H.assertFormula(randomAtom(Rng));
       break;
     default: {
@@ -126,34 +130,34 @@ TEST_F(IncrementalSolverTest, RandomizedScopedSequencesAgree) {
       break;
     }
     }
-    EXPECT_EQ(H.On.scopeDepth(), H.Off.scopeDepth());
+    EXPECT_EQ(H.Scoped.scopeDepth(), H.stackDepth());
   }
   // The property is vacuous if everything came back Unknown.
   EXPECT_GT(Decided, 100u);
 }
 
-TEST_F(IncrementalSolverTest, ModelsMatchAcrossModes) {
-  Solver On(F), Off(F);
-  On.setControl(incrementalControl(true));
-  Off.setControl(incrementalControl(false));
+TEST_F(IncrementalSolverTest, ScopedQueriesDoNotSteerModels) {
+  Solver S(F);
   std::mt19937 Rng(42);
   unsigned Compared = 0;
   for (unsigned Round = 0; Round < 20; ++Round) {
     TermRef Q = F.mkAnd(randomAtom(Rng), randomAtom(Rng));
-    // Exercise the incremental path on the ON side first so any state it
-    // keeps would have a chance to leak into the model query.
-    On.push();
-    On.assertFormula(Q);
-    SatResult Verdict = On.checkSatAssuming({});
-    On.pop();
-    EXPECT_EQ(Verdict, Off.checkSat(Q));
+    // Run a scoped query over Q first, so any state the live backend
+    // session keeps would have a chance to leak into the model query.
+    S.push();
+    S.assertFormula(Q);
+    SatResult Verdict = S.checkSatAssuming({});
+    S.pop();
+    Solver Fresh(F);
+    EXPECT_EQ(Verdict, Fresh.checkSat(Q));
     if (Verdict != SatResult::Sat)
       continue;
-    Result<std::vector<Value>> MOn = On.getModel(Q, {B8, B8, B8});
-    Result<std::vector<Value>> MOff = Off.getModel(Q, {B8, B8, B8});
-    ASSERT_TRUE(MOn.isOk());
-    ASSERT_TRUE(MOff.isOk());
-    EXPECT_EQ(*MOn, *MOff) << "models diverged between modes";
+    Result<std::vector<Value>> MScoped = S.getModel(Q, {B8, B8, B8});
+    Result<std::vector<Value>> MFresh = Fresh.getModel(Q, {B8, B8, B8});
+    ASSERT_TRUE(MScoped.isOk());
+    ASSERT_TRUE(MFresh.isOk());
+    EXPECT_EQ(*MScoped, *MFresh)
+        << "the session's scoped history changed its model";
     ++Compared;
   }
   EXPECT_GT(Compared, 5u);
@@ -161,8 +165,6 @@ TEST_F(IncrementalSolverTest, ModelsMatchAcrossModes) {
 
 TEST_F(IncrementalSolverTest, BatchMatchesIndividualChecks) {
   Solver Batch(F), Single(F);
-  Batch.setControl(incrementalControl(true));
-  Single.setControl(incrementalControl(false));
   std::mt19937 Rng(7);
   std::vector<TermRef> Formulas;
   for (unsigned K = 0; K < 12; ++K) {
@@ -183,7 +185,6 @@ TEST_F(IncrementalSolverTest, BatchMatchesIndividualChecks) {
 
 TEST_F(IncrementalSolverTest, BatchRepeatedFormulasShareVerdicts) {
   Solver S(F);
-  S.setControl(incrementalControl(true));
   TermRef Sat = F.mkBvOp(Op::BvUle, V0, F.mkBv(0x10, 8));
   TermRef Unsat =
       F.mkAnd(F.mkEq(V1, F.mkBv(3, 8)), F.mkEq(V1, F.mkBv(4, 8)));
@@ -200,7 +201,6 @@ TEST_F(IncrementalSolverTest, BatchRepeatedFormulasShareVerdicts) {
 
 TEST_F(IncrementalSolverTest, PopInvalidatesScopedMemo) {
   Solver S(F);
-  S.setControl(incrementalControl(true));
   TermRef Pin1 = F.mkEq(V0, F.mkBv(1, 8));
   TermRef Pin2 = F.mkEq(V0, F.mkBv(2, 8));
   S.push();
@@ -220,7 +220,6 @@ TEST_F(IncrementalSolverTest, PopInvalidatesScopedMemo) {
 
 TEST_F(IncrementalSolverTest, GenerationIsMonotone) {
   Solver S(F);
-  S.setControl(incrementalControl(true));
   uint64_t G0 = S.scopeGeneration();
   S.push();
   uint64_t G1 = S.scopeGeneration();
@@ -235,7 +234,6 @@ TEST_F(IncrementalSolverTest, GenerationIsMonotone) {
 
 TEST_F(IncrementalSolverTest, ScopedAssertionsRaiiBalances) {
   Solver S(F);
-  S.setControl(incrementalControl(true));
   {
     ScopedAssertions Outer(S);
     Outer.add(F.mkBvOp(Op::BvUle, V0, F.mkBv(0x7f, 8)));
@@ -259,7 +257,7 @@ TEST_F(IncrementalSolverTest, ScopedAssertionsRaiiBalances) {
 
 TEST_F(IncrementalSolverTest, InjectedThrowMidScopeUnwindsCleanly) {
   Solver S(F);
-  SolverControl Ctl = incrementalControl(true);
+  SolverControl Ctl;
   Result<FaultPlan> Plan = parseFaultPlan("throw@2");
   ASSERT_TRUE(Plan.isOk());
   Ctl.Faults = *Plan;
@@ -286,7 +284,7 @@ TEST_F(IncrementalSolverTest, InjectedThrowMidScopeUnwindsCleanly) {
 
 TEST_F(IncrementalSolverTest, InjectedThrowOnEphemeralFormulaFrame) {
   Solver S(F);
-  SolverControl Ctl = incrementalControl(true);
+  SolverControl Ctl;
   Result<FaultPlan> Plan = parseFaultPlan("throw@1");
   ASSERT_TRUE(Plan.isOk());
   Ctl.Faults = *Plan;
@@ -307,7 +305,6 @@ TEST_F(IncrementalSolverTest, InjectedThrowOnEphemeralFormulaFrame) {
 
 TEST_F(IncrementalSolverTest, DeadlineExhaustionMidScopeRefusesCleanly) {
   Solver S(F);
-  S.setControl(incrementalControl(true));
   TermRef Pin = F.mkEq(V0, F.mkBv(1, 8));
   S.push();
   S.assertFormula(Pin);
@@ -316,7 +313,7 @@ TEST_F(IncrementalSolverTest, DeadlineExhaustionMidScopeRefusesCleanly) {
   // The deadline fires mid-scope: queries refuse with Unknown, the scope
   // structure stays intact, and popping unwinds without touching the
   // backend in a way that could throw.
-  SolverControl Expired = incrementalControl(true);
+  SolverControl Expired;
   Expired.Cancel = CancellationToken(Deadline::after(0));
   S.setControl(Expired);
   EXPECT_EQ(S.checkSatAssuming({Pin}), SatResult::Unknown);
@@ -327,13 +324,13 @@ TEST_F(IncrementalSolverTest, DeadlineExhaustionMidScopeRefusesCleanly) {
 
   // Lifting the deadline restores correct answers — and the refused query
   // must not have been memoized.
-  S.setControl(incrementalControl(true));
+  S.setControl(SolverControl());
   EXPECT_EQ(S.checkSatAssuming({F.mkEq(V0, F.mkBv(2, 8))}), SatResult::Sat);
 }
 
 TEST_F(IncrementalSolverTest, BatchSurvivesInjectedFault) {
   Solver S(F);
-  SolverControl Ctl = incrementalControl(true);
+  SolverControl Ctl;
   Result<FaultPlan> Plan = parseFaultPlan("throw@1");
   ASSERT_TRUE(Plan.isOk());
   Ctl.Faults = *Plan;
@@ -347,25 +344,6 @@ TEST_F(IncrementalSolverTest, BatchSurvivesInjectedFault) {
   EXPECT_EQ(Out[0], SatResult::Sat);
   EXPECT_EQ(Out[1], SatResult::Unsat);
   EXPECT_EQ(Out[2], SatResult::Sat);
-}
-
-TEST_F(IncrementalSolverTest, OffModeFlattensToGlobalMemo) {
-  Solver S(F);
-  S.setControl(incrementalControl(false));
-  TermRef A = F.mkBvOp(Op::BvUle, V0, F.mkBv(0x40, 8));
-  TermRef B = F.mkEq(V1, F.mkBv(9, 8));
-  S.push();
-  S.assertFormula(A);
-  EXPECT_EQ(S.checkSatAssuming({B}), SatResult::Sat);
-  // The off-mode path routes through checkSat on the flattened
-  // conjunction, so the equivalent direct query is a memo hit.
-  uint64_t Misses = S.stats().CacheMisses;
-  EXPECT_EQ(S.checkSat(F.mkAnd(A, B)), SatResult::Sat);
-  EXPECT_EQ(S.stats().CacheMisses, Misses);
-  S.pop();
-  // No incremental machinery ran.
-  EXPECT_EQ(S.stats().IncrementalHits, 0u);
-  EXPECT_EQ(S.stats().ScopedCacheMisses, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -399,7 +377,6 @@ TermRef mediumQuery(TermFactory &F, unsigned Tag = 0) {
 
 TEST_F(IncrementalSolverTest, TimeoutReachesEveryEntryPoint) {
   Solver S(F);
-  S.setControl(incrementalControl(true));
   S.setTimeoutMs(1);
   TermRef Hard = hardQuery(F);
   TermRef Easy = F.mkEq(V0, F.mkBv(7, 8));
@@ -434,7 +411,6 @@ TEST_F(IncrementalSolverTest, TimeoutReachesEveryEntryPoint) {
 
 TEST_F(IncrementalSolverTest, ZeroTimeoutLiftsEarlierLimit) {
   Solver S(F);
-  S.setControl(incrementalControl(true));
   S.setTimeoutMs(1);
   S.push();
   S.assertFormula(F.mkBvOp(Op::BvUle, V0, F.mkBv(0x40, 8)));

@@ -6,12 +6,11 @@
 ///
 /// \file
 /// `genic invert` on each corpus coder in programs/ must print exactly the
-/// committed text in tests/inverses/, at --jobs 1 and 4 and with
-/// --solver-incremental on and off. The other determinism tests compare
-/// runs of one build with each other; these fixtures pin the output across
-/// builds, so a backend change that steers Z3's models (and with them the
-/// synthesized terms) shows up as a diff, not only a reordering of
-/// commutative operands. Timing figures are stripped from the status lines
+/// committed text in tests/inverses/, at --jobs 1 and 4. The other
+/// determinism tests compare runs of one build with each other; these
+/// fixtures pin the output across builds, so a backend change that steers
+/// Z3's models (and with them the synthesized terms) shows up as a diff,
+/// not only a reordering of commutative operands. Timing figures are stripped from the status lines
 /// the same way tests/inverses/regenerate.sh strips them; that script
 /// regenerates the fixtures when a change to the inverses is intended.
 ///
@@ -29,8 +28,8 @@
 
 namespace {
 
-/// (program file stem, --jobs, --solver-incremental).
-using FixtureParam = std::tuple<std::string, unsigned, bool>;
+/// (program file stem, --jobs).
+using FixtureParam = std::tuple<std::string, unsigned>;
 
 const std::string Coders[] = {
     "BASE16_decoder",     "BASE16_encoder",     "BASE32_decoder",
@@ -71,11 +70,10 @@ std::string normalizedOutput(const std::string &Command, int &ExitCode) {
 class InverseFixtureTest : public ::testing::TestWithParam<FixtureParam> {};
 
 TEST_P(InverseFixtureTest, GenicInvertPrintsTheFixture) {
-  const auto &[Stem, Jobs, Incremental] = GetParam();
+  const auto &[Stem, Jobs] = GetParam();
   std::string Command = std::string(GENIC_CLI_BIN) + " invert " +
                         GENIC_PROGRAMS_DIR "/" + Stem + ".genic --jobs " +
-                        std::to_string(Jobs) + " --solver-incremental " +
-                        (Incremental ? "on" : "off") + " 2>/dev/null";
+                        std::to_string(Jobs) + " 2>/dev/null";
   int ExitCode = 0;
   std::string Actual = normalizedOutput(Command, ExitCode);
   EXPECT_EQ(ExitCode, 0) << Command;
@@ -87,12 +85,12 @@ TEST_P(InverseFixtureTest, GenicInvertPrintsTheFixture) {
 
 INSTANTIATE_TEST_SUITE_P(
     Corpus, InverseFixtureTest,
-    ::testing::Combine(::testing::ValuesIn(Coders), ::testing::Values(1u, 4u),
-                       ::testing::Bool()),
+    ::testing::Combine(::testing::ValuesIn(Coders), ::testing::Values(1u, 4u)),
+    // The "_inc_on" suffix dates from when the solver core had a one-shot
+    // mode; it is kept so case names stay comparable across revisions.
     [](const ::testing::TestParamInfo<FixtureParam> &Info) {
       std::string Name = std::get<0>(Info.param) + "_jobs" +
-                         std::to_string(std::get<1>(Info.param)) +
-                         (std::get<2>(Info.param) ? "_inc_on" : "_inc_off");
+                         std::to_string(std::get<1>(Info.param)) + "_inc_on";
       for (char &C : Name)
         if (C == '-')
           C = '_';

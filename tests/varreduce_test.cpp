@@ -10,9 +10,8 @@
 /// literals; the reference below is the one-shot greedy reduction it
 /// replaced (K + 1 flat isSat queries per input). Both must name the same
 /// subset, or both fail, for every rule and input position of the 14
-/// corpus coders, random multi-state LIA machines and the ST family, with
-/// incremental solving on and off. The child session must also leave the
-/// rule's factory untouched.
+/// corpus coders, random multi-state LIA machines and the ST family. The
+/// child session must also leave the rule's factory untouched.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -140,54 +139,48 @@ std::vector<std::string> programLabels() {
 class VarReduceTest : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(VarReduceTest, SubsetsMatchTheOneShotReference) {
-  for (bool Incremental : {true, false}) {
-    SolverContext Ctx;
-    SolverControl Control = Ctx.solver().control();
-    Control.Incremental = Incremental;
-    Ctx.solver().setControl(Control);
-    Result<AstProgram> Ast = parseGenic(sourceFor(GetParam()));
-    ASSERT_TRUE(Ast.isOk()) << Ast.status().message();
-    Result<LoweredProgram> Prog = lowerProgram(Ctx.factory(), *Ast);
-    ASSERT_TRUE(Prog.isOk()) << Prog.status().message();
-    const Seft &M = Prog->Machine;
+  SolverContext Ctx;
+  Result<AstProgram> Ast = parseGenic(sourceFor(GetParam()));
+  ASSERT_TRUE(Ast.isOk()) << Ast.status().message();
+  Result<LoweredProgram> Prog = lowerProgram(Ctx.factory(), *Ast);
+  ASSERT_TRUE(Prog.isOk()) << Prog.status().message();
+  const Seft &M = Prog->Machine;
 
-    unsigned Compared = 0;
-    for (size_t Rule = 0; Rule != M.transitions().size(); ++Rule) {
-      const SeftTransition &T = M.transitions()[Rule];
-      if (T.Lookahead == 0 || T.Outputs.empty())
-        continue;
-      ImagePredicate P{T.Guard, T.Outputs, T.Lookahead};
+  unsigned Compared = 0;
+  for (size_t Rule = 0; Rule != M.transitions().size(); ++Rule) {
+    const SeftTransition &T = M.transitions()[Rule];
+    if (T.Lookahead == 0 || T.Outputs.empty())
+      continue;
+    ImagePredicate P{T.Guard, T.Outputs, T.Lookahead};
 
-      // Each side runs in its own fork of the program's session, as a
-      // rule does in the pipeline.
-      SolverContext Fork(Ctx);
-      const size_t PoolBefore = Fork.factory().poolSize();
-      OutputReduction New =
-          sufficientOutputSubsets(Fork.solver(), P, M.inputType());
-      EXPECT_EQ(Fork.factory().poolSize(), PoolBefore)
-          << "reduction interned terms in the rule's factory";
-      ASSERT_EQ(New.Subsets.size(), T.Lookahead);
-      EXPECT_GT(New.Smt.SatQueries, 0u);
+    // Each side runs in its own fork of the program's session, as a
+    // rule does in the pipeline.
+    SolverContext Fork(Ctx);
+    const size_t PoolBefore = Fork.factory().poolSize();
+    OutputReduction New =
+        sufficientOutputSubsets(Fork.solver(), P, M.inputType());
+    EXPECT_EQ(Fork.factory().poolSize(), PoolBefore)
+        << "reduction interned terms in the rule's factory";
+    ASSERT_EQ(New.Subsets.size(), T.Lookahead);
+    EXPECT_GT(New.Smt.SatQueries, 0u);
 
-      SolverContext RefFork(Ctx);
-      for (unsigned I = 0; I < T.Lookahead; ++I) {
-        Result<std::vector<unsigned>> Ref =
-            referenceSubset(RefFork.solver(), P, I, M.inputType());
-        const Result<std::vector<unsigned>> &Got = New.Subsets[I];
-        std::string Where = GetParam() + " rule " + std::to_string(Rule) +
-                            " input " + std::to_string(I) +
-                            (Incremental ? " (incremental)" : " (one-shot)");
-        ASSERT_EQ(Got.isOk(), Ref.isOk())
-            << Where << ": "
-            << (Got ? Ref.status().message() : Got.status().message());
-        if (Got) {
-          EXPECT_EQ(*Got, *Ref) << Where;
-        }
-        ++Compared;
+    SolverContext RefFork(Ctx);
+    for (unsigned I = 0; I < T.Lookahead; ++I) {
+      Result<std::vector<unsigned>> Ref =
+          referenceSubset(RefFork.solver(), P, I, M.inputType());
+      const Result<std::vector<unsigned>> &Got = New.Subsets[I];
+      std::string Where = GetParam() + " rule " + std::to_string(Rule) +
+                          " input " + std::to_string(I);
+      ASSERT_EQ(Got.isOk(), Ref.isOk())
+          << Where << ": "
+          << (Got ? Ref.status().message() : Got.status().message());
+      if (Got) {
+        EXPECT_EQ(*Got, *Ref) << Where;
       }
+      ++Compared;
     }
-    EXPECT_GT(Compared, 0u) << GetParam();
   }
+  EXPECT_GT(Compared, 0u) << GetParam();
 }
 
 INSTANTIATE_TEST_SUITE_P(

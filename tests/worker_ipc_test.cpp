@@ -467,7 +467,6 @@ struct RawWorker {
     Req.setStr("fault", Fault);
     Req.setU64("solver-timeout-ms", 0);
     Req.setU64("budget-ms", 0);
-    Req.setU64("incremental", 1);
     Req.setU64("trace", 0);
     Req.setU64("trace-req", 0);
     Req.setU64("trace-epoch-ns", 0);

@@ -49,12 +49,6 @@
 ///                  time out or run past N ms count into the
 ///                  solver.slowquery.* metrics (see --stats and
 ///                  --metrics-json)
-///   --solver-incremental {on,off}  toggle the incremental solver core
-///                  (scoped push/pop sessions, assumption-literal CEGAR,
-///                  coalesced guard-overlap batches); off falls back to
-///                  one-shot queries with identical output; env
-///                  GENIC_SOLVER_INCREMENTAL=off applies when the flag is
-///                  absent (default: on)
 ///   --trace-out FILE  record a span trace of the run and write it as
 ///                  Chrome trace-event JSON (load in Perfetto or
 ///                  chrome://tracing; validate with tools/trace-lint)
@@ -91,7 +85,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 
@@ -108,8 +101,7 @@ int usage() {
       "--sat-cache-cap N --stats\n"
       "           --timeout-seconds S --solver-timeout-ms N "
       "--fault-inject SPEC\n"
-      "           --solver-incremental {on,off} --trace-out FILE "
-      "--metrics-json FILE\n"
+      "           --trace-out FILE --metrics-json FILE\n"
       "           --worker-procs N --worker-binary PATH --slow-query-ms N\n"
       "           --decode-file IN --decode-out OUT\n");
   return ExitUsage;
@@ -149,7 +141,6 @@ int main(int Argc, char **Argv) {
   std::vector<std::string> Symbols;
   InverterOptions Options;
   bool Stats = false;
-  bool SolverIncrementalSet = false;
   std::optional<size_t> SatCacheCap;
   double TimeoutSeconds = 0;
   std::optional<unsigned> SolverTimeoutMs;
@@ -209,14 +200,6 @@ int main(int Argc, char **Argv) {
       if (++I >= Argc)
         return usage();
       FaultSpec = Argv[I];
-    } else if (Arg == "--solver-incremental") {
-      if (++I >= Argc)
-        return usage();
-      std::string Mode = Argv[I];
-      if (Mode != "on" && Mode != "off")
-        return usage();
-      Options.SolverIncremental = Mode == "on";
-      SolverIncrementalSet = true;
     } else if (Arg == "--trace-out") {
       if (++I >= Argc)
         return usage();
@@ -403,10 +386,6 @@ int main(int Argc, char **Argv) {
   if (!DecodeFile.empty())
     ForceInvert = true; // Decoding runs the inverse; make sure we build it.
 
-  if (!SolverIncrementalSet)
-    if (const char *Env = std::getenv("GENIC_SOLVER_INCREMENTAL"))
-      if (std::strcmp(Env, "off") == 0)
-        Options.SolverIncremental = false;
   GenicTool Tool(Options);
   if (SatCacheCap)
     Tool.solver().setSatCacheCapacity(*SatCacheCap);

@@ -72,12 +72,11 @@ Status handleLoad(WorkerState &St, const IpcMessage &Req) {
   Result<std::string> FaultSpec = Req.getStr("fault");
   Result<uint64_t> TimeoutMs = Req.getU64("solver-timeout-ms");
   Result<uint64_t> BudgetMs = Req.getU64("budget-ms");
-  Result<uint64_t> Incremental = Req.getU64("incremental");
   Result<uint64_t> Trace = Req.getU64("trace");
   Result<uint64_t> TraceReq = Req.getU64("trace-req");
   Result<uint64_t> TraceEpoch = Req.getU64("trace-epoch-ns");
-  if (!Source || !FaultSpec || !TimeoutMs || !BudgetMs || !Incremental ||
-      !Trace || !TraceReq || !TraceEpoch)
+  if (!Source || !FaultSpec || !TimeoutMs || !BudgetMs || !Trace ||
+      !TraceReq || !TraceEpoch)
     return Status::error("malformed load request");
 
   FaultPlan Faults;
@@ -109,7 +108,6 @@ Status handleLoad(WorkerState &St, const IpcMessage &Req) {
   Ctl.Metrics = &St.Registry;
   Ctl.WorkerSession = true;
   Ctl.Kind = SolverSessionKind::Worker;
-  Ctl.Incremental = *Incremental != 0;
   Slv.setControl(Ctl);
 
   Result<AstProgram> Ast = parseGenic(*Source);

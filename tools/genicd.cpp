@@ -51,9 +51,9 @@
 ///     "bad-request" — a stuck or abusive peer cannot pin a thread.
 ///
 /// Engine options mirror the genic CLI: --jobs, --no-aux, --no-mining,
-/// --no-slice, --solver-incremental, --solver-timeout-ms, --sat-cache-cap,
-/// plus --warm-programs for the pool capacity and --trace-out to write a
-/// span trace (request-tagged, see tools/trace-lint.cpp) on shutdown.
+/// --no-slice, --solver-timeout-ms, --sat-cache-cap, plus --warm-programs
+/// for the pool capacity and --trace-out to write a span trace
+/// (request-tagged, see tools/trace-lint.cpp) on shutdown.
 ///
 /// Exit codes: 0 clean shutdown, 1 runtime failure, 2 usage.
 ///
@@ -101,7 +101,6 @@ int usage() {
       "                         are answered \"overloaded\" (default 16)\n"
       "  --warm-programs N      warm pool capacity in programs (default 8)\n"
       "  --jobs N --no-aux --no-mining --no-slice\n"
-      "  --solver-incremental {on,off}\n"
       "  --solver-timeout-ms N --sat-cache-cap N\n"
       "  --worker-procs N       ship each request's verification shards to\n"
       "                         N out-of-process genic-worker processes\n"
@@ -677,7 +676,6 @@ int main(int Argc, char **Argv) {
   std::string WorkerBinary;
   double GraceSeconds = 30, IoTimeoutSeconds = 300;
   EngineConfig Config;
-  bool SolverIncrementalSet = false;
 
   for (int I = 1; I < Argc; ++I) {
     std::string Arg = Argv[I];
@@ -721,12 +719,6 @@ int main(int Argc, char **Argv) {
         Config.Options.UseMining = false;
       } else if (Arg == "--no-slice") {
         Config.Options.Engine.EnableBitSlice = false;
-      } else if (Arg == "--solver-incremental") {
-        const char *V = NextArg();
-        if (!V || (std::strcmp(V, "on") && std::strcmp(V, "off")))
-          return usage();
-        Config.Options.SolverIncremental = std::strcmp(V, "off") != 0;
-        SolverIncrementalSet = true;
       } else if (Arg == "--solver-timeout-ms") {
         const char *V = NextArg();
         if (!V)
@@ -791,10 +783,6 @@ int main(int Argc, char **Argv) {
   }
   if (SocketPath.empty() == (TcpPort < 0))
     return usage(); // Exactly one of --socket / --tcp.
-  if (!SolverIncrementalSet)
-    if (const char *Env = std::getenv("GENIC_SOLVER_INCREMENTAL"))
-      if (std::strcmp(Env, "off") == 0)
-        Config.Options.SolverIncremental = false;
 
   int ListenFd = -1;
   if (!SocketPath.empty()) {
