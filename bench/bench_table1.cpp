@@ -220,8 +220,8 @@ int main(int Argc, char **Argv) {
     InverterOptions Options;
     Options.Jobs = Jobs;
     GenicTool Tool(Options);
-    if (WorkerProcs > 0)
-      Tool.setWorkerProcs(WorkerProcs, WorkerBinary);
+    Tool.request().WorkerProcs = WorkerProcs;
+    Tool.request().WorkerBinary = WorkerBinary;
     Result<GenicReport> Report = Tool.run(Spec.Source);
     if (!Report) {
       T.addRow({Spec.name(), "-", "-", "-", "-", "-", "-", "-", "-", "-",

@@ -10,7 +10,8 @@
 #      solver-query histograms. (Printed inverses are pinned byte for byte
 #      by inverse_fixture_test, and their meaning by the bounded
 #      composition check in composition_test, both in the suite above.)
-#      Then a Z3 context gate: at --jobs 4
+#      Then a CLI usage smoke (an unknown option exits 2) and a Z3
+#      context gate: at --jobs 4
 #      the peak of live Z3 contexts of the UTF-16 and BASE64 encoders must
 #      stay within four task slots plus the root and checker-pool sessions.
 #   2. Sanitizers: rebuild with -fsanitize=address,undefined and re-run the
@@ -80,6 +81,19 @@ done
 # push/pop markers must appear in the lintable trace.
 if ! grep -qF '"solver.scope"' build/utf8.trace.json; then
   echo "trace check: no solver.scope events in the incremental run" >&2
+  exit 1
+fi
+
+echo "=== CLI usage smoke: unknown options exit 2 ==="
+# An unknown or removed option must not be taken for an eval symbol and
+# ignored: the run must stop with the usage exit code.
+set +e
+./build/tools/genic invert programs/BASE16_encoder.genic \
+  --solver-incremental off > /dev/null 2>&1
+USAGE_RC=$?
+set -e
+if [ "$USAGE_RC" -ne 2 ]; then
+  echo "CLI usage smoke: unknown option exited $USAGE_RC, want 2" >&2
   exit 1
 fi
 

@@ -60,6 +60,27 @@ struct InFlightScope {
   std::shared_ptr<InversionEngine::InFlight> Info;
 };
 
+/// Runs a callback when its scope ends, on every return path.
+template <typename Fn> struct ScopeExit {
+  Fn OnExit;
+  ~ScopeExit() { OnExit(); }
+};
+
+/// Registers the request-level counter families at zero, so every run
+/// reports the same metric names whichever sessions did work.
+void registerRequestCounters(MetricsRegistry &Registry) {
+  for (SolverSessionKind Kind :
+       {SolverSessionKind::Shared, SolverSessionKind::Pooled,
+        SolverSessionKind::Worker})
+    recordSolverStats(Registry, Kind, Solver::Stats());
+  for (SolverSessionKind Kind :
+       {SolverSessionKind::Shared, SolverSessionKind::Worker})
+    recordEngineStats(Registry, Kind, CompiledEvalCache::Stats(),
+                      EnumeratorBankStore::Stats());
+  Registry.counter("worker.clone_out_nodes");
+  Registry.gauge("sessions.worker");
+}
+
 } // namespace
 
 InversionEngine::InversionEngine(EngineConfig Config)
@@ -76,12 +97,6 @@ InversionEngine::runOnSession(SolverContext &Ctx, const std::string &Source,
   TermFactory &Factory = Ctx.factory();
   Solver &Slv = Ctx.solver();
 
-  // The shared solver's counters are cumulative over the context's life —
-  // on a warm pool entry that spans many requests. Snapshot them so the
-  // report describes this request's traffic only (zero on a fresh
-  // context, so cold runs are unchanged byte-for-byte).
-  const Solver::Stats SharedBase = Slv.stats();
-
   // Tag every span the run records (including worker-side spans, see
   // ThreadPool::submit) with this request's epoch. 0 leaves spans untagged,
   // preserving the single-run CLI trace format byte-for-byte.
@@ -97,6 +112,7 @@ InversionEngine::runOnSession(SolverContext &Ctx, const std::string &Source,
   // genicd keeps one registry per request object).
   MetricsRegistry LocalRegistry;
   MetricsRegistry &Registry = Req.Metrics ? *Req.Metrics : LocalRegistry;
+  registerRequestCounters(Registry);
 
   InverterOptions Options = Config.Options;
   if (Req.Jobs)
@@ -113,6 +129,35 @@ InversionEngine::runOnSession(SolverContext &Ctx, const std::string &Source,
   Ctl.Metrics = &Registry;
   Ctl.Kind = SolverSessionKind::Shared;
   Slv.setControl(Ctl);
+
+  // Request end, on every return path: the shared session and the pooled
+  // checkers drain their counters into the registry (the per-rule sessions
+  // drained when their tasks ended), the run totals are summed from the
+  // drained families, and the registry, which may be this frame's local
+  // one, is detached from the caller's context.
+  SolverSessionPool *Checkers = nullptr;
+  std::unique_ptr<SolverSessionPool> LocalSessions;
+  ScopeExit Finish{[&] {
+    Slv.drainStats();
+    if (Checkers)
+      Checkers->drainStats();
+    auto Total = [&Registry](const char *Counter) {
+      uint64_t Sum = 0;
+      for (const char *Family : {"shared", "checker", "worker"})
+        Sum += Registry
+                   .counter(std::string("solver.") + Family + "." + Counter)
+                   .value();
+      return Sum;
+    };
+    Registry.counter("run.retries_attempted").set(Total("retries"));
+    Registry.counter("run.queries_timed_out").set(Total("query_timeouts"));
+    Registry.counter("run.queries_cancelled")
+        .set(Total("queries_cancelled"));
+    Registry.counter("run.injected_faults").set(Total("injected_faults"));
+    SolverControl Detached = Slv.control();
+    Detached.Metrics = nullptr;
+    Slv.setControl(Detached);
+  }};
 
   // Parse and lower, unless a warm pool entry already carries the lowered
   // program for this source (then the run starts straight at the phases,
@@ -159,10 +204,7 @@ InversionEngine::runOnSession(SolverContext &Ctx, const std::string &Source,
   // they also inherit this request's deadline and fault plan. On a warm
   // entry the pool itself is resident: its sessions keep their memoized
   // importers and checkSat memos across requests and are merely re-armed
-  // with this request's control. CheckerBase snapshots the pool's
-  // cumulative counters so the report stays per-request (zero on a fresh
-  // pool, so cold runs are unchanged byte-for-byte).
-  std::unique_ptr<SolverSessionPool> LocalSessions;
+  // with this request's control.
   if (Warm) {
     if (!Warm->Checkers)
       Warm->Checkers = std::make_unique<SolverSessionPool>(Factory, Slv);
@@ -172,7 +214,7 @@ InversionEngine::runOnSession(SolverContext &Ctx, const std::string &Source,
     LocalSessions = std::make_unique<SolverSessionPool>(Factory, Slv);
   }
   SolverSessionPool &Sessions = Warm ? *Warm->Checkers : *LocalSessions;
-  const Solver::Stats CheckerBase = Sessions.solverStats();
+  Checkers = &Sessions;
 
   // Out-of-process shard dispatch, one supervisor (and worker fleet) per
   // request. Workers mirror this request's whole contract — source, solver
@@ -237,11 +279,8 @@ InversionEngine::runOnSession(SolverContext &Ctx, const std::string &Source,
   };
 
   // The shared-engine inverter outlives its phase so completed enumeration
-  // banks can be released back to the warm entry after the run; BankBase
-  // snapshots adopted-store counters so the report only shows this
-  // request's reuse traffic.
+  // banks can be released back to the warm entry after the run.
   std::unique_ptr<Inverter> Inv;
-  EnumeratorBankStore::Stats BankBase;
 
   // The pipeline as an explicit phase list. Each phase body converts
   // worker exceptions re-raised by ThreadPool::wait (e.g. an injected z3
@@ -317,7 +356,6 @@ InversionEngine::runOnSession(SolverContext &Ctx, const std::string &Source,
          Inv = std::make_unique<Inverter>(Slv, Options);
          if (Warm) {
            Inv->engine().adoptBanks(std::move(Warm->Banks));
-           BankBase = Inv->engine().bankStore().stats();
            Inv->adoptRuleSessions(std::move(Warm->RuleSessions));
          }
          Result<InversionOutcome> Out = [&]() -> Result<InversionOutcome> {
@@ -328,19 +366,14 @@ InversionEngine::runOnSession(SolverContext &Ctx, const std::string &Source,
                                         Ex.what());
            }
          }();
+         // Drained here, before the banks go back to the warm entry.
+         Inv->engine().drainStats();
          if (!Out)
            return Out.status();
          Report.InversionPhase = GenicReport::PhaseOutcome::Ok;
          Report.Inversion = *Out;
          Report.InverseMachine = Out->Inverse;
          Report.SygusCalls = Inv->engine().calls();
-         Report.WorkerStats = Inv->workerStats();
-         Report.EvalStats = Inv->engine().evalCache().stats();
-         Report.BankReuseHits =
-             Inv->engine().bankStore().stats().ReuseHits - BankBase.ReuseHits;
-         Report.BankReuseMisses =
-             Inv->engine().bankStore().stats().ReuseMisses -
-             BankBase.ReuseMisses;
 
          // Emit the inverse as GENIC source (Figure 3). The synthesized
          // inverse auxiliary functions print first, making the program read
@@ -372,14 +405,8 @@ InversionEngine::runOnSession(SolverContext &Ctx, const std::string &Source,
   // Drain worker-process metrics and trace buffers into this request's
   // sinks before the supervisor (and with it the fleet) goes away. The
   // phases have joined their dispatch pools, so no shard is in flight.
-  if (Workers) {
+  if (Workers)
     Workers->collect(&Registry);
-    WorkerSupervisor::Stats WS = Workers->stats();
-    Report.WorkerShards = WS.ShardsDispatched;
-    Report.WorkerCrashes = WS.WorkerCrashes;
-    Report.WorkerRestarts = WS.WorkerRestarts;
-    Report.WorkerShardsDegraded = WS.ShardsDegraded;
-  }
 
   // Hand the shared engine's completed banks and the per-rule worker
   // sessions back to the warm entry so the next request on this program
@@ -396,20 +423,6 @@ InversionEngine::runOnSession(SolverContext &Ctx, const std::string &Source,
   assert(Sessions.outstandingLeases() == 0 &&
          "worker session leases must be RAII-returned on every path");
 
-  Report.SolverStats = Slv.stats();
-  Report.SolverStats -= SharedBase;
-  Report.CheckerSessions = Sessions.sessions();
-  Report.CheckerStats = Sessions.solverStats();
-  Report.CheckerStats -= CheckerBase;
-
-  // Robustness accounting across all sessions of the request.
-  Solver::Stats Total = Report.SolverStats;
-  Total += Report.CheckerStats;
-  Total += Report.WorkerStats.Smt;
-  Report.RetriesAttempted = Total.Retries;
-  Report.QueriesTimedOut = Total.QueryTimeouts;
-  Report.QueriesCancelled = Total.QueriesCancelled;
-  Report.InjectedFaults = Total.InjectedFaults;
   if (Report.Inversion)
     Report.RulesDegraded = Report.Inversion->degradedRules();
   Report.DeadlineExpired = Ctl.Cancel.active() && Ctl.Cancel.cancelled();
@@ -417,70 +430,8 @@ InversionEngine::runOnSession(SolverContext &Ctx, const std::string &Source,
       Ctl.Cancel.active() ? Ctl.Cancel.remainingSeconds() : -1;
   Report.Timings.TotalSeconds = RunSpan.seconds();
 
-  // Mirror the report's counter fields into the registry so --metrics-json
-  // and the bench harness read everything from one place. The cache
-  // counters are aggregated here, at run end, to keep the per-lookup hot
-  // paths free of registry traffic; only the query-latency histograms are
-  // recorded live (at the solver chokepoint).
-  auto RecordSolver = [&Registry](const std::string &Prefix,
-                                  const Solver::Stats &S) {
-    auto C = [&](const char *Name, uint64_t V) {
-      Registry.counter(Prefix + Name).set(V);
-    };
-    C(".sat_queries", S.SatQueries);
-    C(".qe_calls", S.QeCalls);
-    C(".qe_fallbacks", S.QeFallbacks);
-    C(".cache.sat.hits", S.CacheHits);
-    C(".cache.sat.misses", S.CacheMisses);
-    C(".cache.sat.evictions", S.CacheEvictions);
-    C(".cache.model.hits", S.ModelCacheHits);
-    C(".cache.model.misses", S.ModelCacheMisses);
-    C(".cache.model.evictions", S.ModelCacheEvictions);
-    C(".cache.proj.hits", S.ProjCacheHits);
-    C(".cache.proj.misses", S.ProjCacheMisses);
-    C(".cache.proj.evictions", S.ProjCacheEvictions);
-    C(".retries", S.Retries);
-    C(".query_timeouts", S.QueryTimeouts);
-    C(".queries_cancelled", S.QueriesCancelled);
-    C(".injected_faults", S.InjectedFaults);
-    C(".scope.pushes", S.ScopePushes);
-    C(".scope.pops", S.ScopePops);
-    C(".assumption.batches", S.AssumptionBatches);
-    C(".assumption.literals", S.AssumptionLiterals);
-    C(".incremental.hits", S.IncrementalHits);
-    C(".incremental.full_restarts", S.FullRestarts);
-    C(".cache.scoped.hits", S.ScopedCacheHits);
-    C(".cache.scoped.misses", S.ScopedCacheMisses);
-    C(".cache.scoped.evictions", S.ScopedCacheEvictions);
-  };
-  RecordSolver("solver.shared", Report.SolverStats);
-  RecordSolver("solver.checker", Report.CheckerStats);
-  RecordSolver("solver.worker", Report.WorkerStats.Smt);
-  auto RecordEval = [&Registry](const std::string &Prefix,
-                                const CompiledEvalCache::Stats &E) {
-    Registry.counter(Prefix + ".lookups").set(E.Lookups);
-    Registry.counter(Prefix + ".compiles").set(E.Compiles);
-    Registry.counter(Prefix + ".evals").set(E.Evals);
-  };
-  RecordEval("eval.shared", Report.EvalStats);
-  RecordEval("eval.worker", Report.WorkerStats.Eval);
-  Registry.counter("bank.shared.reuse_hits").set(Report.BankReuseHits);
-  Registry.counter("bank.shared.reuse_misses").set(Report.BankReuseMisses);
-  Registry.counter("bank.worker.reuse_hits")
-      .set(Report.WorkerStats.BankReuseHits);
-  Registry.counter("bank.worker.reuse_misses")
-      .set(Report.WorkerStats.BankReuseMisses);
-  Registry.counter("worker.clone_in_nodes")
-      .set(Report.WorkerStats.CloneInNodes);
-  Registry.counter("worker.clone_out_nodes")
-      .set(Report.WorkerStats.CloneOutNodes);
-  Registry.gauge("sessions.checker").set(Report.CheckerSessions);
-  Registry.gauge("sessions.worker").set(Report.WorkerStats.Sessions);
+  Registry.gauge("sessions.checker").set(Sessions.sessions());
   Registry.counter("sygus.calls").set(Report.SygusCalls.size());
-  Registry.counter("run.retries_attempted").set(Report.RetriesAttempted);
-  Registry.counter("run.queries_timed_out").set(Report.QueriesTimedOut);
-  Registry.counter("run.queries_cancelled").set(Report.QueriesCancelled);
-  Registry.counter("run.injected_faults").set(Report.InjectedFaults);
   Registry.gauge("run.rules_degraded").set(Report.RulesDegraded);
   Registry.gauge("run.deadline_expired").set(Report.DeadlineExpired ? 1 : 0);
   return Report;
@@ -590,13 +541,9 @@ Result<GenicReport> GenicTool::run(const std::string &Source,
   // historical single-run contract (a resident engine instead keeps one
   // registry per request and never resets, see RequestContext::Metrics).
   Registry.reset();
-  RequestContext Req;
-  Req.ForceInjectivity = ForceInjectivity;
-  Req.ForceInvert = ForceInvert;
-  Req.BudgetSeconds = BudgetSeconds;
-  Req.Faults = Faults;
-  Req.Metrics = &Registry;
-  Req.WorkerProcs = WorkerProcs;
-  Req.WorkerBinary = WorkerBinary;
-  return Engine.runOnSession(Ctx, Source, Req);
+  RequestContext Run = Req;
+  Run.ForceInjectivity = ForceInjectivity;
+  Run.ForceInvert = ForceInvert;
+  Run.Metrics = &Registry;
+  return Engine.runOnSession(Ctx, Source, Run);
 }

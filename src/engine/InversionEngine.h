@@ -82,11 +82,12 @@ struct RequestContext {
   /// Deterministic solver fault plan (see solver/FaultInjector.h).
   FaultPlan Faults;
   /// Per-request metrics sink: query-latency histograms are recorded live,
-  /// counters/gauges are populated from the report at run end. May be null
-  /// (metrics are then recorded into a run-local throwaway registry). The
-  /// engine never resets this registry — single-run callers that want
-  /// "describes the latest run" semantics reset it themselves (GenicTool
-  /// does).
+  /// and every session of the run drains its counters into it when its
+  /// work ends (see Solver::drainStats). May be null (metrics are then
+  /// recorded into a run-local throwaway registry). The engine never resets
+  /// this registry and detaches it from the caller's context on return —
+  /// single-run callers that want "describes the latest run" semantics
+  /// reset it themselves (GenicTool does).
   MetricsRegistry *Metrics = nullptr;
   /// Overrides EngineConfig::Options.Jobs for this request when set.
   std::optional<unsigned> Jobs;
@@ -227,37 +228,21 @@ public:
   TermFactory &factory() { return Ctx.factory(); }
   Solver &solver() { return Ctx.solver(); }
 
-  /// Installs a global wall-clock budget for the next run(); 0 (the
-  /// default) means no deadline. The deadline is propagated to every
-  /// session the run creates and derives per-query Z3 soft timeouts from
-  /// the remaining budget.
-  void setRunBudgetSeconds(double Seconds) { BudgetSeconds = Seconds; }
-
-  /// Installs a deterministic solver fault plan for the next run() (see
-  /// solver/FaultInjector.h). Default: no faults.
-  void setFaultPlan(const FaultPlan &Plan) { Faults = Plan; }
-
-  /// Ships verification shards to \p Procs out-of-process workers on the
-  /// next run() (0 = in-process, the default); \p Binary overrides the
-  /// genic-worker path (see RequestContext::WorkerBinary).
-  void setWorkerProcs(unsigned Procs, std::string Binary = "") {
-    WorkerProcs = Procs;
-    WorkerBinary = std::move(Binary);
-  }
+  /// The request every run() uses: set its budget, fault plan and worker
+  /// processes here. run() fills in the forced operations and points
+  /// Metrics at metrics().
+  RequestContext &request() { return Req; }
 
   /// The run's metrics: query-latency histograms recorded live at the
-  /// solver chokepoint plus the counters/gauges populated from the report
-  /// at the end of run() (which resets the registry first, so the contents
-  /// always describe the most recent run).
+  /// solver chokepoint plus the counters the run's sessions drain into it
+  /// (run() resets the registry first, so the contents always describe
+  /// the most recent run).
   MetricsRegistry &metrics() { return Registry; }
 
 private:
   SolverContext Ctx;
   InversionEngine Engine;
-  double BudgetSeconds = 0;
-  FaultPlan Faults;
-  unsigned WorkerProcs = 0;
-  std::string WorkerBinary;
+  RequestContext Req;
   MetricsRegistry Registry;
 };
 

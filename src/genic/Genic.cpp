@@ -80,12 +80,21 @@ std::string genic::formatOutcomeReport(const GenicReport &Report) {
   return Out.str();
 }
 
-std::string genic::formatStatsReport(const GenicReport &R) {
+std::string genic::formatStatsReport(const GenicReport &R,
+                                     const MetricsSnapshot &Snapshot) {
   std::ostringstream Out;
   char Buf[256];
   auto P = [&](const char *Fmt, auto... Args) {
     std::snprintf(Buf, sizeof(Buf), Fmt, Args...);
     Out << Buf;
+  };
+  auto Counter = [&Snapshot](const std::string &Name) -> unsigned long long {
+    auto It = Snapshot.Counters.find(Name);
+    return It == Snapshot.Counters.end() ? 0 : It->second;
+  };
+  auto Gauge = [&Snapshot](const std::string &Name) -> long long {
+    auto It = Snapshot.Gauges.find(Name);
+    return It == Snapshot.Gauges.end() ? 0 : It->second;
   };
   if (R.Inversion) {
     Out << "\nper-rule inversion:\n";
@@ -97,123 +106,93 @@ std::string genic::formatStatsReport(const GenicReport &R) {
       P("  %3u  %7.3fs  %s  (%u CEGIS iterations)\n", C.ResultSize,
         C.Seconds, C.Success ? "ok" : "fail", C.CegisIterations);
   }
-  auto PrintCaches = [&](const Solver::Stats &S) {
+  auto PrintCaches = [&](const std::string &Family) {
+    auto C = [&](const char *Name) {
+      return Counter("solver." + Family + ".cache." + Name);
+    };
     P("  sat cache %llu hit / %llu miss / %llu evicted, model "
       "cache %llu/%llu/%llu, projection cache %llu/%llu/%llu\n",
-      (unsigned long long)S.CacheHits, (unsigned long long)S.CacheMisses,
-      (unsigned long long)S.CacheEvictions,
-      (unsigned long long)S.ModelCacheHits,
-      (unsigned long long)S.ModelCacheMisses,
-      (unsigned long long)S.ModelCacheEvictions,
-      (unsigned long long)S.ProjCacheHits,
-      (unsigned long long)S.ProjCacheMisses,
-      (unsigned long long)S.ProjCacheEvictions);
+      C("sat.hits"), C("sat.misses"), C("sat.evictions"), C("model.hits"),
+      C("model.misses"), C("model.evictions"), C("proj.hits"),
+      C("proj.misses"), C("proj.evictions"));
   };
-  const Solver::Stats &S = R.SolverStats;
   P("solver (shared): %llu sat queries, %llu QE calls (%llu fallbacks)\n",
-    (unsigned long long)S.SatQueries, (unsigned long long)S.QeCalls,
-    (unsigned long long)S.QeFallbacks);
-  PrintCaches(S);
-  if (R.CheckerSessions) {
-    const Solver::Stats &C = R.CheckerStats;
-    P("solver (%u checker sessions): %llu sat queries\n", R.CheckerSessions,
-      (unsigned long long)C.SatQueries);
-    PrintCaches(C);
+    Counter("solver.shared.sat_queries"), Counter("solver.shared.qe_calls"),
+    Counter("solver.shared.qe_fallbacks"));
+  PrintCaches("shared");
+  if (long long Checkers = Gauge("sessions.checker")) {
+    P("solver (%lld checker sessions): %llu sat queries\n", Checkers,
+      Counter("solver.checker.sat_queries"));
+    PrintCaches("checker");
   }
-  if (R.WorkerStats.Sessions) {
-    const Solver::Stats &W = R.WorkerStats.Smt;
-    P("solver (%u worker sessions): %llu sat queries\n",
-      R.WorkerStats.Sessions, (unsigned long long)W.SatQueries);
-    PrintCaches(W);
-    P("worker forks: %llu nodes cloned in, %llu cloned out, "
-      "bank reuse %llu hit / %llu miss\n",
-      (unsigned long long)R.WorkerStats.CloneInNodes,
-      (unsigned long long)R.WorkerStats.CloneOutNodes,
-      (unsigned long long)R.WorkerStats.BankReuseHits,
-      (unsigned long long)R.WorkerStats.BankReuseMisses);
-    const CompiledEvalCache::Stats &E = R.WorkerStats.Eval;
-    P("compiled eval (worker sessions): %llu executions, %llu "
-      "programs compiled, %llu cache hits\n",
-      (unsigned long long)E.Evals, (unsigned long long)E.Compiles,
-      (unsigned long long)E.hits());
+  if (long long Workers = Gauge("sessions.worker")) {
+    P("solver (%lld worker sessions): %llu sat queries\n", Workers,
+      Counter("solver.worker.sat_queries"));
+    PrintCaches("worker");
+    P("worker forks: %llu nodes cloned out, bank reuse %llu hit / %llu "
+      "miss\n",
+      Counter("worker.clone_out_nodes"), Counter("bank.worker.reuse_hits"),
+      Counter("bank.worker.reuse_misses"));
   }
-  const CompiledEvalCache::Stats &E = R.EvalStats;
-  P("compiled eval (shared engine): %llu executions, %llu "
-    "programs compiled, %llu cache hits\n",
-    (unsigned long long)E.Evals, (unsigned long long)E.Compiles,
-    (unsigned long long)E.hits());
+  auto PrintEval = [&](const std::string &Family, const char *Label) {
+    unsigned long long Lookups = Counter("eval." + Family + ".lookups");
+    unsigned long long Compiles = Counter("eval." + Family + ".compiles");
+    P("compiled eval (%s): %llu executions, %llu programs compiled, %llu "
+      "cache hits\n",
+      Label, Counter("eval." + Family + ".evals"), Compiles,
+      Lookups - Compiles);
+  };
+  if (Gauge("sessions.worker"))
+    PrintEval("worker", "worker sessions");
+  PrintEval("shared", "shared engine");
   P("bank reuse (shared engine): %llu hit / %llu miss\n",
-    (unsigned long long)R.BankReuseHits,
-    (unsigned long long)R.BankReuseMisses);
+    Counter("bank.shared.reuse_hits"), Counter("bank.shared.reuse_misses"));
   P("robustness: %llu retries attempted, %llu queries timed out, "
     "%llu cancelled, %llu faults injected, %u rules degraded\n",
-    (unsigned long long)R.RetriesAttempted,
-    (unsigned long long)R.QueriesTimedOut,
-    (unsigned long long)R.QueriesCancelled,
-    (unsigned long long)R.InjectedFaults, R.RulesDegraded);
-  if (R.WorkerShards || R.WorkerCrashes)
+    Counter("run.retries_attempted"), Counter("run.queries_timed_out"),
+    Counter("run.queries_cancelled"), Counter("run.injected_faults"),
+    R.RulesDegraded);
+  if (Counter("workerproc.shards") || Counter("workerproc.crashes"))
     P("worker procs: %llu shards dispatched, %llu crashes, %llu restarts, "
       "%llu shards degraded\n",
-      (unsigned long long)R.WorkerShards,
-      (unsigned long long)R.WorkerCrashes,
-      (unsigned long long)R.WorkerRestarts,
-      (unsigned long long)R.WorkerShardsDegraded);
-  {
-    Solver::Stats Inc = R.SolverStats;
-    Inc += R.CheckerStats;
-    Inc += R.WorkerStats.Smt;
-    if (Inc.ScopePushes || Inc.AssumptionBatches || Inc.IncrementalHits)
-      P("incremental: %llu scope pushes / %llu pops, %llu assumption "
-        "batches (%llu literals), %llu incremental hits / %llu full "
-        "restarts, scoped cache %llu hit / %llu miss / %llu evicted\n",
-        (unsigned long long)Inc.ScopePushes,
-        (unsigned long long)Inc.ScopePops,
-        (unsigned long long)Inc.AssumptionBatches,
-        (unsigned long long)Inc.AssumptionLiterals,
-        (unsigned long long)Inc.IncrementalHits,
-        (unsigned long long)Inc.FullRestarts,
-        (unsigned long long)Inc.ScopedCacheHits,
-        (unsigned long long)Inc.ScopedCacheMisses,
-        (unsigned long long)Inc.ScopedCacheEvictions);
-  }
+      Counter("workerproc.shards"), Counter("workerproc.crashes"),
+      Counter("workerproc.restarts"), Counter("workerproc.degraded"));
+  auto Sum = [&](const char *Name) {
+    unsigned long long Total = 0;
+    for (const char *Family : {"shared", "checker", "worker"})
+      Total += Counter(std::string("solver.") + Family + "." + Name);
+    return Total;
+  };
+  if (Sum("scope.pushes") || Sum("assumption.batches") ||
+      Sum("incremental.hits"))
+    P("incremental: %llu scope pushes / %llu pops, %llu assumption "
+      "batches (%llu literals), %llu incremental hits / %llu full "
+      "restarts, scoped cache %llu hit / %llu miss / %llu evicted\n",
+      Sum("scope.pushes"), Sum("scope.pops"), Sum("assumption.batches"),
+      Sum("assumption.literals"), Sum("incremental.hits"),
+      Sum("incremental.full_restarts"), Sum("cache.scoped.hits"),
+      Sum("cache.scoped.misses"), Sum("cache.scoped.evictions"));
   if (R.Timings.DeadlineRemainingSeconds >= 0)
     P("deadline: %.3fs remaining at exit%s\n",
       R.Timings.DeadlineRemainingSeconds,
       R.DeadlineExpired ? " (EXPIRED)" : "");
-  return Out.str();
-}
-
-std::string genic::formatStatsReport(const GenicReport &R,
-                                     const MetricsSnapshot &Snapshot) {
-  std::string Out = formatStatsReport(R);
-  char Buf[256];
-  auto Contexts = Snapshot.Counters.find("solver.backend.contexts");
-  if (Contexts != Snapshot.Counters.end()) {
-    auto Peak = Snapshot.Gauges.find("solver.backend.peak_live");
-    std::snprintf(Buf, sizeof(Buf),
-                  "z3 contexts: %llu created, peak %lld live\n",
-                  (unsigned long long)Contexts->second,
-                  Peak == Snapshot.Gauges.end() ? 0LL
-                                                : (long long)Peak->second);
-    Out += Buf;
-  }
+  if (Snapshot.Counters.count("solver.backend.contexts"))
+    P("z3 contexts: %llu created, peak %lld live\n",
+      Counter("solver.backend.contexts"), Gauge("solver.backend.peak_live"));
   bool Headed = false;
   for (const auto &[Name, H] : Snapshot.Histograms) {
     if (Name.rfind("solver.query.us.", 0) != 0)
       continue;
     if (!Headed) {
-      Out += "solver query latency (us):\n";
+      Out << "solver query latency (us):\n";
       Headed = true;
     }
-    std::snprintf(Buf, sizeof(Buf),
-                  "  %-44s %7llu queries  p50 %.0f  p90 %.0f  p99 %.0f  "
-                  "max %llu\n",
-                  Name.c_str(), (unsigned long long)H.Count,
-                  histogramQuantileUs(H, 0.5), histogramQuantileUs(H, 0.9),
-                  histogramQuantileUs(H, 0.99), (unsigned long long)H.MaxUs);
-    Out += Buf;
+    P("  %-44s %7llu queries  p50 %.0f  p90 %.0f  p99 %.0f  max %llu\n",
+      Name.c_str(), (unsigned long long)H.Count, histogramQuantileUs(H, 0.5),
+      histogramQuantileUs(H, 0.9), histogramQuantileUs(H, 0.99),
+      (unsigned long long)H.MaxUs);
   }
-  return Out;
+  return Out.str();
 }
 
 namespace {

@@ -84,47 +84,14 @@ struct GenicReport {
   size_t InverseSourceBytes = 0;
   std::vector<SygusEngine::CallRecord> SygusCalls;
 
-  // Performance counters of the run (printed under genic-cli --stats).
-  // SolverStats covers the shared session (determinism, injectivity, guard
-  // simplification merges); WorkerStats aggregates the per-rule inversion
-  // sessions; EvalStats is the shared engine's compiled-eval cache;
-  // CheckerStats aggregates the pooled worker sessions leased by the
-  // parallel determinism/injectivity checks (CheckerSessions of them).
-  Solver::Stats SolverStats;
-  Inverter::WorkerStats WorkerStats;
-  CompiledEvalCache::Stats EvalStats;
-  unsigned CheckerSessions = 0;
-  Solver::Stats CheckerStats;
-  /// Enumeration-bank reuse of the shared engine (aux inversion); the
-  /// workers' reuse counters live in WorkerStats. On a warm-pool run these
-  /// are deltas over the adopted store, so cold and warm runs report the
-  /// same thing: reuse traffic caused by this request.
-  uint64_t BankReuseHits = 0;
-  uint64_t BankReuseMisses = 0;
-
-  // Robustness accounting (printed under genic-cli --stats and by
-  // formatOutcomeReport). Counters aggregate the shared session, the
-  // pooled checker sessions, and the per-rule worker sessions.
-  uint64_t RetriesAttempted = 0; ///< escalated solver retries after Unknown
-  uint64_t QueriesTimedOut = 0;  ///< queries still Unknown after retry
-  uint64_t QueriesCancelled = 0; ///< queries refused: deadline exhausted
-  uint64_t InjectedFaults = 0;   ///< faults fired by --fault-inject
-  unsigned RulesDegraded = 0;    ///< rules with Timeout/SolverError outcome
+  // Robustness outcome (the run's counters, retries and timeouts
+  // included, live in its metrics registry; see formatStatsReport).
+  unsigned RulesDegraded = 0; ///< rules with Timeout/SolverError outcome
   /// Why the run degraded (empty for a clean run): the phase and status
   /// message of the first budget/solver failure.
   std::string DegradeDetail;
   /// Whether the global deadline had expired by the end of the run.
   bool DeadlineExpired = false;
-
-  // Out-of-process shard supervision (all zero unless the request ran with
-  // worker processes; see engine/WorkerSupervisor.h). Deliberately absent
-  // from formatOutcomeReport — the structural outcome is pinned identical
-  // across worker counts — and rendered by formatStatsReport only when
-  // nonzero, so --worker-procs 0 output is unchanged.
-  uint64_t WorkerShards = 0;         ///< shards shipped to worker processes
-  uint64_t WorkerCrashes = 0;        ///< worker processes lost mid-shard
-  uint64_t WorkerRestarts = 0;       ///< slots respawned after a crash
-  uint64_t WorkerShardsDegraded = 0; ///< shards degraded past the retry
 
   /// Per-phase wall clock (the Table 1 timing columns), measured by the
   /// phase trace spans.
@@ -155,18 +122,15 @@ enum ExitCode {
 /// schedule (wall-clock lives in the --stats output instead).
 std::string formatOutcomeReport(const GenicReport &Report);
 
-/// Renders the --stats block: program shape, per-rule inversion records,
-/// SyGuS call log, cache and session counters, robustness counters, and the
-/// phase timings. Pure function of the report so tests can pin its shape;
-/// the CLI just prints it.
-std::string formatStatsReport(const GenicReport &Report);
-
-/// formatStatsReport plus a "z3 contexts" line (contexts created and the
-/// peak alive at once, from the `solver.backend.*` metrics) and a "solver
-/// query latency" block: one line per
-/// `solver.query.us.*` histogram in \p Snapshot with the query count,
-/// estimated p50/p90/p99 (interpolated from the log2 buckets, see
-/// support/Prometheus.h) and the recorded max.
+/// Renders the --stats block: per-rule inversion records and the SyGuS
+/// call log from \p Report; the cache, session, robustness, worker-process
+/// and incremental counters, the "z3 contexts" line (contexts created and
+/// the peak alive at once) and a "solver query latency" block from the
+/// run's registry \p Snapshot — one line per `solver.query.us.*`
+/// histogram with the query count, estimated p50/p90/p99 (interpolated
+/// from the log2 buckets, see support/Prometheus.h) and the recorded max.
+/// Pure function of its inputs so tests can pin its shape; the CLI just
+/// prints it.
 std::string formatStatsReport(const GenicReport &Report,
                               const MetricsSnapshot &Snapshot);
 

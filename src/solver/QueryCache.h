@@ -86,6 +86,8 @@ public:
   uint64_t hits() const { return TheHits; }
   uint64_t misses() const { return TheMisses; }
   uint64_t evictions() const { return TheEvictions; }
+  /// Zeroes the counters; the memoized entries stay.
+  void resetCounters() { TheHits = TheMisses = TheEvictions = 0; }
 
 private:
   /// Announces a generation clear in the trace. Evictions are rare (a full

@@ -133,6 +133,53 @@ const char *genic::toString(SolverSessionKind Kind) {
   return "shared";
 }
 
+const char *genic::counterFamily(SolverSessionKind Kind) {
+  switch (Kind) {
+  case SolverSessionKind::Shared:
+    return "shared";
+  case SolverSessionKind::Pooled:
+    return "checker";
+  case SolverSessionKind::Worker:
+    return "worker";
+  }
+  return "shared";
+}
+
+void genic::recordSolverStats(MetricsRegistry &Registry,
+                              SolverSessionKind Kind,
+                              const Solver::Stats &S) {
+  const std::string Prefix =
+      std::string("solver.") + counterFamily(Kind) + ".";
+  auto C = [&](const char *Name, uint64_t V) {
+    Registry.counter(Prefix + Name).add(V);
+  };
+  C("sat_queries", S.SatQueries);
+  C("qe_calls", S.QeCalls);
+  C("qe_fallbacks", S.QeFallbacks);
+  C("cache.sat.hits", S.CacheHits);
+  C("cache.sat.misses", S.CacheMisses);
+  C("cache.sat.evictions", S.CacheEvictions);
+  C("cache.model.hits", S.ModelCacheHits);
+  C("cache.model.misses", S.ModelCacheMisses);
+  C("cache.model.evictions", S.ModelCacheEvictions);
+  C("cache.proj.hits", S.ProjCacheHits);
+  C("cache.proj.misses", S.ProjCacheMisses);
+  C("cache.proj.evictions", S.ProjCacheEvictions);
+  C("retries", S.Retries);
+  C("query_timeouts", S.QueryTimeouts);
+  C("queries_cancelled", S.QueriesCancelled);
+  C("injected_faults", S.InjectedFaults);
+  C("scope.pushes", S.ScopePushes);
+  C("scope.pops", S.ScopePops);
+  C("assumption.batches", S.AssumptionBatches);
+  C("assumption.literals", S.AssumptionLiterals);
+  C("incremental.hits", S.IncrementalHits);
+  C("incremental.full_restarts", S.FullRestarts);
+  C("cache.scoped.hits", S.ScopedCacheHits);
+  C("cache.scoped.misses", S.ScopedCacheMisses);
+  C("cache.scoped.evictions", S.ScopedCacheEvictions);
+}
+
 class Solver::Impl {
 public:
   explicit Impl(TermFactory &Factory) : Factory(Factory) {}
@@ -1680,6 +1727,17 @@ const Solver::Stats &Solver::stats() const {
   S.ScopedCacheMisses = TheImpl->ScopedCache.misses();
   S.ScopedCacheEvictions = TheImpl->ScopedCache.evictions();
   return S;
+}
+
+void Solver::drainStats() {
+  Impl &I = *TheImpl;
+  if (I.Control.Metrics)
+    recordSolverStats(*I.Control.Metrics, I.Control.Kind, stats());
+  I.TheStats = Stats();
+  I.SatCache.resetCounters();
+  I.ModelCache.resetCounters();
+  I.ProjCache.resetCounters();
+  I.ScopedCache.resetCounters();
 }
 
 TermFactory &Solver::factory() { return TheImpl->Factory; }

@@ -45,6 +45,12 @@ enum class SolverSessionKind { Shared, Pooled, Worker };
 /// Histogram-tag spelling of \p Kind ("shared" / "pooled" / "worker").
 const char *toString(SolverSessionKind Kind);
 
+/// The counter family a session of \p Kind drains into ("shared" /
+/// "checker" / "worker"): solver counters go to "solver.<family>.*",
+/// compiled-eval and bank counters to "eval.<family>.*" and
+/// "bank.<family>.*".
+const char *counterFamily(SolverSessionKind Kind);
+
 /// The robustness contract a session operates under. Propagated by value
 /// when sessions fork (SolverContext copy/fork ctors, SolverSessionPool), so
 /// every worker session observes the same cancellation token and fault plan
@@ -296,70 +302,15 @@ public:
     uint64_t ScopedCacheHits = 0;
     uint64_t ScopedCacheMisses = 0;
     uint64_t ScopedCacheEvictions = 0;
-
-    /// Field-wise sum, for aggregating worker-session stats.
-    Stats &operator+=(const Stats &O) {
-      SatQueries += O.SatQueries;
-      QeCalls += O.QeCalls;
-      QeFallbacks += O.QeFallbacks;
-      CacheHits += O.CacheHits;
-      CacheMisses += O.CacheMisses;
-      CacheEvictions += O.CacheEvictions;
-      ModelCacheHits += O.ModelCacheHits;
-      ModelCacheMisses += O.ModelCacheMisses;
-      ModelCacheEvictions += O.ModelCacheEvictions;
-      ProjCacheHits += O.ProjCacheHits;
-      ProjCacheMisses += O.ProjCacheMisses;
-      ProjCacheEvictions += O.ProjCacheEvictions;
-      Retries += O.Retries;
-      QueryTimeouts += O.QueryTimeouts;
-      QueriesCancelled += O.QueriesCancelled;
-      InjectedFaults += O.InjectedFaults;
-      ScopePushes += O.ScopePushes;
-      ScopePops += O.ScopePops;
-      AssumptionBatches += O.AssumptionBatches;
-      AssumptionLiterals += O.AssumptionLiterals;
-      IncrementalHits += O.IncrementalHits;
-      FullRestarts += O.FullRestarts;
-      ScopedCacheHits += O.ScopedCacheHits;
-      ScopedCacheMisses += O.ScopedCacheMisses;
-      ScopedCacheEvictions += O.ScopedCacheEvictions;
-      return *this;
-    }
-
-    /// Field-wise difference, for reporting a session's traffic relative
-    /// to a baseline snapshot (warm-pool runs reuse a solver whose
-    /// counters accumulate across requests).
-    Stats &operator-=(const Stats &O) {
-      SatQueries -= O.SatQueries;
-      QeCalls -= O.QeCalls;
-      QeFallbacks -= O.QeFallbacks;
-      CacheHits -= O.CacheHits;
-      CacheMisses -= O.CacheMisses;
-      CacheEvictions -= O.CacheEvictions;
-      ModelCacheHits -= O.ModelCacheHits;
-      ModelCacheMisses -= O.ModelCacheMisses;
-      ModelCacheEvictions -= O.ModelCacheEvictions;
-      ProjCacheHits -= O.ProjCacheHits;
-      ProjCacheMisses -= O.ProjCacheMisses;
-      ProjCacheEvictions -= O.ProjCacheEvictions;
-      Retries -= O.Retries;
-      QueryTimeouts -= O.QueryTimeouts;
-      QueriesCancelled -= O.QueriesCancelled;
-      InjectedFaults -= O.InjectedFaults;
-      ScopePushes -= O.ScopePushes;
-      ScopePops -= O.ScopePops;
-      AssumptionBatches -= O.AssumptionBatches;
-      AssumptionLiterals -= O.AssumptionLiterals;
-      IncrementalHits -= O.IncrementalHits;
-      FullRestarts -= O.FullRestarts;
-      ScopedCacheHits -= O.ScopedCacheHits;
-      ScopedCacheMisses -= O.ScopedCacheMisses;
-      ScopedCacheEvictions -= O.ScopedCacheEvictions;
-      return *this;
-    }
   };
   const Stats &stats() const;
+
+  /// Adds stats() to the registry of the installed control (see
+  /// recordSolverStats), then zeroes them. A session drains when its work
+  /// for a request ends, so the request's registry is the one place its
+  /// totals are summed, and a session the next request reuses starts that
+  /// request at zero. Without a registry the counters are only zeroed.
+  void drainStats();
 
   TermFactory &factory();
 
@@ -367,6 +318,11 @@ private:
   class Impl;
   std::unique_ptr<Impl> TheImpl;
 };
+
+/// Adds \p S to \p Registry's "solver.<family>.*" counters, the family
+/// given by \p Kind. A zero \p S registers the family at zero.
+void recordSolverStats(MetricsRegistry &Registry, SolverSessionKind Kind,
+                       const Solver::Stats &S);
 
 /// RAII wrapper for one solver scope: push on construction, pop on
 /// destruction — including unwind paths, so a cancelled or faulted loop

@@ -59,10 +59,8 @@ unsigned SolverSessionPool::sessions() const {
   return static_cast<unsigned>(All.size());
 }
 
-Solver::Stats SolverSessionPool::solverStats() const {
+void SolverSessionPool::drainStats() {
   std::lock_guard<std::mutex> Lock(M);
-  Solver::Stats Sum;
   for (const auto &S : All)
-    Sum += S->Slv.stats();
-  return Sum;
+    S->Slv.drainStats();
 }

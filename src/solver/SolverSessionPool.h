@@ -151,9 +151,9 @@ public:
   /// Number of sessions ever created.
   unsigned sessions() const;
 
-  /// Sum of the per-session solver counters. Callable only while no lease
-  /// is outstanding.
-  Solver::Stats solverStats() const;
+  /// Drains every session's solver counters into its control's registry
+  /// (see Solver::drainStats). Callable only while no lease is outstanding.
+  void drainStats();
 
 private:
   void release(Session *S);

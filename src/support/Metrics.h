@@ -34,8 +34,9 @@
 
 namespace genic {
 
-/// Monotonic counter. set() exists for end-of-run population from legacy
-/// stats structs.
+/// Monotonic counter. set() mirrors a total kept elsewhere (worker
+/// supervision stats, the run totals summed from the drained session
+/// families).
 class MetricsCounter {
 public:
   void add(uint64_t N = 1) { V.fetch_add(N, std::memory_order_relaxed); }

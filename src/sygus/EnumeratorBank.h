@@ -112,6 +112,7 @@ public:
     uint64_t Evictions = 0;
   };
   const Stats &stats() const { return TheStats; }
+  void resetStats() { TheStats = Stats(); }
 
   size_t size() const { return Table.size(); }
   size_t capacity() const { return Cap; }

@@ -43,9 +43,9 @@ struct RuleTask {
   /// Whether Reduced is final: no position stopped on a budget or solver
   /// failure, so a warm repeat may reuse it instead of re-deriving it.
   bool ReducedSettled = false;
-  /// Traffic of the child sessions variable reduction ran in; counted
-  /// with the rule's own session.
-  Solver::Stats ReductionSmt;
+  /// Escalated retries of the child session variable reduction ran in;
+  /// counted with the rule's own retries.
+  uint64_t ReductionRetries = 0;
 };
 
 /// The per-rule recovery synthesizer (§6): variable reduction, grammar
@@ -72,8 +72,8 @@ makeRecoveryHook(RuleTask &Task, unsigned Rule,
         Span.arg("rule", static_cast<int64_t>(Rule));
         Span.arg("positions", static_cast<int64_t>(P.NumInputs));
         OutputReduction R = sufficientOutputSubsets(S, P, InputType);
-        Span.arg("queries", static_cast<int64_t>(R.Smt.SatQueries));
-        Task.ReductionSmt += R.Smt;
+        Span.arg("queries", static_cast<int64_t>(R.Queries));
+        Task.ReductionRetries += R.Retries;
         Task.Reduced.emplace();
         Task.ReducedSettled = true;
         for (const Result<std::vector<unsigned>> &Subset : R.Subsets) {
@@ -121,38 +121,14 @@ struct AuxTask {
   Result<const FuncDef *> Inv = Status::error("aux task did not run");
 };
 
-/// Counter snapshot taken when a persisted worker session is re-armed for a
-/// new request; worker stats report the delta so a request's numbers don't
-/// include traffic the session served for earlier requests.
-struct WorkerBaseline {
-  Solver::Stats Smt;
-  CompiledEvalCache::Stats Eval;
-  EnumeratorBankStore::Stats Bank;
-};
-
 } // namespace
 
 Result<InversionOutcome>
 Inverter::invert(const Seft &A, const std::vector<const FuncDef *> &AuxFuncs) {
   TermFactory &F = S.factory();
   SynthesizedAux.clear();
-  LastWorkerStats = WorkerStats();
-
-  auto AccumulateWorker = [this](Solver &WorkerSolver,
-                                 SygusEngine &WorkerEngine,
-                                 const WorkerBaseline &Base) {
-    Solver::Stats Smt = WorkerSolver.stats();
-    Smt -= Base.Smt;
-    LastWorkerStats.Smt += Smt;
-    const CompiledEvalCache::Stats &ES = WorkerEngine.evalCache().stats();
-    LastWorkerStats.Eval.Lookups += ES.Lookups - Base.Eval.Lookups;
-    LastWorkerStats.Eval.Compiles += ES.Compiles - Base.Eval.Compiles;
-    LastWorkerStats.Eval.Evals += ES.Evals - Base.Eval.Evals;
-    const EnumeratorBankStore::Stats &BS = WorkerEngine.bankStore().stats();
-    LastWorkerStats.BankReuseHits += BS.ReuseHits - Base.Bank.ReuseHits;
-    LastWorkerStats.BankReuseMisses += BS.ReuseMisses - Base.Bank.ReuseMisses;
-    ++LastWorkerStats.Sessions;
-  };
+  MetricsRegistry *Metrics = S.control().Metrics;
+  size_t AuxSessions = 0;
 
   // Optimization 1: invert the auxiliary functions and build the component
   // pool. Non-invertible auxiliaries are skipped silently: they can still
@@ -184,6 +160,8 @@ Inverter::invert(const Seft &A, const std::vector<const FuncDef *> &AuxFuncs) {
           TraceSpan AuxSpan("invert.aux");
           AuxSpan.arg("index", static_cast<int64_t>(I));
           T->Inv = invertAuxFunction(*T->Engine, T->Fn, T->InvName);
+          T->Engine->drainStats();
+          T->Ctx->solver().drainStats();
           T->Ctx->solver().releaseBackend();
         });
       }
@@ -194,9 +172,10 @@ Inverter::invert(const Seft &A, const std::vector<const FuncDef *> &AuxFuncs) {
       if (Task.Inv)
         SynthesizedAux.push_back(AuxBack.cloneFunc(*Task.Inv));
       Engine.appendCalls(Task.Engine->calls());
-      AccumulateWorker(Task.Ctx->solver(), *Task.Engine, WorkerBaseline());
     }
-    LastWorkerStats.CloneOutNodes += AuxBack.clonedNodes();
+    AuxSessions = AuxTasks.size();
+    if (Metrics)
+      Metrics->counter("worker.clone_out_nodes").add(AuxBack.clonedNodes());
     for (const FuncDef *Fn : AuxFuncs) {
       Components.push_back(Fn);
       if (Fn->arity() != 1)
@@ -211,13 +190,12 @@ Inverter::invert(const Seft &A, const std::vector<const FuncDef *> &AuxFuncs) {
   // inverses). No terms are cloned in. An adopted session bank with one
   // entry per rule short-circuits the setup: each rule gets back its own
   // fork from the previous request on this program, re-armed with this
-  // request's robustness control and with its counters baselined so worker
-  // stats stay per-request. Rule inputs (guards, outputs, components) all
+  // request's robustness control (its counters were drained when its last
+  // task ended, so they start this request at zero). Rule inputs (guards, outputs, components) all
   // predate the forks' frozen prefix, so a reused fork serves them
   // identically to a fresh one — just against warm caches.
   const auto &Ts = A.transitions();
   std::vector<RuleTask> Tasks(Ts.size());
-  std::vector<WorkerBaseline> Baselines(Ts.size());
   RuleSessionBank Bank = releaseRuleSessions();
   if (Bank.Rules.size() == Ts.size()) {
     for (size_t I = 0; I != Ts.size(); ++I) {
@@ -232,9 +210,6 @@ Inverter::invert(const Seft &A, const std::vector<const FuncDef *> &AuxFuncs) {
       W.setControl(C);
       W.setTimeoutMs(S.timeoutMs());
       Tasks[I].Engine->clearCalls();
-      Baselines[I].Smt = W.stats();
-      Baselines[I].Eval = Tasks[I].Engine->evalCache().stats();
-      Baselines[I].Bank = Tasks[I].Engine->bankStore().stats();
     }
   } else {
     for (RuleTask &Task : Tasks) {
@@ -263,7 +238,9 @@ Inverter::invert(const Seft &A, const std::vector<const FuncDef *> &AuxFuncs) {
         Task->Result = invertOneRule(*T, static_cast<unsigned>(I), InTy,
                                      OutTy, Task->Ctx->solver(), Hook);
         Task->Result.Record.Retries +=
-            static_cast<unsigned>(Task->ReductionSmt.Retries);
+            static_cast<unsigned>(Task->ReductionRetries);
+        Task->Engine->drainStats();
+        Task->Ctx->solver().drainStats();
         Task->Ctx->solver().releaseBackend();
       });
     }
@@ -271,7 +248,7 @@ Inverter::invert(const Seft &A, const std::vector<const FuncDef *> &AuxFuncs) {
   }
 
   // Deterministic merge, in rule order: clone results into the shared
-  // factory, append records and call records, and sum worker counters.
+  // factory, and append records and call records.
   // Frozen-prefix subterms pass through the cloner as-is; synthesized
   // recoveries only call components, which live in the prefix.
   InversionOutcome Out{
@@ -293,11 +270,11 @@ Inverter::invert(const Seft &A, const std::vector<const FuncDef *> &AuxFuncs) {
     }
     Out.Records.push_back(std::move(Task.Result.Record));
     Engine.appendCalls(Task.Engine->calls());
-    AccumulateWorker(Task.Ctx->solver(), *Task.Engine,
-                     Baselines[&Task - Tasks.data()]);
-    LastWorkerStats.Smt += Task.ReductionSmt;
   }
-  LastWorkerStats.CloneOutNodes += Back.clonedNodes();
+  if (Metrics) {
+    Metrics->counter("worker.clone_out_nodes").add(Back.clonedNodes());
+    Metrics->gauge("sessions.worker").set(AuxSessions + Tasks.size());
+  }
 
   // Stash the forks for the next request on this program (the engine's
   // warm pool carries them via releaseRuleSessions / adoptRuleSessions).

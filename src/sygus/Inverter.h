@@ -53,6 +53,11 @@ public:
 
   /// Inverts \p A. \p AuxFuncs are the program's auxiliary functions (§3.2);
   /// they participate in the grammar when aux inversion is enabled.
+  /// Each aux and rule session drains its counters into the registry of
+  /// S's control when its task ends (Solver::drainStats and
+  /// SygusEngine::drainStats, family "worker"); the call also sets the
+  /// "sessions.worker" gauge and adds the nodes its serial merges clone
+  /// back to "worker.clone_out_nodes".
   Result<InversionOutcome>
   invert(const Seft &A, const std::vector<const FuncDef *> &AuxFuncs);
 
@@ -111,35 +116,11 @@ public:
     return Out;
   }
 
-  /// Aggregated counters of the per-rule worker sessions of the last
-  /// invert() call. Workers are private sessions, so their solver and
-  /// compiled-eval statistics are summed here rather than appearing in the
-  /// shared solver's stats().
-  struct WorkerStats {
-    Solver::Stats Smt;
-    CompiledEvalCache::Stats Eval;
-    unsigned Sessions = 0;
-    /// Term nodes cloned into worker sessions before the fan-out. Zero
-    /// since workers fork the shared factory copy-on-write; the previous
-    /// implementation re-cloned every component and the whole rule here.
-    uint64_t CloneInNodes = 0;
-    /// Term nodes cloned back into the shared factory by the serial merge
-    /// (fork-local synthesis results only; frozen-prefix subterms pass
-    /// through the cloner without being counted or copied).
-    uint64_t CloneOutNodes = 0;
-    /// Enumeration-bank reuse across the workers' CEGIS runs (see
-    /// EnumeratorBank.h).
-    uint64_t BankReuseHits = 0;
-    uint64_t BankReuseMisses = 0;
-  };
-  const WorkerStats &workerStats() const { return LastWorkerStats; }
-
 private:
   Solver &S;
   InverterOptions Opts;
   SygusEngine Engine;
   std::vector<const FuncDef *> SynthesizedAux;
-  WorkerStats LastWorkerStats;
   RuleSessionBank Sessions;
 };
 

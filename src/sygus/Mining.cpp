@@ -211,7 +211,9 @@ OutputReduction genic::sufficientOutputSubsets(Solver &S,
   OutputReduction Out;
   for (unsigned I = 0; I < N; ++I)
     Out.Subsets.push_back(Reduce(I));
-  Out.Smt = CS.stats();
+  Out.Retries = CS.stats().Retries;
+  Out.Queries = CS.stats().SatQueries;
+  CS.drainStats();
   return Out;
 }
 

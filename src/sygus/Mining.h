@@ -65,13 +65,16 @@ struct OutputReduction {
   /// it, or why the analysis stopped. Requires the full output tuple to
   /// determine x_i (true for injective transitions); errors otherwise.
   std::vector<Result<std::vector<unsigned>>> Subsets;
-  /// The child session's solver traffic, for the caller's counters.
-  Solver::Stats Smt;
+  /// The child session's escalated retries (counted with the rule's
+  /// retries) and sat queries (reported on the trace span).
+  uint64_t Retries = 0;
+  uint64_t Queries = 0;
 };
 
 /// Reduces every input of \p P in one child session forked from \p S
 /// (see the file comment). Queries are counted in the calling thread's
-/// metrics phase; nothing is interned in S.factory().
+/// metrics phase, and the child drains its counters into S's registry
+/// before it is discarded; nothing is interned in S.factory().
 OutputReduction sufficientOutputSubsets(Solver &S, const ImagePredicate &P,
                                         Type InputType);
 

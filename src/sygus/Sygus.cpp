@@ -20,6 +20,27 @@ using namespace genic;
 
 SygusEngine::SygusEngine(Solver &S, Options O) : S(S), Opts(O) {}
 
+void genic::recordEngineStats(MetricsRegistry &Registry,
+                              SolverSessionKind Kind,
+                              const CompiledEvalCache::Stats &Eval,
+                              const EnumeratorBankStore::Stats &Bank) {
+  const std::string Family = counterFamily(Kind);
+  Registry.counter("eval." + Family + ".lookups").add(Eval.Lookups);
+  Registry.counter("eval." + Family + ".compiles").add(Eval.Compiles);
+  Registry.counter("eval." + Family + ".evals").add(Eval.Evals);
+  Registry.counter("bank." + Family + ".reuse_hits").add(Bank.ReuseHits);
+  Registry.counter("bank." + Family + ".reuse_misses").add(Bank.ReuseMisses);
+}
+
+void SygusEngine::drainStats() {
+  const SolverControl &C = S.control();
+  if (C.Metrics)
+    recordEngineStats(*C.Metrics, C.Kind, EvalCache.stats(),
+                      BankStore.stats());
+  EvalCache.resetStats();
+  BankStore.resetStats();
+}
+
 Result<std::vector<std::vector<Value>>>
 SygusEngine::sampleInputs(const SynthesisSpec &Spec, unsigned Want) {
   TermFactory &F = S.factory();

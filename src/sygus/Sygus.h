@@ -48,6 +48,13 @@ struct SynthesisSpec {
   TermRef Target = nullptr;
 };
 
+/// Adds \p Eval and \p Bank to \p Registry's "eval.<family>.*" and
+/// "bank.<family>.*" counters, the family given by \p Kind (see
+/// counterFamily). Zero stats register the families at zero.
+void recordEngineStats(MetricsRegistry &Registry, SolverSessionKind Kind,
+                       const CompiledEvalCache::Stats &Eval,
+                       const EnumeratorBankStore::Stats &Bank);
+
 /// The CEGIS driver.
 class SygusEngine {
 public:
@@ -106,6 +113,12 @@ public:
   /// Options::ReuseBanks is set; see EnumeratorBank.h). Bank reuse hit and
   /// miss counters live in its stats().
   const EnumeratorBankStore &bankStore() const { return BankStore; }
+
+  /// Adds the compiled-eval and bank counters to the registry of the
+  /// solver's control (see recordEngineStats; the family comes from the
+  /// solver's session kind), then zeroes them. Like Solver::drainStats, an
+  /// engine drains when its work for a request ends.
+  void drainStats();
 
   /// Installs banks released by a previous engine over the same term
   /// factory (the warm-pool path: completed banks survive the request's

@@ -134,15 +134,9 @@ public:
     uint64_t Compiles = 0; // probes that had to compile (misses)
     uint64_t Evals = 0;    // program executions, batched ones included
     uint64_t hits() const { return Lookups - Compiles; }
-
-    Stats &operator+=(const Stats &O) {
-      Lookups += O.Lookups;
-      Compiles += O.Compiles;
-      Evals += O.Evals;
-      return *this;
-    }
   };
   const Stats &stats() const { return TheStats; }
+  void resetStats() { TheStats = Stats(); }
 
 private:
   struct CompiledFunc {

@@ -30,7 +30,10 @@ TermRef shifted(TermFactory &F, TermRef T, unsigned Lookahead,
 }
 
 /// Enumerates accepting paths of \p A with at most \p MaxRules rules whose
-/// accumulated guard is satisfiable, building the symbolic artifacts.
+/// accumulated guard is satisfiable, building the symbolic artifacts. Each
+/// rule of the current path holds one scope on \p S, so a satisfiability
+/// check sends only the newest rule's guard; an Unknown retries the flat
+/// one-shot query.
 Result<std::vector<SymbolicPath>> acceptingPaths(const Seft &A, Solver &S,
                                                  unsigned MaxRules) {
   TermFactory &F = S.factory();
@@ -54,7 +57,12 @@ Result<std::vector<SymbolicPath>> acceptingPaths(const Seft &A, Solver &S,
         Current.Outputs.push_back(
             shifted(F, O, T.Lookahead, Current.InputLen, A.inputType()));
       Current.InputLen += T.Lookahead;
-      Result<bool> Sat = S.isSat(Current.Guard);
+      ScopedAssertions Scope(S);
+      Scope.add(RuleGuard);
+      SatResult Live = S.checkSatAssuming({});
+      Result<bool> Sat = Live == SatResult::Unknown
+                             ? S.isSat(Current.Guard)
+                             : Result<bool>(Live == SatResult::Sat);
       if (!Sat) {
         Failure = Sat.status();
         return;
@@ -135,12 +143,26 @@ genic::verifyInverseBounded(const Seft &A, const Seft &B, Solver &S,
     std::vector<InstantiatedPath> BPaths;
     consumingPaths(B, F, P.Outputs, BPaths);
 
+    // One scoped session per A-path: its guard is asserted once, and each
+    // obligation checks only its own conjunct on top. An Unknown retries
+    // the flat one-shot query, so a verdict is never weaker than before;
+    // counterexamples still come from getModel on the flat formula.
+    ScopedAssertions Scope(S);
+    Scope.add(P.Guard);
+    auto Violated = [&](TermRef Extra, TermRef Flat) -> Result<bool> {
+      SatResult Sat = S.checkSatAssuming({}, Extra);
+      if (Sat == SatResult::Unknown)
+        return S.isSat(Flat);
+      return Sat == SatResult::Sat;
+    };
+
     // Coverage: guard_p -> some B-path applies to f_p(x).
     std::vector<TermRef> AnyB;
     for (const InstantiatedPath &Q : BPaths)
       AnyB.push_back(Q.Guard);
-    TermRef Uncovered = F.mkAnd(P.Guard, F.mkNot(F.mkOr(std::move(AnyB))));
-    Result<bool> Sat = S.isSat(Uncovered);
+    TermRef NoB = F.mkNot(F.mkOr(std::move(AnyB)));
+    TermRef Uncovered = F.mkAnd(P.Guard, NoB);
+    Result<bool> Sat = Violated(NoB, Uncovered);
     if (!Sat)
       return Sat.status();
     if (*Sat) {
@@ -155,17 +177,18 @@ genic::verifyInverseBounded(const Seft &A, const Seft &B, Solver &S,
     // Identity: along every applicable B-path, the outputs equal x.
     for (const InstantiatedPath &Q : BPaths) {
       TermRef Overlap = F.mkAnd(P.Guard, Q.Guard);
-      TermRef Wrong;
-      if (Q.Outputs.size() != P.InputLen) {
-        Wrong = Overlap; // Any overlap already has the wrong length.
-      } else {
+      TermRef Extra = Q.Guard, Wrong = Overlap;
+      // Any overlap with the wrong length is already a violation.
+      if (Q.Outputs.size() == P.InputLen) {
         std::vector<TermRef> Mismatch;
         for (unsigned I = 0; I < P.InputLen; ++I)
           Mismatch.push_back(
               F.mkDistinct(Q.Outputs[I], F.mkVar(I, A.inputType())));
-        Wrong = F.mkAnd(Overlap, F.mkOr(std::move(Mismatch)));
+        TermRef AnyMismatch = F.mkOr(std::move(Mismatch));
+        Extra = F.mkAnd(Q.Guard, AnyMismatch);
+        Wrong = F.mkAnd(Overlap, AnyMismatch);
       }
-      Result<bool> Bad = S.isSat(Wrong);
+      Result<bool> Bad = Violated(Extra, Wrong);
       if (!Bad)
         return Bad.status();
       if (*Bad) {

@@ -45,7 +45,9 @@ struct CompositionCounterexample {
 /// \p MaxRules rules, \p B maps A(u) back to exactly u (with a unique
 /// applicable B-path guard per check). Returns std::nullopt when verified,
 /// a counterexample otherwise, or an error on solver failures. Both
-/// machines must share one TermFactory.
+/// machines must share one TermFactory. Each A-path's obligations run in
+/// one scope on \p S with the path guard asserted once; \p S must not be
+/// shared with another thread meanwhile.
 Result<std::optional<CompositionCounterexample>>
 verifyInverseBounded(const Seft &A, const Seft &B, Solver &S,
                      unsigned MaxRules);

@@ -144,12 +144,8 @@ TEST_P(CompositionGenicTest, VerifiesSynthesizedInverse) {
   Config.Options.Jobs = 2;
   InversionEngine Engine(Config);
   SolverContext Ctx;
-  // The run leaves the registry installed in Ctx's solver control, so it
-  // must outlive the verification queries below.
-  MetricsRegistry Registry;
   RequestContext Req;
   Req.ForceInvert = true;
-  Req.Metrics = &Registry;
   Result<GenicReport> Report = Engine.runOnSession(Ctx, Source.str(), Req);
   ASSERT_TRUE(Report.isOk()) << Report.status().message();
   ASSERT_TRUE(Report->Inversion && Report->Inversion->complete());

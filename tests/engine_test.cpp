@@ -207,8 +207,8 @@ TEST(EngineServe, WarmRepeatIssuesNoVariableReductionQueries) {
   ASSERT_TRUE(Warm.isOk()) << Warm.status().message();
   EXPECT_TRUE(Warm->WarmHit);
   EXPECT_TRUE(varReduceSpans().empty());
-  EXPECT_LT(Warm->Report.WorkerStats.Smt.SatQueries,
-            Cold->Report.WorkerStats.Smt.SatQueries);
+  EXPECT_LT(Warm->Metrics.Counters.at("solver.worker.sat_queries"),
+            Cold->Metrics.Counters.at("solver.worker.sat_queries"));
   EXPECT_EQ(formatOutcomeReport(Warm->Report),
             formatOutcomeReport(Cold->Report));
   Trace.disable();
@@ -258,6 +258,21 @@ TEST(EngineServe, ParseErrorsSurfaceAndDontPoisonThePool) {
   EXPECT_EQ(Good->Exit, ExitOk);
 }
 
+TEST(EngineRunOnSession, NullMetricsRunLeavesNoRegistryOnTheContext) {
+  // Without a caller registry the run records into one local to
+  // runOnSession. The caller's context must not keep pointing at it: the
+  // next query on that context would record into a dead registry.
+  InversionEngine Engine;
+  SolverContext Ctx;
+  RequestContext Req;
+  Result<GenicReport> R = Engine.runOnSession(Ctx, EncProgram, Req);
+  ASSERT_TRUE(R.isOk()) << R.status().message();
+  EXPECT_EQ(Ctx.solver().control().Metrics, nullptr);
+  TermFactory &F = Ctx.factory();
+  TermRef X = F.mkVar(0, Type::intTy());
+  EXPECT_EQ(Ctx.solver().checkSat(F.mkEq(X, F.mkInt(12345))), SatResult::Sat);
+}
+
 //===----------------------------------------------------------------------===//
 // Per-request isolation
 //===----------------------------------------------------------------------===//
@@ -272,7 +287,7 @@ TEST(EngineServe, FaultPlanIsConfinedToItsRequest) {
   Result<EngineResponse> Degraded = Engine.serve(B16Program, Faulty);
   ASSERT_TRUE(Degraded.isOk()) << Degraded.status().message();
   EXPECT_EQ(Degraded->Exit, ExitInternalError);
-  EXPECT_GT(Degraded->Report.InjectedFaults, 0u);
+  EXPECT_GT(Degraded->Metrics.Counters.at("run.injected_faults"), 0u);
 
   // The very next request on the entry the degraded run published is
   // pristine: no residual fault plan, and a report byte-identical to a
@@ -281,7 +296,7 @@ TEST(EngineServe, FaultPlanIsConfinedToItsRequest) {
   Result<EngineResponse> After = Engine.serve(B16Program, Clean);
   ASSERT_TRUE(After.isOk()) << After.status().message();
   EXPECT_EQ(After->Exit, ExitOk);
-  EXPECT_EQ(After->Report.InjectedFaults, 0u);
+  EXPECT_EQ(After->Metrics.Counters.at("run.injected_faults"), 0u);
   EXPECT_EQ(formatOutcomeReport(After->Report),
             freshToolReport(B16Program, 1));
 }
@@ -323,7 +338,7 @@ TEST(EngineServe, AbusedWarmEntryStaysHygienicAtEveryJobsValue) {
     Result<EngineResponse> Hurt = Engine.serve(B16Program, Faulty);
     ASSERT_TRUE(Hurt.isOk()) << Hurt.status().message();
     EXPECT_EQ(Hurt->Exit, ExitInternalError) << "jobs " << Jobs;
-    EXPECT_GT(Hurt->Report.InjectedFaults, 0u);
+    EXPECT_GT(Hurt->Metrics.Counters.at("run.injected_faults"), 0u);
 
     RequestContext Starved;
     Starved.Jobs = Jobs;
@@ -344,7 +359,7 @@ TEST(EngineServe, AbusedWarmEntryStaysHygienicAtEveryJobsValue) {
     ASSERT_TRUE(After.isOk()) << After.status().message();
     EXPECT_TRUE(After->WarmHit);
     EXPECT_EQ(After->Exit, ExitOk) << "jobs " << Jobs;
-    EXPECT_EQ(After->Report.InjectedFaults, 0u);
+    EXPECT_EQ(After->Metrics.Counters.at("run.injected_faults"), 0u);
     EXPECT_FALSE(After->Report.DeadlineExpired);
     MetricsSnapshot S = Sink.snapshot();
     EXPECT_EQ(S.Counters.at("run.injected_faults"), 0u);

@@ -96,10 +96,9 @@ RunResult runTool(const std::string &Source, const std::string &FaultSpec,
       Out.Error = Plan.status().message();
       return Out;
     }
-    Tool.setFaultPlan(*Plan);
+    Tool.request().Faults = *Plan;
   }
-  if (BudgetSeconds > 0)
-    Tool.setRunBudgetSeconds(BudgetSeconds);
+  Tool.request().BudgetSeconds = BudgetSeconds;
   Result<GenicReport> R = Tool.run(Source);
   if (!R.isOk()) {
     Out.Error = R.status().message();
@@ -117,10 +116,11 @@ RunResult runTool(const std::string &Source, const std::string &FaultSpec,
   if (R->Inversion)
     for (const RuleInversionRecord &Rec : R->Inversion->Records)
       Out.Rules.push_back(Rec.Outcome);
-  Out.Retries = R->RetriesAttempted;
-  Out.QueriesTimedOut = R->QueriesTimedOut;
-  Out.QueriesCancelled = R->QueriesCancelled;
-  Out.InjectedFaults = R->InjectedFaults;
+  MetricsRegistry &M = Tool.metrics();
+  Out.Retries = M.counter("run.retries_attempted").value();
+  Out.QueriesTimedOut = M.counter("run.queries_timed_out").value();
+  Out.QueriesCancelled = M.counter("run.queries_cancelled").value();
+  Out.InjectedFaults = M.counter("run.injected_faults").value();
   Out.RulesDegraded = R->RulesDegraded;
   Out.DeadlineExpired = R->DeadlineExpired;
   Out.DegradeDetail = R->DegradeDetail;

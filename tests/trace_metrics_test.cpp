@@ -279,10 +279,9 @@ ToolRun runTool(const std::string &Source, unsigned Jobs,
       Out.Error = Plan.status().message();
       return Out;
     }
-    Tool.setFaultPlan(*Plan);
+    Tool.request().Faults = *Plan;
   }
-  if (BudgetSeconds > 0)
-    Tool.setRunBudgetSeconds(BudgetSeconds);
+  Tool.request().BudgetSeconds = BudgetSeconds;
   Result<GenicReport> R = Tool.run(Source);
   if (!R.isOk()) {
     Out.Error = R.status().message();
@@ -290,7 +289,7 @@ ToolRun runTool(const std::string &Source, unsigned Jobs,
   }
   Out.Ok = true;
   Out.MetricsJson = formatMetricsJson(*R, Tool.metrics().snapshot());
-  Out.Stats = formatStatsReport(*R);
+  Out.Stats = formatStatsReport(*R, Tool.metrics().snapshot());
   Out.Timings = R->Timings;
   return Out;
 }

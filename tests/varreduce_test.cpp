@@ -162,7 +162,7 @@ TEST_P(VarReduceTest, SubsetsMatchTheOneShotReference) {
     EXPECT_EQ(Fork.factory().poolSize(), PoolBefore)
         << "reduction interned terms in the rule's factory";
     ASSERT_EQ(New.Subsets.size(), T.Lookahead);
-    EXPECT_GT(New.Smt.SatQueries, 0u);
+    EXPECT_GT(New.Queries, 0u);
 
     SolverContext RefFork(Ctx);
     for (unsigned I = 0; I < T.Lookahead; ++I) {

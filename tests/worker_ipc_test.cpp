@@ -851,8 +851,8 @@ TEST(WorkerPipeline, ReportsByteIdenticalAcrossJobsAndWorkerProcs) {
       InverterOptions Options;
       Options.Jobs = Jobs;
       GenicTool Tool(Options);
-      if (Procs > 0)
-        Tool.setWorkerProcs(Procs, GENIC_WORKER_BIN);
+      Tool.request().WorkerProcs = Procs;
+      Tool.request().WorkerBinary = GENIC_WORKER_BIN;
       Result<GenicReport> R = Tool.run(EncProgram);
       ASSERT_TRUE(R.isOk()) << R.status().message();
       std::string Report = formatOutcomeReport(*R);
@@ -885,8 +885,8 @@ TEST(WorkerPipeline, MultiStateReportsByteIdenticalAcrossJobsAndWorkerProcs) {
         InverterOptions Options;
         Options.Jobs = Jobs;
         GenicTool Tool(Options);
-        if (Procs > 0)
-          Tool.setWorkerProcs(Procs, GENIC_WORKER_BIN);
+        Tool.request().WorkerProcs = Procs;
+        Tool.request().WorkerBinary = GENIC_WORKER_BIN;
         Result<GenicReport> R = Tool.run(Source);
         ASSERT_TRUE(R.isOk()) << R.status().message();
         std::string Report = formatOutcomeReport(*R);
@@ -917,8 +917,9 @@ TEST(WorkerPipeline, CrashedWorkerDegradesOnlyItsShard) {
   InverterOptions Options;
   Options.Jobs = 2;
   GenicTool Tool(Options);
-  Tool.setWorkerProcs(2, GENIC_WORKER_BIN);
-  Tool.setFaultPlan(*parseFaultPlan("crash@1x0:workers"));
+  Tool.request().WorkerProcs = 2;
+  Tool.request().WorkerBinary = GENIC_WORKER_BIN;
+  Tool.request().Faults = *parseFaultPlan("crash@1x0:workers");
   Result<GenicReport> R = Tool.run(EncProgram);
   ASSERT_TRUE(R.isOk()) << R.status().message();
   EXPECT_EQ(suggestedExitCode(*R), ExitInternalError);
@@ -929,7 +930,7 @@ TEST(WorkerPipeline, CrashedWorkerDegradesOnlyItsShard) {
 
   // The same tool serves the next, fault-free run cleanly: supervision
   // state is per-request, nothing sticks.
-  Tool.setFaultPlan(FaultPlan());
+  Tool.request().Faults = FaultPlan();
   Result<GenicReport> After = Tool.run(EncProgram);
   ASSERT_TRUE(After.isOk()) << After.status().message();
   EXPECT_EQ(suggestedExitCode(*After), ExitOk);
@@ -945,8 +946,9 @@ TEST(WorkerPipeline, CrashInsideTheProductBuildDegradesAsBeforePrep) {
   InverterOptions Options;
   Options.Jobs = 2;
   GenicTool Tool(Options);
-  Tool.setWorkerProcs(2, GENIC_WORKER_BIN);
-  Tool.setFaultPlan(*parseFaultPlan("crash@5:workers"));
+  Tool.request().WorkerProcs = 2;
+  Tool.request().WorkerBinary = GENIC_WORKER_BIN;
+  Tool.request().Faults = *parseFaultPlan("crash@5:workers");
   Result<GenicReport> R = Tool.run(corpusSource("BASE64 encoder"));
   ASSERT_TRUE(R.isOk()) << R.status().message();
   EXPECT_EQ(suggestedExitCode(*R), ExitInternalError);
@@ -978,8 +980,9 @@ TEST(WorkerPipeline, TimedOutRequestDoesNotWaitForPrep) {
   InverterOptions Options;
   Options.Jobs = 2;
   GenicTool Tool(Options);
-  Tool.setWorkerProcs(2, GENIC_WORKER_BIN);
-  Tool.setRunBudgetSeconds(1.0);
+  Tool.request().WorkerProcs = 2;
+  Tool.request().WorkerBinary = GENIC_WORKER_BIN;
+  Tool.request().BudgetSeconds = 1.0;
   auto Start = std::chrono::steady_clock::now();
   Result<GenicReport> R = Tool.run(corpusSource("UTF-8 decoder"),
                                    /*ForceInjectivity=*/true);

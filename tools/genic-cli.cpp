@@ -239,6 +239,9 @@ int main(int Argc, char **Argv) {
       if (++I >= Argc)
         return usage();
       DecodeOut = Argv[I];
+    } else if (startsWith(Arg, "--")) {
+      std::fprintf(stderr, "error: unknown option '%s'\n", Arg.c_str());
+      return usage();
     } else if (Command.empty()) {
       Command = Arg;
     } else if (Path.empty()) {
@@ -378,6 +381,11 @@ int main(int Argc, char **Argv) {
   bool ForceInvert = Command == "invert";
   if (Command != "run" && Command != "check" && Command != "invert")
     return usage();
+  if (!Symbols.empty()) {
+    std::fprintf(stderr, "error: unexpected argument '%s'\n",
+                 Symbols[0].c_str());
+    return usage();
+  }
   if (DecodeFile.empty() != DecodeOut.empty()) {
     std::fprintf(stderr,
                  "error: --decode-file and --decode-out go together\n");
@@ -391,8 +399,8 @@ int main(int Argc, char **Argv) {
     Tool.solver().setSatCacheCapacity(*SatCacheCap);
   if (SolverTimeoutMs)
     Tool.solver().setTimeoutMs(*SolverTimeoutMs);
-  if (TimeoutSeconds > 0)
-    Tool.setRunBudgetSeconds(TimeoutSeconds);
+  RequestContext &Req = Tool.request();
+  Req.BudgetSeconds = TimeoutSeconds;
   if (!FaultSpec)
     if (const char *Env = std::getenv("GENIC_FAULT_INJECT"))
       if (*Env)
@@ -403,10 +411,10 @@ int main(int Argc, char **Argv) {
       std::fprintf(stderr, "error: %s\n", Plan.status().message().c_str());
       return usage();
     }
-    Tool.setFaultPlan(*Plan);
+    Req.Faults = *Plan;
   }
-  if (WorkerProcs > 0)
-    Tool.setWorkerProcs(WorkerProcs, WorkerBinary);
+  Req.WorkerProcs = WorkerProcs;
+  Req.WorkerBinary = WorkerBinary;
   if (!TraceOut.empty()) {
     TraceRecorder::global().enable();
     TraceRecorder::global().nameThisThread("main");

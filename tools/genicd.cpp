@@ -271,9 +271,10 @@ public:
   }
 
   /// Appends one "request" line to the access log (no-op when disabled).
-  /// \p Report is null for non-invert ops and engine-level failures.
+  /// \p Run is null for non-invert ops and engine-level failures; its
+  /// counters come from the request's registry snapshot.
   void logAccess(const ServeResponse &Resp, const std::string &Op,
-                 uint64_t QueueUs, const GenicReport *Report,
+                 uint64_t QueueUs, const EngineResponse *Run,
                  uint64_t SlowQueries) {
     if (!AccessLog)
       return;
@@ -289,10 +290,12 @@ public:
                   Resp.Exit, Resp.Warm ? "true" : "false",
                   (unsigned long long)QueueUs);
     L += Buf;
-    if (Report) {
-      uint64_t SatQueries = Report->SolverStats.SatQueries +
-                            Report->CheckerStats.SatQueries +
-                            Report->WorkerStats.Smt.SatQueries;
+    if (Run) {
+      const PhaseTimings &T = Run->Report.Timings;
+      auto Counter = [&Run](const char *Name) -> unsigned long long {
+        auto It = Run->Metrics.Counters.find(Name);
+        return It == Run->Metrics.Counters.end() ? 0 : It->second;
+      };
       std::snprintf(
           Buf, sizeof(Buf),
           ",\"det_us\":%llu,\"inj_us\":%llu,\"inv_us\":%llu,"
@@ -301,20 +304,18 @@ public:
           "\"slow_queries\":%llu,\"worker_shards\":%llu,"
           "\"worker_crashes\":%llu,\"worker_restarts\":%llu,"
           "\"worker_degraded\":%llu",
-          (unsigned long long)(Report->Timings.DeterminismSeconds * 1e6),
-          (unsigned long long)(Report->Timings.InjectivitySeconds * 1e6),
-          (unsigned long long)(Report->Timings.InversionSeconds * 1e6),
-          (unsigned long long)(Report->Timings.TotalSeconds * 1e6),
-          (unsigned long long)SatQueries,
-          (unsigned long long)Report->RetriesAttempted,
-          (unsigned long long)Report->QueriesTimedOut,
-          (unsigned long long)Report->QueriesCancelled,
-          (unsigned long long)Report->InjectedFaults,
-          (unsigned long long)SlowQueries,
-          (unsigned long long)Report->WorkerShards,
-          (unsigned long long)Report->WorkerCrashes,
-          (unsigned long long)Report->WorkerRestarts,
-          (unsigned long long)Report->WorkerShardsDegraded);
+          (unsigned long long)(T.DeterminismSeconds * 1e6),
+          (unsigned long long)(T.InjectivitySeconds * 1e6),
+          (unsigned long long)(T.InversionSeconds * 1e6),
+          (unsigned long long)(T.TotalSeconds * 1e6),
+          Counter("solver.shared.sat_queries") +
+              Counter("solver.checker.sat_queries") +
+              Counter("solver.worker.sat_queries"),
+          Counter("run.retries_attempted"), Counter("run.queries_timed_out"),
+          Counter("run.queries_cancelled"), Counter("run.injected_faults"),
+          (unsigned long long)SlowQueries, Counter("workerproc.shards"),
+          Counter("workerproc.crashes"), Counter("workerproc.restarts"),
+          Counter("workerproc.degraded"));
       L += Buf;
     }
     if (!Resp.Error.empty())
@@ -500,8 +501,8 @@ public:
 
     Result<EngineResponse> R = Engine.serve(Req.Source, Ctx);
 
-    // Fold this request's registry — query-latency histograms, mirrored
-    // run counters, workerproc stats, slowquery counts — into the engine
+    // Fold this request's registry — query-latency histograms, drained
+    // session counters, workerproc stats, slowquery counts — into the engine
     // registry, so the metrics op and GET /metrics expose cumulative
     // process-wide telemetry. merge() applies the whole batch under one
     // registry lock, so a concurrent scrape sees all of it or none.
@@ -529,7 +530,7 @@ public:
     Resp.InvUs =
         static_cast<uint64_t>(R->Report.Timings.InversionSeconds * 1e6);
     Resp.TotalUs = static_cast<uint64_t>(R->Report.Timings.TotalSeconds * 1e6);
-    logAccess(Resp, Req.Op, QueueUs, &R->Report, SlowQueries);
+    logAccess(Resp, Req.Op, QueueUs, &*R, SlowQueries);
     return formatServeResponse(Resp);
   }
 
