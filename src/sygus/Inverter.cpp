@@ -126,7 +126,10 @@ struct AuxTask {
 Result<InversionOutcome>
 Inverter::invert(const Seft &A, const std::vector<const FuncDef *> &AuxFuncs) {
   TermFactory &F = S.factory();
-  SynthesizedAux.clear();
+  // Inverses an earlier request on this program synthesized are registered
+  // in the shared factory, so the loop below skips them; report them again,
+  // first, as that request did.
+  SynthesizedAux = std::move(Sessions.Aux);
   MetricsRegistry *Metrics = S.control().Metrics;
   size_t AuxSessions = 0;
 
@@ -279,6 +282,7 @@ Inverter::invert(const Seft &A, const std::vector<const FuncDef *> &AuxFuncs) {
   // Stash the forks for the next request on this program (the engine's
   // warm pool carries them via releaseRuleSessions / adoptRuleSessions).
   Sessions.Rules.clear();
+  Sessions.Aux = SynthesizedAux;
   for (RuleTask &Task : Tasks) {
     if (!Task.ReducedSettled)
       Task.Reduced.reset();

@@ -97,6 +97,10 @@ public:
       std::optional<OutputSubsets> Reduced;
     };
     std::vector<Entry> Rules;
+    /// The inverses synthesized for auxiliary functions, in the order
+    /// synthesizedAux() listed them. A repeat finds them registered in the
+    /// shared factory and skips their synthesis, so it reports these.
+    std::vector<const FuncDef *> Aux;
     bool empty() const { return Rules.empty(); }
   };
 

@@ -215,6 +215,40 @@ TEST(EngineServe, WarmRepeatIssuesNoVariableReductionQueries) {
   Trace.clear();
 }
 
+TEST(EngineServe, WarmRepeatsPrintTheColdInverse) {
+  // CEGIS counterexamples and guard samples are models of the rule fork's
+  // live Z3 session. A warm repeat reuses the fork with its memos full, so
+  // it sends Z3 fewer one-shot queries than the cold run did; the
+  // synthesized terms must not notice. These two inverses moved when their
+  // models first came from the live session, and the BASE32 decoder's
+  // synthesized aux inverse (skipped on a repeat, since it is already
+  // registered) must still print first.
+  for (const char *Name : {"BASE32 decoder", "UTF-8 encoder"}) {
+    std::string Source;
+    for (const CoderSpec &Spec : coderCorpus())
+      if (Spec.name() == Name)
+        Source = Spec.Source;
+    ASSERT_FALSE(Source.empty()) << Name;
+    InversionEngine Engine;
+    RequestContext Req;
+    Req.Jobs = 2;
+    Result<EngineResponse> Cold = Engine.serve(Source, Req);
+    ASSERT_TRUE(Cold.isOk()) << Cold.status().message();
+    EXPECT_FALSE(Cold->WarmHit);
+    ASSERT_FALSE(Cold->Report.InverseSource.empty()) << Name;
+    for (int Round = 0; Round < 2; ++Round) {
+      Result<EngineResponse> Warm = Engine.serve(Source, Req);
+      ASSERT_TRUE(Warm.isOk()) << Warm.status().message();
+      EXPECT_TRUE(Warm->WarmHit);
+      EXPECT_EQ(Warm->Exit, Cold->Exit);
+      EXPECT_EQ(formatOutcomeReport(Warm->Report),
+                formatOutcomeReport(Cold->Report));
+      EXPECT_EQ(Warm->Report.InverseSource, Cold->Report.InverseSource)
+          << Name << ", warm round " << Round;
+    }
+  }
+}
+
 TEST(EngineServe, MatchesFreshProcessAtEveryJobsValue) {
   InversionEngine Engine;
   for (unsigned Jobs : {1u, 2u, 8u}) {
