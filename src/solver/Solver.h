@@ -28,6 +28,7 @@
 #include "term/TermFactory.h"
 
 #include <memory>
+#include <optional>
 #include <vector>
 
 namespace genic {
@@ -166,10 +167,15 @@ public:
   //
   // A scoped assertion stack lives alongside the one-shot entry points
   // above and is mirrored into a persistent backend solver, so consecutive
-  // scoped checks pay only for their delta. Only checkSatAssuming consults
-  // it. checkSat and getModel stay stack-independent: each runs on a fresh
-  // backend solver, so its answer depends only on the formula, which is
-  // what keeps their memo tables sound and the printed inverses fixed.
+  // scoped checks pay only for their delta. checkSatAssuming and
+  // modelAssuming consult it. checkSat and getModel stay stack-independent:
+  // each runs on a fresh backend solver, so its answer depends only on the
+  // formula, which is what keeps their memo tables sound. A model from
+  // modelAssuming also depends on the session's history, so it is
+  // reproducible only where that history is (a rule fork's is a function
+  // of its rule); CEGIS counterexamples and guard samples come from it,
+  // and the printed inverses are held correct by bounded composition
+  // rather than by Z3 history.
 
   /// Opens a new assertion scope.
   void push();
@@ -199,6 +205,17 @@ public:
   /// chokepoint as one-shot queries.
   SatResult checkSatAssuming(const std::vector<TermRef> &Assumptions,
                              TermRef Formula = nullptr);
+
+  /// A model of (asserted stack) /\ /\ Assumptions for Var(0..n-1), taken
+  /// from the live incremental session, so one query both decides and
+  /// witnesses. Variables that do not occur get an arbitrary value of
+  /// their type in \p VarTypes. Three outcomes: the model; std::nullopt
+  /// when unsatisfiable; or the Unknown classified as by unknownStatus.
+  /// The query goes through the same chokepoint as every other (deadline,
+  /// faults, retry, latency metrics); nothing is memoized.
+  Result<std::optional<std::vector<Value>>>
+  modelAssuming(const std::vector<TermRef> &Assumptions,
+                const std::vector<Type> &VarTypes);
 
   /// Coalesced satisfiability for independent formulas: the k formulas are
   /// variable-disjointly renamed, asserted under selector literals in one

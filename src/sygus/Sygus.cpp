@@ -41,6 +41,31 @@ void SygusEngine::drainStats() {
   BankStore.resetStats();
 }
 
+Result<std::optional<std::vector<Value>>>
+SygusEngine::scopedModel(const std::vector<TermRef> &Assumptions,
+                         TermRef Flat, const std::vector<Type> &Types,
+                         const char *What) {
+  Result<std::optional<std::vector<Value>>> M =
+      S.modelAssuming(Assumptions, Types);
+  if (M)
+    return M;
+  // Z3's incremental engine can give up on a query its one-shot engine
+  // decides; retry the flattened query on a fresh solver before reporting
+  // unknown.
+  switch (S.checkSat(Flat)) {
+  case SatResult::Unsat:
+    return std::optional<std::vector<Value>>();
+  case SatResult::Unknown:
+    return S.unknownStatus(What);
+  case SatResult::Sat:
+    break;
+  }
+  Result<std::vector<Value>> Model = S.getModel(Flat, Types);
+  if (!Model)
+    return Model.status();
+  return std::optional<std::vector<Value>>(std::move(*Model));
+}
+
 Result<std::vector<std::vector<Value>>>
 SygusEngine::sampleInputs(const SynthesisSpec &Spec, unsigned Want) {
   TermFactory &F = S.factory();
@@ -104,32 +129,37 @@ SygusEngine::sampleInputs(const SynthesisSpec &Spec, unsigned Want) {
   }
 
   // Phase 2: solver models with blocking, for guards rejection sampling
-  // cannot hit (e.g. equality-pinned inputs). Each sample comes from
-  // checkSat and getModel, which run on memoized one-shot solvers, so it
-  // depends only on the formula. The sample set decides which (equally
-  // correct) candidate CEGIS settles on, and the inverse fixtures pin that
-  // choice. The loop is bounded at 8 queries.
-  unsigned SolverWant = Inputs.empty() ? std::min(Want, 8u) : 0;
-  std::vector<TermRef> Blocked;
-  while (SolverWant-- > 0) {
-    std::vector<TermRef> Conjuncts{P.Guard};
-    Conjuncts.insert(Conjuncts.end(), Blocked.begin(), Blocked.end());
-    TermRef Query = F.mkAnd(std::move(Conjuncts));
-    if (S.checkSat(Query) != SatResult::Sat)
-      break;
-    Result<std::vector<Value>> M = S.getModel(Query, Types);
-    if (!M)
-      break;
-    if (Admissible(*M) && Seen.insert(*M).second)
-      Inputs.push_back(*M);
-    // Block this exact assignment.
-    std::vector<TermRef> Differs;
-    for (unsigned I = 0; I < P.NumInputs; ++I)
-      Differs.push_back(
-          F.mkDistinct(F.mkVar(I, Types[I]), F.mkConst((*M)[I])));
-    if (Differs.empty())
-      break;
-    Blocked.push_back(F.mkOr(std::move(Differs)));
+  // cannot hit (e.g. equality-pinned inputs). The caller has asserted the
+  // guard on the session; the blocking clauses go into a nested scope, and
+  // each sample is one modelAssuming query on the live session, so the
+  // loop is bounded at 8 queries (a flat retry after an Unknown aside).
+  if (Inputs.empty()) {
+    ScopedAssertions Blocking(S);
+    std::vector<TermRef> Flat{P.Guard};
+    for (unsigned Sample = 0; Sample < std::min(Want, 8u); ++Sample) {
+      Result<std::optional<std::vector<Value>>> M =
+          scopedModel({}, F.mkAnd(Flat), Types, "guard sample");
+      if (!M) {
+        if (Inputs.empty())
+          return M.status();
+        break;
+      }
+      if (!*M)
+        break;
+      const std::vector<Value> &X = **M;
+      if (Admissible(X) && Seen.insert(X).second)
+        Inputs.push_back(X);
+      // Block this exact assignment.
+      std::vector<TermRef> Differs;
+      for (unsigned I = 0; I < P.NumInputs; ++I)
+        Differs.push_back(
+            F.mkDistinct(F.mkVar(I, Types[I]), F.mkConst(X[I])));
+      if (Differs.empty())
+        break;
+      TermRef Block = F.mkOr(std::move(Differs));
+      Blocking.add(Block);
+      Flat.push_back(Block);
+    }
   }
 
   if (Inputs.empty())
@@ -176,10 +206,23 @@ Result<TermRef> SygusEngine::synthesize(const SynthesisSpec &Spec,
     return Finish(F.mkConst(*T));
   }
 
+  // CEGAR skeleton: the guard is asserted once for the whole call, before
+  // sampling, and stays on the rule's live session. Phase-2 samples and
+  // every iteration's verification are queries on top of it; a
+  // verification sends only the candidate's negated correctness condition,
+  // as an assumption literal, and its model is the counterexample. Models
+  // therefore follow the fork's Z3 history, which is a function of the
+  // rule alone; the inverse fixtures pin the terms that result, and bounded
+  // composition checks that they are inverses.
+  ScopedAssertions VerifyScope(S);
+  VerifyScope.add(P.Guard);
   Result<std::vector<std::vector<Value>>> Inputs =
       sampleInputs(Spec, Opts.NumExamples);
   if (!Inputs)
     return Finish(Inputs.status());
+  std::vector<Type> Types;
+  for (const Value &V : Inputs->front())
+    Types.push_back(V.type());
 
   // Induce (y, target) examples from the sampled inputs.
   auto Induce = [&](const std::vector<std::vector<Value>> &Xs,
@@ -215,14 +258,6 @@ Result<TermRef> SygusEngine::synthesize(const SynthesisSpec &Spec,
   EC.BankStore = Opts.ReuseBanks ? &BankStore : nullptr;
   EC.Cancel = S.cancellation();
 
-  // CEGAR skeleton: the guard is asserted once for the whole CEGIS run;
-  // each iteration's verification varies only the candidate's negated
-  // correctness condition, sent as an assumption literal. Counterexample
-  // models come from getModel's memoized one-shot solver, so each depends
-  // only on the flattened query. The refinement sequence, and with it the
-  // synthesized term, is what the inverse fixtures pin.
-  ScopedAssertions VerifyScope(S);
-  VerifyScope.add(P.Guard);
   TermRef LastSliceGuess = nullptr;
   for (unsigned Iter = 0; Iter < Opts.MaxCegisIterations; ++Iter) {
     if (S.cancellation().cancelled())
@@ -318,30 +353,19 @@ Result<TermRef> SygusEngine::synthesize(const SynthesisSpec &Spec,
     TermRef Domains = F.calleeDomains(OnOutputs);
     TermRef Meets = F.mkAnd(
         Domains, F.mkEq(OnOutputs, Spec.Target));
-    TermRef Query = F.mkAnd(P.Guard, F.mkNot(Meets));
-    SatResult Sat = S.checkSatAssuming({F.mkNot(Meets)});
-    if (Sat == SatResult::Unknown)
-      // Z3's incremental engine can give up on a query its one-shot
-      // engine decides; retry the flattened query on a fresh solver
-      // before reporting unknown.
-      Sat = S.checkSat(Query);
-    if (Sat == SatResult::Unsat)
-      return Finish(*Candidate);
-    if (Sat == SatResult::Unknown)
-      return Finish(S.unknownStatus("verification query"));
-
-    // Counterexample-guided refinement.
-    std::vector<Type> Types(P.NumInputs, Spec.Target->type());
-    for (const auto &X : *Inputs)
-      for (unsigned I = 0; I < P.NumInputs; ++I)
-        Types[I] = X[I].type();
-    Result<std::vector<Value>> Cex = S.getModel(Query, Types);
+    TermRef Violates = F.mkNot(Meets);
+    Result<std::optional<std::vector<Value>>> Cex = scopedModel(
+        {Violates}, F.mkAnd(P.Guard, Violates), Types, "verification query");
     if (!Cex)
       return Finish(Cex.status());
-    std::vector<std::vector<Value>> NewX{*Cex};
+    if (!*Cex)
+      return Finish(*Candidate);
+
+    // Counterexample-guided refinement.
+    std::vector<std::vector<Value>> NewX{**Cex};
     if (Status St = Induce(NewX, Ys, Targets); !St.isOk())
       return Finish(St);
-    Inputs->push_back(*Cex);
+    Inputs->push_back(std::move(**Cex));
     if (Ys.size() > Enumerator::MaxExamples)
       return Finish(Status::error(
           "CEGIS exceeded the example budget (" +

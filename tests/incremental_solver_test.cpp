@@ -8,7 +8,8 @@
 /// Parity and robustness tests for the incremental solver core: randomized
 /// push/pop/assume sequences must give the verdicts of a flat checkSat of
 /// the whole conjunction on a plain session, scoped queries must not steer
-/// getModel, scoped-memo entries must die with their scope, and injected
+/// getModel, modelAssuming must return models of the stack and its
+/// assumptions, scoped-memo entries must die with their scope, and injected
 /// faults / exhausted deadlines that strike mid-scope must unwind without
 /// leaking assertions into later queries.
 ///
@@ -18,6 +19,7 @@
 
 #include "solver/FaultInjector.h"
 #include "support/Deadline.h"
+#include "term/Eval.h"
 
 #include <gtest/gtest.h>
 
@@ -161,6 +163,102 @@ TEST_F(IncrementalSolverTest, ScopedQueriesDoNotSteerModels) {
     ++Compared;
   }
   EXPECT_GT(Compared, 5u);
+}
+
+// ---------------------------------------------------------------------------
+// Models from the live session
+// ---------------------------------------------------------------------------
+
+TEST_F(IncrementalSolverTest, ModelAssumingSatisfiesStackAndAssumptions) {
+  std::mt19937 Rng(0xBEEF);
+  ParityHarness H(F);
+  unsigned Models = 0, Unsats = 0;
+  for (unsigned Step = 0; Step < 200; ++Step) {
+    switch (Rng() % 4) {
+    case 0:
+      if (H.Scoped.scopeDepth() < 3)
+        H.push();
+      break;
+    case 1:
+      H.pop();
+      break;
+    case 2:
+      if (H.Scoped.scopeDepth() > 0)
+        H.assertFormula(randomAtom(Rng));
+      break;
+    default: {
+      std::vector<TermRef> Assumptions;
+      for (unsigned K = Rng() % 3; K > 0; --K)
+        Assumptions.push_back(randomAtom(Rng));
+      std::vector<TermRef> Conj;
+      for (const auto &Frame : H.Stack)
+        Conj.insert(Conj.end(), Frame.begin(), Frame.end());
+      Conj.insert(Conj.end(), Assumptions.begin(), Assumptions.end());
+      TermRef Whole = F.mkAnd(std::move(Conj));
+      Result<std::optional<std::vector<Value>>> M =
+          H.Scoped.modelAssuming(Assumptions, {B8, B8, B8});
+      ASSERT_TRUE(M.isOk()) << M.status().message();
+      // The verdict agrees with a flat checkSat of stack and assumptions,
+      // and a model satisfies that conjunction under the evaluator.
+      EXPECT_EQ(M->has_value(), H.Reference.checkSat(Whole) == SatResult::Sat);
+      if (!*M) {
+        ++Unsats;
+        break;
+      }
+      ++Models;
+      ASSERT_EQ((*M)->size(), 3u);
+      EXPECT_TRUE(evalBool(Whole, **M));
+      break;
+    }
+    }
+  }
+  EXPECT_GT(Models, 10u);
+  EXPECT_GT(Unsats, 0u);
+}
+
+TEST_F(IncrementalSolverTest, ModelAssumingKeepsUnsatApartFromUnknown) {
+  Solver S(F);
+  S.push();
+  S.assertFormula(F.mkEq(V0, F.mkBv(3, 8)));
+  // Unsat: a success with no model.
+  Result<std::optional<std::vector<Value>>> None =
+      S.modelAssuming({F.mkEq(V0, F.mkBv(4, 8))}, {B8});
+  ASSERT_TRUE(None.isOk()) << None.status().message();
+  EXPECT_FALSE(None->has_value());
+  // Sat: the model, with the unconstrained v1 filled in by type.
+  Result<std::optional<std::vector<Value>>> Some =
+      S.modelAssuming({}, {B8, B8});
+  ASSERT_TRUE(Some.isOk()) << Some.status().message();
+  ASSERT_TRUE(Some->has_value());
+  EXPECT_EQ((**Some)[0], Value::bitVecVal(3, 8));
+  EXPECT_EQ((**Some)[1].type(), B8);
+  S.pop();
+
+  // Unknown: an error carrying the classified cause, never "unsat".
+  SolverControl Expired;
+  Expired.Cancel = CancellationToken(Deadline::after(0));
+  S.setControl(Expired);
+  Result<std::optional<std::vector<Value>>> Refused = S.modelAssuming({}, {B8});
+  ASSERT_FALSE(Refused.isOk());
+  EXPECT_EQ(Refused.status().code(), StatusCode::Cancelled);
+
+  SolverControl Faulty;
+  Result<FaultPlan> Plan = parseFaultPlan("throw@1");
+  ASSERT_TRUE(Plan.isOk());
+  Faulty.Faults = *Plan;
+  Solver T(F);
+  T.setControl(Faulty);
+  T.push();
+  T.assertFormula(F.mkEq(V0, F.mkBv(3, 8)));
+  Result<std::optional<std::vector<Value>>> Thrown = T.modelAssuming({}, {B8});
+  ASSERT_FALSE(Thrown.isOk());
+  EXPECT_EQ(Thrown.status().code(), StatusCode::SolverError);
+  // The session rebuilds from its term-level stack and answers again.
+  Result<std::optional<std::vector<Value>>> After = T.modelAssuming({}, {B8});
+  ASSERT_TRUE(After.isOk()) << After.status().message();
+  ASSERT_TRUE(After->has_value());
+  EXPECT_EQ((**After)[0], Value::bitVecVal(3, 8));
+  T.pop();
 }
 
 TEST_F(IncrementalSolverTest, BatchMatchesIndividualChecks) {
@@ -396,16 +494,26 @@ TEST_F(IncrementalSolverTest, TimeoutReachesEveryEntryPoint) {
   EXPECT_EQ(S.checkSatAssuming({}, Hard), SatResult::Unknown);
   EXPECT_EQ(S.unknownStatus("scoped").code(), StatusCode::Timeout);
 
+  Result<std::optional<std::vector<Value>>> Scoped = S.modelAssuming(
+      {Hard}, {Type::bitVecTy(8), Type::bitVecTy(64), Type::bitVecTy(64)});
+  ASSERT_FALSE(Scoped.isOk());
+  EXPECT_EQ(Scoped.status().code(), StatusCode::Timeout);
+
   std::vector<SatResult> Batch =
       S.checkSatBatch({Hard, hardQuery(F, 1)});
   EXPECT_EQ(Batch[0], SatResult::Unknown);
   EXPECT_EQ(Batch[1], SatResult::Unknown);
-  EXPECT_GE(S.stats().QueryTimeouts, 4u);
+  EXPECT_GE(S.stats().QueryTimeouts, 5u);
 
   // The same live session still answers an easy query.
   EXPECT_EQ(S.checkSatAssuming({Easy}), SatResult::Sat);
   EXPECT_EQ(S.checkSatAssuming({}, F.mkEq(V0, F.mkBv(0x41, 8))),
             SatResult::Unsat);
+  Result<std::optional<std::vector<Value>>> EasyModel =
+      S.modelAssuming({Easy}, {B8});
+  ASSERT_TRUE(EasyModel.isOk()) << EasyModel.status().message();
+  ASSERT_TRUE(EasyModel->has_value());
+  EXPECT_EQ((**EasyModel)[0], Value::bitVecVal(7, 8));
   S.pop();
 }
 
