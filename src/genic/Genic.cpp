@@ -83,7 +83,7 @@ std::string genic::formatOutcomeReport(const GenicReport &Report) {
 std::string genic::formatStatsReport(const GenicReport &R,
                                      const MetricsSnapshot &Snapshot) {
   std::ostringstream Out;
-  char Buf[256];
+  char Buf[512];
   auto P = [&](const char *Fmt, auto... Args) {
     std::snprintf(Buf, sizeof(Buf), Fmt, Args...);
     Out << Buf;
@@ -111,10 +111,13 @@ std::string genic::formatStatsReport(const GenicReport &R,
       return Counter("solver." + Family + ".cache." + Name);
     };
     P("  sat cache %llu hit / %llu miss / %llu evicted, model "
-      "cache %llu/%llu/%llu, projection cache %llu/%llu/%llu\n",
+      "cache %llu/%llu/%llu, projection cache %llu/%llu/%llu, image "
+      "values %llu evaluated / %llu solved\n",
       C("sat.hits"), C("sat.misses"), C("sat.evictions"), C("model.hits"),
       C("model.misses"), C("model.evictions"), C("proj.hits"),
-      C("proj.misses"), C("proj.evictions"));
+      C("proj.misses"), C("proj.evictions"),
+      Counter("solver." + Family + ".image.values.evaluated"),
+      Counter("solver." + Family + ".image.values.solved"));
   };
   P("solver (shared): %llu sat queries, %llu QE calls (%llu fallbacks)\n",
     Counter("solver.shared.sat_queries"), Counter("solver.shared.qe_calls"),

@@ -253,6 +253,15 @@ public:
   /// over-approximate fragmented images. Pass AllowHull only where an
   /// over-approximation is sound (the ambiguity check validates its
   /// witnesses, so it qualifies).
+  ///
+  /// A bit-vector image is enumerated mostly without the solver: the
+  /// first value is a solver model, concrete evaluation of the predicate
+  /// around that model's input seeds more, and a blocking loop finds the
+  /// rest until Unsat or the cap (600 values above 9 bits). The result is
+  /// a function of the image alone: the exact set when it is under the
+  /// cap, else the hull or the learned intervals. Finite-domain image
+  /// queries run on Z3's QF_FD solver. Every projection still sends at
+  /// least one query, so deadlines and fault plans reach it.
   Result<TermRef> project(const ImagePredicate &P, unsigned I,
                           bool AllowHull = false);
 
@@ -319,6 +328,10 @@ public:
     uint64_t ScopedCacheHits = 0;
     uint64_t ScopedCacheMisses = 0;
     uint64_t ScopedCacheEvictions = 0;
+    /// Bit-vector image values that enumeration found by concrete
+    /// evaluation, and those it took from solver models (see project()).
+    uint64_t ImageValuesEvaluated = 0;
+    uint64_t ImageValuesSolved = 0;
   };
   const Stats &stats() const;
 

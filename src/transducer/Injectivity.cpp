@@ -306,6 +306,7 @@ Result<CartesianSefa> genic::buildOutputAutomaton(
       TP.submit([T, Hull] {
         MetricsPhaseScope WorkerPhase("cegar");
         T->Psi = T->Ctx->solver().project(T->P, T->J, Hull);
+        T->Ctx->solver().drainStats();
         T->Ctx->solver().releaseBackend();
       });
     }

@@ -694,16 +694,17 @@ std::string corpusSource(const std::string &Name) {
 }
 
 TEST(WorkerSupervision, CancelledCollectKillsAWorkerStillInPrep) {
-  // The UTF-8 decoder's product takes seconds to build on one thread.
+  // The UTF-16 encoder's exact-round product takes seconds to build on one
+  // thread: its projections learn intervals with quantified queries.
   // Once the request is cancelled, collect() must kill the worker
   // mid-build instead of waiting for it — and not call that a crash.
   WorkerSupervisorConfig Cfg = workerConfig(1);
-  Cfg.Source = corpusSource("UTF-8 decoder");
+  Cfg.Source = corpusSource("UTF-16 encoder");
   CancellationToken Cancel(Deadline::never());
   Cfg.Cancel = Cancel;
   Result<std::unique_ptr<WorkerSupervisor>> W = WorkerSupervisor::launch(Cfg);
   ASSERT_TRUE(W.isOk()) << W.status().message();
-  (*W)->prepareAmbiguity(true);
+  (*W)->prepareAmbiguity(false);
   while ((*W)->slotStates()[0].Pid <= 0)
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   std::this_thread::sleep_for(std::chrono::milliseconds(300));
@@ -972,11 +973,12 @@ TEST(WorkerPipeline, CrashInsideTheProductBuildDegradesAsBeforePrep) {
 
 TEST(WorkerPipeline, TimedOutRequestDoesNotWaitForPrep) {
   // A one-second budget runs out while the coordinator and both workers
-  // are still building the UTF-8 decoder's product (seconds of work). The
-  // run returns budget-exhausted at about the deadline, and a worker
-  // killed in prep is not reported as a crash. (The workers' own copy of
-  // the deadline stops their solver queries too, so the kill itself is
-  // pinned by CancelledCollectKillsAWorkerStillInPrep.)
+  // are still building the UTF-16 encoder's exact-round product (seconds
+  // of interval learning; the hull round before it takes a fraction of a
+  // second). The run returns budget-exhausted at about the deadline, and
+  // a worker killed in prep is not reported as a crash. (The workers' own
+  // copy of the deadline stops their solver queries too, so the kill
+  // itself is pinned by CancelledCollectKillsAWorkerStillInPrep.)
   InverterOptions Options;
   Options.Jobs = 2;
   GenicTool Tool(Options);
@@ -984,7 +986,7 @@ TEST(WorkerPipeline, TimedOutRequestDoesNotWaitForPrep) {
   Tool.request().WorkerBinary = GENIC_WORKER_BIN;
   Tool.request().BudgetSeconds = 1.0;
   auto Start = std::chrono::steady_clock::now();
-  Result<GenicReport> R = Tool.run(corpusSource("UTF-8 decoder"),
+  Result<GenicReport> R = Tool.run(corpusSource("UTF-16 encoder"),
                                    /*ForceInjectivity=*/true);
   double Seconds = std::chrono::duration<double>(
                        std::chrono::steady_clock::now() - Start)
