@@ -31,14 +31,19 @@
 #      Concurrent subsets: cheap, and they cover the shared frontier, the
 #      PairSat cache, and the session pool), and the copy-on-write
 #      context/bank suites whose forks read the frozen prefix from worker
-#      threads. Note z3 itself is not instrumented, so this validates our
+#      threads, and the shard chunk driver's dispatch threads over
+#      WorkerSupervisor (worker_ipc_test's scan-driver and
+#      jobs x worker-procs cases, against a TSan-built genic-worker).
+#      Note z3 itself is not instrumented, so this validates our
 #      synchronization, not z3's.
 #   4. Bench smoke: one fast pass of bench_micro so perf regressions that
-#      crash or hang surface in CI, and a bench_table1 regression gate
-#      diffing the UTF-16 encoder isInjective timing and the UTF-8 encoder
-#      end-to-end inversion timing (the two most expensive pipelines)
-#      against the committed BENCH_table1.json baseline at --jobs 1,
-#      failing on >20% slowdown.
+#      crash or hang surface in CI, and regression gates against the
+#      committed baselines at --jobs 1: bench_table1 on the UTF-16 encoder
+#      isInjective timing (fails on >75% slowdown) and the UTF-8 encoder
+#      end-to-end inversion (>40%), bench_decode's BASE16 streaming decode
+#      (>60%), and bench_serve's BASE16 warm latency (>75%, plus a 2x
+#      warm-over-cold speedup floor). The slack comes from measured drift
+#      on this box.
 #
 # Usage: ./ci.sh [--skip-asan] [--skip-tsan] [--skip-bench]
 #===------------------------------------------------------------------------===#
@@ -646,7 +651,7 @@ if [ "$SKIP_TSAN" -eq 0 ]; then
   cmake --build build-tsan -j --target support_test \
     parallel_injectivity_test solver_context_test bank_reuse_test \
     fault_injection_test incremental_solver_test stream_decode_test \
-    backend_lifetime_test
+    backend_lifetime_test worker_ipc_test genic-worker
   # tsan.supp silences the uninstrumented libz3's internal locking (false
   # positives); our own code is fully checked.
   export TSAN_OPTIONS="suppressions=$PWD/tsan.supp"
@@ -655,6 +660,13 @@ if [ "$SKIP_TSAN" -eq 0 ]; then
   echo "--- tsan: parallel_injectivity_test (Small + Concurrent)"
   ./build-tsan/tests/parallel_injectivity_test \
     --gtest_filter='*Small*:*Concurrent*'
+  echo "--- tsan: worker_ipc_test (scan drivers over WorkerSupervisor)"
+  # The shared chunk driver's dispatch pool calls into WorkerSupervisor
+  # from several threads; these cases ship every scan to TSan-built
+  # genic-worker processes.
+  ./build-tsan/tests/worker_ipc_test --gtest_filter='ShardDriver.*:'\
+'WorkerPipeline.ScanDriversKeepBudgetCodesOfFailedShards:'\
+'WorkerPipeline.ReportsByteIdenticalAcrossJobsAndWorkerProcs'
   echo "--- tsan: solver_context_test"
   ./build-tsan/tests/solver_context_test
   echo "--- tsan: bank_reuse_test"

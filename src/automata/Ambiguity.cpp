@@ -28,7 +28,6 @@
 #include "automata/Ambiguity.h"
 
 #include "support/Metrics.h"
-#include "support/ThreadPool.h"
 #include "support/Trace.h"
 #include "term/TermClone.h"
 
@@ -276,11 +275,9 @@ struct EpsEdge {
   unsigned OrigId;
 };
 
-/// One (p, q, diverged) configuration of the product frontier.
-struct Config {
-  unsigned P, Q;
-  bool D;
-};
+/// One (p, q, diverged) configuration of the product frontier. It is the
+/// wire record too, so a chunk ships to a worker without conversion.
+using Config = AmbShardConfig;
 
 /// Dense key of a product configuration.
 uint64_t productKey(const Expanded &X, unsigned P, unsigned Q, bool D) {
@@ -301,10 +298,6 @@ struct ProductSearch {
   Expanded X;
   std::vector<std::vector<size_t>> StepsFrom, FinishersFrom;
   std::optional<AmbiguityWitness> Early;
-
-  uint64_t key(unsigned P, unsigned Q, bool D) const {
-    return productKey(X, P, Q, D);
-  }
 
   /// FNV-1a over the product's structure: state counts and every piece's
   /// endpoints, identity, and completed-rule list. Guards are excluded
@@ -343,44 +336,32 @@ struct ProductSearch {
   }
 };
 
-/// What a scan reports for one contiguous chunk of a BFS level: the first
-/// configuration whose finisher scan produced an event (accepting overlap
-/// or solver error) and, for configurations before it, every step-scan
-/// discovery in scan order. Step-scan errors are recorded as discoveries
-/// rather than aborting the chunk, because the merge may legitimately skip
-/// them (the serial loop would never have issued the query if the target
-/// was already visited by an earlier configuration of the same level).
-struct ShardDiscovery {
-  size_t Cfg;
-  size_t I1, I2;
-  uint64_t NK;
-  unsigned ToP, ToQ;
-  bool NextD;
-  bool IsError;
-};
-struct ShardChunkOut {
-  size_t FinEvent = SIZE_MAX;
-  std::vector<ShardDiscovery> Discoveries;
-};
-
 /// The chunk body of the level scan, shared verbatim by the in-process
-/// thread path and the out-of-process shard path so their verdicts cannot
-/// drift. \p IsVisited answers "was this key visited in a prior level"
-/// (the visited set is frozen for the whole level); \p Cutoff is the
-/// cross-chunk pruning hint — null on the shard path, where each shard is
-/// one chunk and pruning would require cross-process traffic. Pruning
+/// path and the worker process so their verdicts cannot drift. Scans the
+/// \p Count configurations at \p Cfgs, whose first has absolute frontier
+/// index \p CfgBase, and reports the first configuration whose finisher
+/// scan produced an event (accepting overlap or solver error) and, for
+/// configurations before it, every step-scan discovery in scan order.
+/// Step-scan errors are recorded as discoveries rather than ending the
+/// chunk, because the merge may legitimately skip them (the serial loop
+/// would never have issued the query if the target was already visited by
+/// an earlier configuration of the same level). \p IsVisited answers "was
+/// this key visited in a prior level" (the visited set is frozen for the
+/// whole level); \p Cutoff is the cross-chunk pruning hint — null in a
+/// worker process, where pruning would need cross-process traffic. Pruning
 /// never changes which index a chunk reports first, only how much wasted
 /// tail work runs.
 template <typename VisitedPred>
-void scanLevelChunk(const Expanded &X,
-                    const std::vector<std::vector<size_t>> &StepsFrom,
-                    const std::vector<std::vector<size_t>> &FinishersFrom,
-                    GuardOverlapCache &Overlaps, SolverSessionPool &Pool,
-                    const std::vector<Config> &Level, size_t Begin,
-                    size_t End, const VisitedPred &IsVisited,
-                    std::atomic<size_t> *Cutoff, ShardChunkOut &Out) {
+AmbShardResult
+scanLevelChunk(const Expanded &X,
+               const std::vector<std::vector<size_t>> &StepsFrom,
+               const std::vector<std::vector<size_t>> &FinishersFrom,
+               GuardOverlapCache &Overlaps, SolverSessionPool &Pool,
+               const Config *Cfgs, size_t Count, uint64_t CfgBase,
+               const VisitedPred &IsVisited, std::atomic<size_t> *Cutoff) {
   MetricsPhaseScope WorkerPhase("ambiguity");
   SolverSessionPool::Lease Sess = Pool.lease();
+  AmbShardResult Out;
   // The overlap query of an ordered guard pair, in the session's factory.
   auto OverlapQuery = [&](const std::pair<TermRef, TermRef> &PK) {
     TermRef A2 = Sess->Import.clone(PK.first);
@@ -400,10 +381,10 @@ void scanLevelChunk(const Expanded &X,
   // Within-chunk dedup of step targets, mirroring the serial loop's live
   // Visited check for configurations this worker owns.
   std::unordered_set<uint64_t> NewKeys;
-  for (size_t Ci = Begin; Ci != End; ++Ci) {
+  for (size_t Ci = CfgBase; Ci != CfgBase + Count; ++Ci) {
     if (Cutoff && Ci > Cutoff->load(std::memory_order_relaxed))
       continue;
-    auto [P, Q, D] = Level[Ci];
+    auto [P, Q, D] = Cfgs[Ci - CfgBase];
     // Coalesce this configuration's uncached guard-overlap queries
     // into one selector-literal batch against the pooled session:
     // the session keeps its product-construction state and only the
@@ -479,23 +460,18 @@ void scanLevelChunk(const Expanded &X,
       for (size_t I2 : StepsFrom[Q]) {
         const Piece &T1 = X.Steps[I1];
         const Piece &T2 = X.Steps[I2];
-        bool NextD = D || T1.Id != T2.Id;
-        uint64_t NK = productKey(X, T1.To, T2.To, NextD);
+        uint64_t NK = productKey(X, T1.To, T2.To, D || T1.Id != T2.Id);
         if (IsVisited(NK) || NewKeys.count(NK))
           continue;
         Result<bool> Olap = Overlap(T1.Guard, T2.Guard);
-        if (!Olap) {
-          Out.Discoveries.push_back(
-              {Ci, I1, I2, NK, T1.To, T2.To, NextD, true});
+        if (Olap && !*Olap)
           continue;
-        }
-        if (!*Olap)
-          continue;
-        NewKeys.insert(NK);
-        Out.Discoveries.push_back(
-            {Ci, I1, I2, NK, T1.To, T2.To, NextD, false});
+        if (Olap)
+          NewKeys.insert(NK);
+        Out.Discoveries.push_back({Ci, I1, I2, /*IsError=*/!Olap});
       }
   }
+  return Out;
 }
 
 } // namespace
@@ -828,103 +804,51 @@ genic::checkAmbiguity(const CartesianSefa &Input, Solver &S,
     if (S.cancellation().cancelled())
       return Status::cancelled(
           "ambiguity product search: global deadline exhausted");
-    size_t Threads =
-        std::min<size_t>(std::max(1u, Opts.Jobs), Level.size());
-    size_t NumChunks =
-        UseWorkers
-            ? std::min(Level.size(),
-                       static_cast<size_t>(Opts.Workers->procs()) * 4)
-            : std::min(Level.size(), Threads * 4);
-    std::vector<ShardChunkOut> Chunks(NumChunks);
     // Configurations past the earliest finisher event cannot influence the
-    // result (the serial loop returns there); skip them. Only finisher
-    // events may publish the cutoff — step errors may be skipped at merge,
-    // so later configurations must still be processed.
+    // result (the serial loop returns there); in-process chunks skip them.
+    // Only finisher events may publish the cutoff — step errors may be
+    // skipped at merge, so later configurations must still be processed.
     std::atomic<size_t> Cutoff{SIZE_MAX};
-
-    if (UseWorkers) {
-      // Out-of-process path: ship each chunk, plus a snapshot of the
-      // visited keys, to a worker that rebuilt the same product from its
-      // own copy of the program (fingerprint-checked). Workers return the
-      // exact ShardChunkOut data — verdicts and indices, never terms — so
-      // the merge below is oblivious to where a chunk was scanned. A
-      // shard the dispatcher cannot complete degrades the whole phase to
-      // SolverError; never a silent in-process fallback, which would mask
-      // the crash the supervision layer exists to surface.
-      LevelSpan.arg("workers", static_cast<int64_t>(Opts.Workers->procs()));
-      std::vector<uint64_t> VisitedKeys;
-      VisitedKeys.reserve(Visited.size());
+    // A worker process scans against a product it rebuilt from its own copy
+    // of the program (fingerprint-checked) and a snapshot of the visited
+    // keys, and returns the same record an in-process chunk fills, so the
+    // merge below is oblivious to where a chunk was scanned. Its reply is
+    // input from another process: indices outside this level or product
+    // fail the chunk, and so the phase.
+    std::vector<uint64_t> VisitedKeys;
+    if (UseWorkers)
       for (const auto &KV : Visited)
         VisitedKeys.push_back(KV.first);
-      std::vector<std::vector<AmbShardConfig>> ChunkCfgs(NumChunks);
-      std::vector<size_t> ChunkBegin(NumChunks);
-      for (size_t C = 0; C != NumChunks; ++C) {
-        size_t Begin = Level.size() * C / NumChunks;
-        size_t End = Level.size() * (C + 1) / NumChunks;
-        ChunkBegin[C] = Begin;
-        ChunkCfgs[C].reserve(End - Begin);
-        for (size_t Ci = Begin; Ci != End; ++Ci)
-          ChunkCfgs[C].push_back({Level[Ci].P, Level[Ci].Q, Level[Ci].D});
-      }
-      std::vector<Status> ShardErr(NumChunks);
-      ThreadPool TP(std::min<size_t>(Opts.Workers->procs(), NumChunks),
-                    "ambio");
-      for (size_t C = 0; C != NumChunks; ++C)
-        TP.submit([&, C] {
-          Result<AmbShardResult> R = Opts.Workers->ambiguityShard(
-              Opts.Hull, ProductFP, ChunkBegin[C], VisitedKeys,
-              ChunkCfgs[C]);
-          if (!R) {
-            ShardErr[C] = R.status();
-            return;
-          }
-          ShardChunkOut &Out = Chunks[C];
-          if (R->FinEvent != ShardNoEvent) {
-            if (R->FinEvent >= Level.size()) {
-              ShardErr[C] = Status::solverError(
-                  "shard returned an out-of-range finisher event");
-              return;
-            }
-            Out.FinEvent = static_cast<size_t>(R->FinEvent);
-          }
-          for (const AmbShardDiscovery &D : R->Discoveries) {
+    auto IsVisited = [&Visited](uint64_t K) { return Visited.count(K) != 0; };
+    Result<std::vector<AmbShardResult>> Chunks = runShardChunks<
+        AmbShardResult>(
+        "ambiguity", Level.size(), Opts.Jobs, Opts.Workers, LevelSpan,
+        [&](size_t Begin, size_t End,
+            ShardDispatcher *W) -> Result<AmbShardResult> {
+          if (!W)
+            return scanLevelChunk(X, StepsFrom, FinishersFrom, Overlaps, Pool,
+                                  Level.data() + Begin, End - Begin, Begin,
+                                  IsVisited, &Cutoff);
+          Result<AmbShardResult> R = W->ambiguityShard(
+              Opts.Hull, ProductFP, Begin, VisitedKeys,
+              std::vector<Config>(Level.begin() + Begin, Level.begin() + End));
+          if (!R)
+            return R;
+          if (R->FinEvent != ShardNoEvent && R->FinEvent >= Level.size())
+            return Status::solverError(
+                "shard returned an out-of-range finisher event");
+          for (const AmbShardDiscovery &D : R->Discoveries)
             if (D.Cfg >= Level.size() || D.I1 >= X.Steps.size() ||
-                D.I2 >= X.Steps.size()) {
-              ShardErr[C] = Status::solverError(
+                D.I2 >= X.Steps.size())
+              return Status::solverError(
                   "shard returned an out-of-range discovery");
-              return;
-            }
-            const Piece &T1 = X.Steps[D.I1];
-            const Piece &T2 = X.Steps[D.I2];
-            bool NextD = Level[D.Cfg].D || T1.Id != T2.Id;
-            Out.Discoveries.push_back(
-                {static_cast<size_t>(D.Cfg), static_cast<size_t>(D.I1),
-                 static_cast<size_t>(D.I2), Key(T1.To, T2.To, NextD),
-                 T1.To, T2.To, NextD, D.IsError});
-          }
+          return R;
         });
-      TP.wait();
-      for (const Status &E : ShardErr)
-        if (!E.isOk())
-          return shardFailure("ambiguity", E);
-    } else {
-      auto IsVisited = [&Visited](uint64_t K) {
-        return Visited.count(K) != 0;
-      };
-      ThreadPool TP(Threads, "amb");
-      for (size_t C = 0; C != NumChunks; ++C) {
-        size_t Begin = Level.size() * C / NumChunks;
-        size_t End = Level.size() * (C + 1) / NumChunks;
-        TP.submit([&, C, Begin, End] {
-          scanLevelChunk(X, StepsFrom, FinishersFrom, Overlaps, Pool, Level,
-                         Begin, End, IsVisited, &Cutoff, Chunks[C]);
-        });
-      }
-      TP.wait();
-    }
+    if (!Chunks)
+      return Chunks.status();
 
-    size_t MinFin = SIZE_MAX;
-    for (const ShardChunkOut &C : Chunks)
+    uint64_t MinFin = ShardNoEvent;
+    for (const AmbShardResult &C : *Chunks)
       MinFin = std::min(MinFin, C.FinEvent);
 
     // Serial merge: replay discoveries in configuration order (chunks are
@@ -933,33 +857,34 @@ genic::checkAmbiguity(const CartesianSefa &Input, Solver &S,
     // visited is dropped — including errors, which the serial loop would
     // never have queried.
     std::vector<Config> NextLevel;
-    for (const ShardChunkOut &C : Chunks)
-      for (const ShardDiscovery &Disc : C.Discoveries) {
+    for (const AmbShardResult &C : *Chunks)
+      for (const AmbShardDiscovery &Disc : C.Discoveries) {
         if (Disc.Cfg >= MinFin)
           break;
-        if (Visited.count(Disc.NK))
+        const Config &From = Level[Disc.Cfg];
+        const Piece &T1 = X.Steps[Disc.I1];
+        const Piece &T2 = X.Steps[Disc.I2];
+        bool NextD = From.D || T1.Id != T2.Id;
+        uint64_t NK = Key(T1.To, T2.To, NextD);
+        if (Visited.count(NK))
           continue;
         if (Disc.IsError) {
           // A worker's overlap query failed (fault, flaky timeout). Retry
           // it in the shared session — a fresh attempt with the full
           // budget whose verdict is jobs-independent — and merge on the
           // real answer; only a shared-session failure aborts the search.
-          Result<bool> Olap = Oracle.overlap(X.Steps[Disc.I1].Guard,
-                                             X.Steps[Disc.I2].Guard);
+          Result<bool> Olap = Oracle.overlap(T1.Guard, T2.Guard);
           if (!Olap)
             return Olap.status();
           if (!*Olap)
             continue;
         }
-        Visited.emplace(
-            Disc.NK,
-            Parent{Key(Level[Disc.Cfg].P, Level[Disc.Cfg].Q,
-                       Level[Disc.Cfg].D),
-                   Disc.I1, Disc.I2});
-        NextLevel.push_back({Disc.ToP, Disc.ToQ, Disc.NextD});
+        Visited.emplace(NK, Parent{Key(From.P, From.Q, From.D), Disc.I1,
+                                   Disc.I2});
+        NextLevel.push_back({T1.To, T2.To, NextD});
       }
 
-    if (MinFin != SIZE_MAX) {
+    if (MinFin != ShardNoEvent) {
       // Re-run the flagged configuration's finisher scan in the shared
       // session; this is where the serial loop would return, and it
       // reproduces the serial witness (or error) exactly.
@@ -1035,27 +960,15 @@ AmbiguityShardScanner::scan(SolverSessionPool &Pool,
                             uint64_t CfgBase,
                             const std::vector<AmbShardConfig> &LevelChunk) {
   const Expanded &X = I->PS.X;
-  std::vector<Config> Level;
-  Level.reserve(LevelChunk.size());
-  for (const AmbShardConfig &C : LevelChunk) {
+  for (const Config &C : LevelChunk)
     if (C.P >= X.NumStates || C.Q >= X.NumStates)
       return Status::error(
           "ambiguity shard: configuration names a state outside the product");
-    Level.push_back(
-        {static_cast<unsigned>(C.P), static_cast<unsigned>(C.Q), C.D});
-  }
   std::unordered_set<uint64_t> Visited(VisitedKeys.begin(),
                                        VisitedKeys.end());
-  ShardChunkOut Out;
-  scanLevelChunk(
-      X, I->PS.StepsFrom, I->PS.FinishersFrom, I->Overlaps, Pool, Level, 0,
-      Level.size(), [&Visited](uint64_t K) { return Visited.count(K) != 0; },
-      /*Cutoff=*/nullptr, Out);
-  AmbShardResult R;
-  if (Out.FinEvent != SIZE_MAX)
-    R.FinEvent = CfgBase + Out.FinEvent;
-  R.Discoveries.reserve(Out.Discoveries.size());
-  for (const ShardDiscovery &D : Out.Discoveries)
-    R.Discoveries.push_back({CfgBase + D.Cfg, D.I1, D.I2, D.IsError});
-  return R;
+  return scanLevelChunk(
+      X, I->PS.StepsFrom, I->PS.FinishersFrom, I->Overlaps, Pool,
+      LevelChunk.data(), LevelChunk.size(), CfgBase,
+      [&Visited](uint64_t K) { return Visited.count(K) != 0; },
+      /*Cutoff=*/nullptr);
 }

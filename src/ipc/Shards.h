@@ -5,25 +5,27 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The seam between the verification phases and the out-of-process worker
-/// pool. The phases (determinism, Lemma 4.7 transition injectivity, the
-/// Lemma 4.14 ambiguity product) already run their parallel scans under a
-/// verdict-only contract: chunks export plain data — indices, booleans —
-/// and every witness is re-derived serially in the shared session. A
-/// ShardDispatcher carries exactly that data shape across a process
-/// boundary, so the phases stay byte-identical whether a chunk ran on a
-/// thread or in a child process.
+/// The one executor behind the three verdict-only scans (determinism,
+/// Lemma 4.7 transition injectivity, each level of the Lemma 4.14
+/// ambiguity product) and its seam to the out-of-process worker pool.
+/// A scan exports plain data per chunk — indices, booleans — and every
+/// witness is re-derived serially in the shared session. runShardChunks
+/// cuts the scan's index range into contiguous chunks and runs them on
+/// threads; each chunk either scans in-process against pooled sessions or
+/// goes through a ShardDispatcher, which carries exactly that data shape
+/// across a process boundary. The phases therefore stay byte-identical
+/// whether a chunk ran on a thread or in a child process.
 ///
-/// Header-only and dependency-free on purpose: transducer/ and automata/
-/// reference the interface without linking the engine, and the engine's
-/// WorkerSupervisor implements it without the phases knowing about
-/// processes, pipes, or restarts.
+/// Header-only and free of engine dependencies on purpose: transducer/
+/// and automata/ reference the interface without linking the engine, and
+/// the engine's WorkerSupervisor implements it without the phases knowing
+/// about processes, pipes, or restarts.
 ///
 /// Failure contract: a shard call that cannot be completed (worker crashed
-/// twice, pool exhausted) returns a failed Result whose Status the caller
-/// must propagate — the phase then degrades to SolverError through the
-/// partial-report machinery. Dispatchers never fall back to running the
-/// shard in-process; crash isolation is the point.
+/// twice, pool exhausted) returns a failed Result, and runShardChunks
+/// reports the first failed chunk through shardFailure — the phase then
+/// degrades through the partial-report machinery. Dispatchers never fall
+/// back to running the shard in-process; crash isolation is the point.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -31,15 +33,21 @@
 #define GENIC_IPC_SHARDS_H
 
 #include "support/Result.h"
+#include "support/ThreadPool.h"
+#include "support/Trace.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
 
 namespace genic {
 
-/// "No event in this shard" marker for the scan calls.
+/// "No event in this shard" marker for the scan calls. In-process scans
+/// return size_t indices with SIZE_MAX for no event; both travel as one
+/// uint64_t.
 constexpr uint64_t ShardNoEvent = UINT64_MAX;
+static_assert(SIZE_MAX == ShardNoEvent, "scan indices must fit uint64_t");
 
 /// One (P, Q, D) configuration of the ambiguity product frontier, in the
 /// coordinator's state numbering.
@@ -49,12 +57,12 @@ struct AmbShardConfig {
   bool D = false;
 };
 
-/// One step discovery made by an ambiguity shard: at frontier index
+/// One step discovery made by an ambiguity chunk: at frontier index
 /// \p Cfg (absolute, coordinator numbering), expanded-step indices \p I1
 /// and \p I2 overlapped (or the overlap query failed, \p IsError). The
-/// coordinator re-derives every other Discovery field — target key,
-/// divergence bit — from its own expanded product, and re-checks IsError
-/// entries in the shared session, exactly as the in-process merge does.
+/// level merge re-derives the target key, target states and divergence bit
+/// from its own expanded product, and re-checks IsError entries in the
+/// shared session, wherever the chunk ran.
 struct AmbShardDiscovery {
   uint64_t Cfg = 0;
   uint64_t I1 = 0;
@@ -62,9 +70,9 @@ struct AmbShardDiscovery {
   bool IsError = false;
 };
 
-/// An ambiguity shard's verdict data: the first frontier index with a
-/// finisher-overlap event (ShardNoEvent if none) plus the step
-/// discoveries in scan order.
+/// An ambiguity chunk's verdict data, in-process or shipped: the first
+/// frontier index with a finisher-overlap event (ShardNoEvent if none)
+/// plus the step discoveries in scan order.
 struct AmbShardResult {
   uint64_t FinEvent = ShardNoEvent;
   std::vector<AmbShardDiscovery> Discoveries;
@@ -129,6 +137,42 @@ public:
                  const std::vector<uint64_t> &VisitedKeys,
                  const std::vector<AmbShardConfig> &LevelChunk) = 0;
 };
+
+/// Runs scan \p Scan over the index range [0, \p N): min(N, 4W) contiguous
+/// chunks on a pool of min(W, N) threads, W being the worker processes of
+/// \p Workers when it has any and max(1, \p Jobs) otherwise. \p Chunk is
+/// called as Chunk(Begin, End, Dispatcher) and returns a Result<T>; the
+/// dispatcher is null when the chunk should scan in-process. Returns the
+/// chunks' results in chunk order (so concatenating them follows index
+/// order), or the first failed chunk's status through shardFailure.
+/// \p Span gets a "workers" argument when the chunks go out of process.
+template <typename T, typename ChunkFn>
+Result<std::vector<T>> runShardChunks(const char *Scan, size_t N,
+                                      unsigned Jobs, ShardDispatcher *Workers,
+                                      TraceSpan &Span, ChunkFn &&Chunk) {
+  if (Workers && Workers->procs() == 0)
+    Workers = nullptr;
+  size_t Width = Workers ? Workers->procs() : std::max(1u, Jobs);
+  size_t NumChunks = std::min(N, Width * 4);
+  if (Workers)
+    Span.arg("workers", static_cast<int64_t>(Width));
+  std::vector<T> Out(NumChunks);
+  std::vector<Status> Failed(NumChunks);
+  ThreadPool TP(std::min(Width, N), Scan);
+  for (size_t C = 0; C != NumChunks; ++C)
+    TP.submit([&, C] {
+      Result<T> R = Chunk(N * C / NumChunks, N * (C + 1) / NumChunks, Workers);
+      if (R)
+        Out[C] = std::move(*R);
+      else
+        Failed[C] = R.status();
+    });
+  TP.wait();
+  for (const Status &E : Failed)
+    if (!E)
+      return shardFailure(Scan, E);
+  return Out;
+}
 
 } // namespace genic
 

@@ -12,10 +12,9 @@
 ///     psi(y0..yk-1)  =  exists x0..xn-1 . phi(x)  /\  /\_j yj = fj(x)
 ///
 /// The term language is quantifier-free, so this existential predicate gets
-/// its own representation. The Solver knows how to decide satisfiability of
-/// image predicates, project them to unary predicates (quantifier
-/// elimination with fallbacks), test whether they are Cartesian (§4.3), and
-/// convert them to quantifier-free terms.
+/// its own representation. Solver::project turns it into unary predicates
+/// (enumeration, quantifier elimination, interval learning or a hull),
+/// whose conjunction is the Cartesian guard of Definition 4.12.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -16,12 +16,11 @@
 ///                     wide bit-vectors), QE for integers, exact interval
 ///                     learning with one-alternation containment queries,
 ///                     and an optional [min, max] hull by quantifier-free
-///                     binary search for callers that validate downstream
-///  - isCartesian():   the §4.3 check, phrased as "the conjunction of the
-///                     unary projections implies the image predicate"
-///                     (the converse holds by construction of projections);
-///                     kept for the API — the injectivity pipeline avoids
-///                     its Sigma_2 query (see transducer/Injectivity.cpp)
+///                     binary search for callers that validate downstream.
+///                     The injectivity pipeline conjoins the per-position
+///                     projections into a Cartesian s-EFA (Definition
+///                     4.12) and validates its witnesses instead of
+///                     deciding Cartesianness (transducer/Injectivity.cpp)
 ///
 //===----------------------------------------------------------------------===//
 
@@ -197,6 +196,10 @@ public:
   /// session's queries, in order.
   std::unique_ptr<z3::context> Backend;
   Stats TheStats;
+  /// Compiled-evaluation work of walkBvImage's call-local caches; drained
+  /// by drainStats into the "eval.<family>.*" counters the SyGuS engine's
+  /// caches also feed.
+  CompiledEvalCache::Stats ImageEval;
   unsigned TimeoutMs = 20000;
   /// Robustness contract: cancellation token, fault plan, retry policy.
   SolverControl Control;
@@ -220,8 +223,7 @@ public:
   QueryCache<ModelKey, std::vector<Value>, ModelKeyHash> ModelCache{
       1u << 16, "solver.model"};
   /// Successful project() answers. The CEGAR loop re-projects the same
-  /// (rule, position) predicates in the exact round after the hull round,
-  /// and isCartesian/imageToTerm re-project every position.
+  /// (rule, position) predicates in the exact round after the hull round.
   QueryCache<ProjKey, TermRef, ProjKeyHash> ProjCache{1u << 16,
                                                       "solver.proj"};
 
@@ -775,17 +777,6 @@ public:
     }
   }
 
-  Result<bool> isSatExpr(const z3::expr &E, const char *What) {
-    switch (checkExpr(E)) {
-    case SatResult::Sat:
-      return true;
-    case SatResult::Unsat:
-      return false;
-    default:
-      return unknownStatus(std::string("solver query for ") + What);
-    }
-  }
-
   // -- Scoped sessions -------------------------------------------------------
 
   /// Discards the live backend session. State is never lost: the term-level
@@ -1109,30 +1100,6 @@ public:
 
   // -- Image predicates -----------------------------------------------------
 
-  /// Guard /\ /\_j y_j = f_j(x), with y_j mapped to Var(NumInputs + j).
-  TermRef imageFormula(const ImagePredicate &P) {
-    std::vector<TermRef> Conjuncts{P.Guard};
-    for (unsigned J = 0, E = P.arity(); J != E; ++J) {
-      TermRef Y = Factory.mkVar(P.NumInputs + J, P.Outputs[J]->type());
-      Conjuncts.push_back(Factory.mkEq(Y, P.Outputs[J]));
-    }
-    return Factory.mkAnd(std::move(Conjuncts));
-  }
-
-  /// forall x. not (Guard /\ /\_j y_j = f_j(x)), over free y_j.
-  z3::expr negatedImage(const ImagePredicate &P) {
-    z3::expr Body = translate(imageFormula(P));
-    std::map<unsigned, Type> Types = varTypes(P.Guard);
-    for (TermRef Out : P.Outputs)
-      for (const auto &[Index, Ty] : varTypes(Out))
-        Types.emplace(Index, Ty);
-    z3::expr_vector Bound(ctx());
-    for (const auto &[Index, Ty] : Types)
-      if (Index < P.NumInputs)
-        Bound.push_back(varExpr(Index, Ty));
-    return Bound.empty() ? !Body : z3::forall(Bound, !Body);
-  }
-
   Result<TermRef> project(const ImagePredicate &P, unsigned I,
                           bool AllowHull) {
     assert(I < P.arity() && "projection index out of range");
@@ -1298,6 +1265,9 @@ public:
       }
       Idle = Values.size() == Before ? Idle + 1 : 0;
     }
+    ImageEval.Lookups += Eval.stats().Lookups;
+    ImageEval.Compiles += Eval.stats().Compiles;
+    ImageEval.Evals += Eval.stats().Evals;
   }
 
   /// Exact image by enumeration; \p Cap = 0 means the full domain (only
@@ -1626,50 +1596,6 @@ public:
     return Factory.mkOr(std::move(Disjuncts));
   }
 
-  Result<bool> isCartesian(const ImagePredicate &P) {
-    if (P.arity() <= 1)
-      return true;
-    // psi -> /\ psi_i holds by construction of the projections; Cartesian
-    // iff the converse holds: unsat( /\ psi_i(y_i)  /\  not psi(y) ).
-    z3::expr Conj = ctx().bool_val(true);
-    for (unsigned I = 0, E = P.arity(); I != E; ++I) {
-      Result<TermRef> Psi = project(P, I, /*AllowHull=*/false);
-      if (!Psi)
-        return Psi.status();
-      // psi_I is over Var(0); re-index to the shared y_i = Var(NumInputs+I).
-      std::vector<TermRef> Repl{
-          Factory.mkVar(P.NumInputs + I, P.Outputs[I]->type())};
-      Conj = Conj && translate(Factory.substitute(*Psi, Repl));
-    }
-    z3::expr Query = Conj && negatedImage(P);
-    SatResult R = checkExpr(Query);
-    if (R == SatResult::Unknown)
-      return unknownStatus("Cartesian check");
-    return R == SatResult::Unsat;
-  }
-
-  Result<TermRef> imageToTerm(const ImagePredicate &P) {
-    if (P.arity() == 0) {
-      Result<bool> S = isSatExpr(translate(P.Guard), "empty-output image");
-      if (!S)
-        return S.status();
-      return *S ? Factory.mkTrue() : Factory.mkFalse();
-    }
-    Result<bool> Cart = isCartesian(P);
-    if (Cart && *Cart) {
-      std::vector<TermRef> Conjuncts;
-      for (unsigned I = 0, E = P.arity(); I != E; ++I) {
-        Result<TermRef> Psi = project(P, I, /*AllowHull=*/false);
-        if (!Psi)
-          return Psi;
-        std::vector<TermRef> Repl{Factory.mkVar(I, P.Outputs[I]->type())};
-        Conjuncts.push_back(Factory.substitute(*Psi, Repl));
-      }
-      return Factory.mkAnd(std::move(Conjuncts));
-    }
-    // Non-Cartesian (or undecided): try to eliminate the inputs directly.
-    return eliminateExists(imageFormula(P), P.NumInputs);
-  }
 };
 
 // ---------------------------------------------------------------------------
@@ -1859,56 +1785,12 @@ Result<TermRef> Solver::eliminateExists(TermRef Phi, unsigned NumEliminate) {
   }
 }
 
-Result<bool> Solver::imageIsSat(const ImagePredicate &P) {
-  try {
-    return TheImpl->isSatExpr(TheImpl->translate(P.Guard), "image guard");
-  } catch (const z3::exception &Ex) {
-    return Status::solverError(std::string("imageIsSat: ") + Ex.msg());
-  }
-}
-
-Result<std::vector<Value>> Solver::imageModel(const ImagePredicate &P) {
-  try {
-    std::vector<Type> Types;
-    for (unsigned I = 0; I < P.NumInputs; ++I)
-      Types.push_back(Type::boolTy()); // Placeholder; overwritten below.
-    // Build the model query over the y variables only.
-    TermRef Formula = TheImpl->imageFormula(P);
-    std::vector<Type> AllTypes(P.NumInputs + P.arity(), Type::boolTy());
-    for (const auto &[Index, Ty] : TheImpl->varTypes(Formula))
-      if (Index < AllTypes.size())
-        AllTypes[Index] = Ty;
-    Result<std::vector<Value>> All = getModel(Formula, AllTypes);
-    if (!All)
-      return All;
-    return std::vector<Value>(All->begin() + P.NumInputs, All->end());
-  } catch (const z3::exception &Ex) {
-    return Status::solverError(std::string("imageModel: ") + Ex.msg());
-  }
-}
-
 Result<TermRef> Solver::project(const ImagePredicate &P, unsigned I,
                                 bool AllowHull) {
   try {
     return TheImpl->project(P, I, AllowHull);
   } catch (const z3::exception &Ex) {
     return Status::solverError(std::string("project: ") + Ex.msg());
-  }
-}
-
-Result<bool> Solver::isCartesian(const ImagePredicate &P) {
-  try {
-    return TheImpl->isCartesian(P);
-  } catch (const z3::exception &Ex) {
-    return Status::solverError(std::string("isCartesian: ") + Ex.msg());
-  }
-}
-
-Result<TermRef> Solver::imageToTerm(const ImagePredicate &P) {
-  try {
-    return TheImpl->imageToTerm(P);
-  } catch (const z3::exception &Ex) {
-    return Status::solverError(std::string("imageToTerm: ") + Ex.msg());
   }
 }
 
@@ -1933,9 +1815,18 @@ const Solver::Stats &Solver::stats() const {
 
 void Solver::drainStats() {
   Impl &I = *TheImpl;
-  if (I.Control.Metrics)
-    recordSolverStats(*I.Control.Metrics, I.Control.Kind, stats());
+  if (MetricsRegistry *R = I.Control.Metrics) {
+    recordSolverStats(*R, I.Control.Kind, stats());
+    if (I.ImageEval.Lookups) {
+      const std::string Prefix =
+          std::string("eval.") + counterFamily(I.Control.Kind) + ".";
+      R->counter(Prefix + "lookups").add(I.ImageEval.Lookups);
+      R->counter(Prefix + "compiles").add(I.ImageEval.Compiles);
+      R->counter(Prefix + "evals").add(I.ImageEval.Evals);
+    }
+  }
   I.TheStats = Stats();
+  I.ImageEval = CompiledEvalCache::Stats();
   I.SatCache.resetCounters();
   I.ModelCache.resetCounters();
   I.ProjCache.resetCounters();

@@ -6,8 +6,9 @@
 ///
 /// \file
 /// The decision-procedure layer: satisfiability, validity, models,
-/// equivalence-modulo-guard, quantifier elimination, and the image-predicate
-/// operations (projection, Cartesian check) of §4.3 and §5-6.
+/// equivalence-modulo-guard, quantifier elimination, and the unary
+/// projection of image predicates (§4.3) that the output automaton of
+/// Definition 4.12 is built from.
 ///
 /// The implementation delegates base SMT queries to Z3 — the same solver the
 /// original GENIC used — through a pimpl so that Z3 types never appear in
@@ -239,12 +240,6 @@ public:
 
   // Image predicates (Definition 4.9, §4.3) -------------------------------------
 
-  /// Whether some input produces an output: sat(Guard).
-  Result<bool> imageIsSat(const ImagePredicate &P);
-
-  /// A concrete output tuple in the image.
-  Result<std::vector<Value>> imageModel(const ImagePredicate &P);
-
   /// The unary projection psi_I(y) = exists x. Guard /\ y = Outputs[I](x),
   /// as a quantifier-free term over Var(0). Strategy chain: exact model
   /// enumeration (capped for wide bit-vectors), the QE cascade, then either
@@ -264,17 +259,6 @@ public:
   /// least one query, so deadlines and fault plans reach it.
   Result<TermRef> project(const ImagePredicate &P, unsigned I,
                           bool AllowHull = false);
-
-  /// Whether psi is Cartesian (§4.3): equivalent to the conjunction of its
-  /// unary projections. Projections are computed internally; the exactness
-  /// check discharges one quantified query per predicate.
-  Result<bool> isCartesian(const ImagePredicate &P);
-
-  /// A quantifier-free term over Var(0..arity-1) equivalent to psi. For
-  /// Cartesian predicates this is the conjunction of the projections (the
-  /// readable form used in inverted programs); otherwise falls back to
-  /// direct quantifier elimination.
-  Result<TermRef> imageToTerm(const ImagePredicate &P);
 
   // Introspection -------------------------------------------------------------
 
@@ -336,7 +320,9 @@ public:
   const Stats &stats() const;
 
   /// Adds stats() to the registry of the installed control (see
-  /// recordSolverStats), then zeroes them. A session drains when its work
+  /// recordSolverStats), and the compiled evaluations project() ran on
+  /// bit-vector images to its "eval.<family>.*" counters, then zeroes
+  /// both. A session drains when its work
   /// for a request ends, so the request's registry is the one place its
   /// totals are summed, and a session the next request reuses starts that
   /// request at zero. Without a registry the counters are only zeroed.

@@ -7,11 +7,10 @@
 #include "transducer/Determinism.h"
 
 #include "support/Metrics.h"
-#include "support/ThreadPool.h"
 #include "support/Trace.h"
 
+#include <algorithm>
 #include <atomic>
-#include <limits>
 #include <unordered_set>
 
 using namespace genic;
@@ -237,68 +236,28 @@ genic::checkDeterminism(const Seft &A, Solver &S,
   SolverSessionPool LocalPool(S);
   SolverSessionPool &Pool = Opts.Sessions ? *Opts.Sessions : LocalPool;
 
-  // Workers scan disjoint chunks of the lexicographic pair list against
-  // pooled sessions, recording only the first pair index with an event
-  // (violation or solver error). The verdicts are semantic, so the global
-  // minimum is the exact pair the serial loop would have stopped at; its
-  // full result — witness model included — is then recomputed in the shared
-  // session, making the output independent of Jobs.
-  size_t Min = SIZE_MAX;
+  // Chunks of the lexicographic pair list are scanned against pooled
+  // sessions or shipped to worker processes, recording only the first pair
+  // index with an event (violation or solver error). The verdicts are
+  // semantic, so the global minimum is the exact pair the serial loop would
+  // have stopped at, however the list was chunked; its full result —
+  // witness model included — is then recomputed in the shared session,
+  // making the output independent of Jobs and worker counts. In-process
+  // chunks skip pairs past the earliest event known so far: the cutoff only
+  // ever decreases toward the true minimum, so no pair below it is skipped.
   TraceSpan ScanSpan("determinism.scan");
   ScanSpan.arg("pairs", static_cast<int64_t>(PairList.size()));
-  if (Opts.Workers && Opts.Workers->procs() > 0) {
-    // Out-of-process path: ship contiguous pair ranges to the worker pool.
-    // The merge below only consumes the global minimum event, which is
-    // independent of how the list is chunked, so worker counts cannot
-    // change the verdict. A shard the supervisor could not complete —
-    // worker crashed on the retry too — poisons the phase to SolverError
-    // instead of silently under-scanning.
-    size_t NumChunks =
-        std::min(PairList.size(), size_t(Opts.Workers->procs()) * 4);
-    std::vector<size_t> FirstEvent(NumChunks, SIZE_MAX);
-    std::vector<Status> ShardErr(NumChunks, Status::ok());
-    ScanSpan.arg("workers", static_cast<int64_t>(Opts.Workers->procs()));
-    ThreadPool TP(std::min<size_t>(Opts.Workers->procs(), NumChunks),
-                  "detio");
-    for (size_t C = 0; C != NumChunks; ++C) {
-      size_t Begin = PairList.size() * C / NumChunks;
-      size_t End = PairList.size() * (C + 1) / NumChunks;
-      TP.submit([&, C, Begin, End] {
-        Result<uint64_t> R = Opts.Workers->determinismShard(Begin, End);
-        if (!R)
-          ShardErr[C] = R.status();
-        else if (*R != ShardNoEvent)
-          FirstEvent[C] = static_cast<size_t>(*R);
+  std::atomic<size_t> Cutoff{SIZE_MAX};
+  Result<std::vector<uint64_t>> Events = runShardChunks<uint64_t>(
+      "determinism", PairList.size(), Opts.Jobs, Opts.Workers, ScanSpan,
+      [&](size_t Begin, size_t End, ShardDispatcher *W) -> Result<uint64_t> {
+        if (W)
+          return W->determinismShard(Begin, End);
+        return scanPairRange(A, PairList, Begin, End, Pool, &Cutoff);
       });
-    }
-    TP.wait();
-    for (const Status &E : ShardErr)
-      if (!E)
-        return shardFailure("determinism", E);
-    for (size_t E : FirstEvent)
-      Min = std::min(Min, E);
-  } else {
-    size_t Threads =
-        std::min<size_t>(std::max(1u, Opts.Jobs), PairList.size());
-    size_t NumChunks = std::min(PairList.size(), Threads * 4);
-    std::vector<size_t> FirstEvent(NumChunks, SIZE_MAX);
-    // Pairs past the earliest known event cannot influence the result; skip
-    // them. The cutoff only ever decreases toward the true minimum, so no
-    // pair below the final minimum is ever skipped.
-    std::atomic<size_t> Cutoff{SIZE_MAX};
-
-    ThreadPool TP(Threads, "det");
-    for (size_t C = 0; C != NumChunks; ++C) {
-      size_t Begin = PairList.size() * C / NumChunks;
-      size_t End = PairList.size() * (C + 1) / NumChunks;
-      TP.submit([&, C, Begin, End] {
-        FirstEvent[C] = scanPairRange(A, PairList, Begin, End, Pool, &Cutoff);
-      });
-    }
-    TP.wait();
-    for (size_t E : FirstEvent)
-      Min = std::min(Min, E);
-  }
+  if (!Events)
+    return Events.status();
+  size_t Min = *std::min_element(Events->begin(), Events->end());
   if (Min == SIZE_MAX)
     return std::optional<DeterminismViolation>(std::nullopt);
   // Recompute from the event onward in the shared session. Normally the

@@ -15,6 +15,7 @@
 #include "support/Trace.h"
 #include "term/TermClone.h"
 
+#include <algorithm>
 #include <atomic>
 #include <deque>
 #include <memory>
@@ -182,58 +183,22 @@ genic::checkTransitionInjectivity(const Seft &A, Solver &S,
   SolverSessionPool LocalPool(S);
   SolverSessionPool &Pool = Opts.Sessions ? *Opts.Sessions : LocalPool;
 
-  // Verdict-only scan in pooled sessions; the first rule with an event
-  // (violation or error) is recomputed in the shared session, which also
-  // produces the witness model — identical for every Jobs value.
-  size_t Min = SIZE_MAX;
-  if (Opts.Workers && Opts.Workers->procs() > 0) {
-    // Out-of-process path: contiguous rule ranges go to the worker pool.
-    // Only the global minimum event feeds the merge, so worker counts
-    // cannot change the verdict; an uncompletable shard poisons the phase
-    // to SolverError rather than under-scanning.
-    size_t NumChunks =
-        std::min(Rules.size(), size_t(Opts.Workers->procs()) * 4);
-    std::vector<size_t> FirstEvent(NumChunks, SIZE_MAX);
-    std::vector<Status> ShardErr(NumChunks, Status::ok());
-    ScanSpan.arg("workers", static_cast<int64_t>(Opts.Workers->procs()));
-    ThreadPool TP(std::min<size_t>(Opts.Workers->procs(), NumChunks),
-                  "tiio");
-    for (size_t C = 0; C != NumChunks; ++C) {
-      size_t Begin = Rules.size() * C / NumChunks;
-      size_t End = Rules.size() * (C + 1) / NumChunks;
-      TP.submit([&, C, Begin, End] {
-        Result<uint64_t> R =
-            Opts.Workers->transitionInjectivityShard(Begin, End);
-        if (!R)
-          ShardErr[C] = R.status();
-        else if (*R != ShardNoEvent)
-          FirstEvent[C] = static_cast<size_t>(*R);
+  // Verdict-only scan in pooled sessions or worker processes; the first
+  // rule with an event (violation or error) is recomputed in the shared
+  // session, which also produces the witness model — identical for every
+  // Jobs value and worker count.
+  std::atomic<size_t> Cutoff{SIZE_MAX};
+  Result<std::vector<uint64_t>> Events = runShardChunks<uint64_t>(
+      "transition-injectivity", Rules.size(), Opts.Jobs, Opts.Workers,
+      ScanSpan,
+      [&](size_t Begin, size_t End, ShardDispatcher *W) -> Result<uint64_t> {
+        if (W)
+          return W->transitionInjectivityShard(Begin, End);
+        return scanRuleRange(A, Rules, Begin, End, Pool, &Cutoff);
       });
-    }
-    TP.wait();
-    for (const Status &E : ShardErr)
-      if (!E)
-        return shardFailure("transition-injectivity", E);
-    for (size_t E : FirstEvent)
-      Min = std::min(Min, E);
-  } else {
-    size_t Threads = std::min<size_t>(std::max(1u, Opts.Jobs), Rules.size());
-    size_t NumChunks = std::min(Rules.size(), Threads * 4);
-    std::vector<size_t> FirstEvent(NumChunks, SIZE_MAX);
-    std::atomic<size_t> Cutoff{SIZE_MAX};
-
-    ThreadPool TP(Threads, "ti");
-    for (size_t C = 0; C != NumChunks; ++C) {
-      size_t Begin = Rules.size() * C / NumChunks;
-      size_t End = Rules.size() * (C + 1) / NumChunks;
-      TP.submit([&, C, Begin, End] {
-        FirstEvent[C] = scanRuleRange(A, Rules, Begin, End, Pool, &Cutoff);
-      });
-    }
-    TP.wait();
-    for (size_t E : FirstEvent)
-      Min = std::min(Min, E);
-  }
+  if (!Events)
+    return Events.status();
+  size_t Min = *std::min_element(Events->begin(), Events->end());
   if (Min == SIZE_MAX)
     return std::optional<TransitionInjectivityViolation>(std::nullopt);
   // Serial recheck from the event onward (normally returns immediately;

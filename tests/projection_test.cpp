@@ -14,8 +14,8 @@
 /// scoped stack, rendered as the maximal-interval term, and for images at
 /// the cap a reference hull by binary search. Synthetic predicates pin the
 /// choice function at the cap (599, 600 and 601 values), the solver's
-/// completion of what the walk cannot reach, empty and full domains, and
-/// the deadline and fault paths.
+/// completion of what the walk cannot reach, empty and full domains,
+/// the deadline and fault paths, and the walk's evaluation counts.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -25,6 +25,7 @@
 #include "solver/FaultInjector.h"
 #include "solver/Solver.h"
 #include "support/Deadline.h"
+#include "support/Metrics.h"
 #include "term/Printer.h"
 
 #include <gtest/gtest.h>
@@ -344,6 +345,42 @@ TEST_F(ProjectionTest, WalkAndSolverShareAFragmentedImage) {
   EXPECT_EQ(St.ImageValuesEvaluated + St.ImageValuesSolved, 256u);
   EXPECT_GT(St.ImageValuesEvaluated, 0u);
   EXPECT_GT(St.ImageValuesSolved, 1u);
+}
+
+TEST_F(ProjectionTest, WalkEvaluationsDrainIntoTheEvalCounters) {
+  // The concrete walk's compiled evaluations are work like any other
+  // compiled evaluation: drainStats adds them to the session family's
+  // "eval.<family>.*" counters, at least one per value the walk found.
+  const CoderSpec *Spec = nullptr;
+  for (const CoderSpec &C : coderCorpus())
+    if (C.name() == "BASE64 encoder")
+      Spec = &C;
+  ASSERT_NE(Spec, nullptr);
+  Result<AstProgram> Ast = parseGenic(Spec->Source);
+  ASSERT_TRUE(Ast.isOk()) << Ast.status().message();
+  Result<LoweredProgram> Prog = lowerProgram(F, *Ast);
+  ASSERT_TRUE(Prog.isOk()) << Prog.status().message();
+  MetricsRegistry Registry;
+  Solver S(F);
+  SolverControl Control;
+  Control.Metrics = &Registry;
+  S.setControl(Control);
+  for (const SeftTransition &T : Prog->Machine.transitions()) {
+    ImagePredicate P;
+    P.Guard = T.Guard;
+    P.Outputs.assign(T.Outputs.begin(), T.Outputs.end());
+    P.NumInputs = T.Lookahead;
+    for (unsigned J = 0; J != P.arity(); ++J)
+      ASSERT_TRUE(S.project(P, J).isOk());
+  }
+  S.drainStats();
+  uint64_t Evaluated =
+      Registry.counter("solver.shared.image.values.evaluated").value();
+  EXPECT_GT(Evaluated, 0u);
+  EXPECT_GE(Registry.counter("eval.shared.evals").value(), Evaluated);
+  EXPECT_GT(Registry.counter("eval.shared.compiles").value(), 0u);
+  EXPECT_GE(Registry.counter("eval.shared.lookups").value(),
+            Registry.counter("eval.shared.compiles").value());
 }
 
 TEST_F(ProjectionTest, CapBoundaryPinsTheChoiceFunction) {

@@ -69,20 +69,6 @@ TEST_F(SolverMoreTest, EquivalentUnderBooleans) {
   EXPECT_TRUE(*Eq);
 }
 
-TEST_F(SolverMoreTest, ImageModelMultipleOutputs) {
-  ImagePredicate P;
-  P.Guard = F.mkAnd(F.mkIntOp(Op::IntGe, X0, F.mkInt(10)),
-                    F.mkIntOp(Op::IntLe, X0, F.mkInt(10)));
-  P.Outputs = {F.mkIntOp(Op::IntAdd, X0, F.mkInt(1)),
-               F.mkIntOp(Op::IntSub, X0, F.mkInt(1))};
-  P.NumInputs = 1;
-  Result<std::vector<Value>> M = S.imageModel(P);
-  ASSERT_TRUE(M.isOk()) << M.status().message();
-  ASSERT_EQ(M->size(), 2u);
-  EXPECT_EQ((*M)[0], Value::intVal(11));
-  EXPECT_EQ((*M)[1], Value::intVal(9));
-}
-
 TEST_F(SolverMoreTest, ProjectWideBitVectorRange) {
   // 32-bit affine image: the enumeration cap is exceeded and the hull
   // takes over; for a contiguous image the hull IS exact. (This is the

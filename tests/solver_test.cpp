@@ -1,4 +1,4 @@
-//===- tests/solver_test.cpp - Z3 bridge, QE, projections, Cartesian ------===//
+//===- tests/solver_test.cpp - Z3 bridge, QE, projections -----------------===//
 //
 // Part of the genic project.
 //
@@ -166,100 +166,6 @@ TEST_F(SolverTest, ProjectBase64MappingImageIsTheAlphabet) {
     std::vector<Value> Env{Value::bitVecVal(V, 8)};
     EXPECT_EQ(evalBool(*Psi, Env), InAlphabet[V]) << "at value " << V;
   }
-}
-
-TEST_F(SolverTest, CartesianPositive) {
-  // Example 4.13: exists y0 y1 < 0 . x0 = y0+5 /\ x1 = y1+5 is Cartesian
-  // (equivalent to x0 < 5 /\ x1 < 5).
-  TermRef Y0 = X0, Y1 = X1;
-  ImagePredicate P;
-  P.Guard = F.mkAnd(F.mkIntOp(Op::IntLt, Y0, F.mkInt(0)),
-                    F.mkIntOp(Op::IntLt, Y1, F.mkInt(0)));
-  P.Outputs = {F.mkIntOp(Op::IntAdd, Y0, F.mkInt(5)),
-               F.mkIntOp(Op::IntAdd, Y1, F.mkInt(5))};
-  P.NumInputs = 2;
-  Result<bool> C = S.isCartesian(P);
-  ASSERT_TRUE(C.isOk()) << C.status().message();
-  EXPECT_TRUE(*C);
-}
-
-TEST_F(SolverTest, CartesianNegative) {
-  // x0 = y, x1 = y: the image is the diagonal, which is not Cartesian
-  // (Example 4.13 lists x0 = x1 as the canonical non-Cartesian predicate).
-  ImagePredicate P;
-  P.Guard = F.mkTrue();
-  P.Outputs = {X0, X0};
-  P.NumInputs = 1;
-  Result<bool> C = S.isCartesian(P);
-  ASSERT_TRUE(C.isOk()) << C.status().message();
-  EXPECT_FALSE(*C);
-}
-
-TEST_F(SolverTest, CartesianSumIsNotCartesian) {
-  // Example 6.1's transition: outputs [x0+x1, x0] with x0,x1 >= 0.
-  // Image is y0 >= y1 >= 0: not Cartesian.
-  ImagePredicate P;
-  P.Guard = F.mkAnd(F.mkIntOp(Op::IntGe, X0, F.mkInt(0)),
-                    F.mkIntOp(Op::IntGe, X1, F.mkInt(0)));
-  P.Outputs = {F.mkIntOp(Op::IntAdd, X0, X1), X0};
-  P.NumInputs = 2;
-  Result<bool> C = S.isCartesian(P);
-  ASSERT_TRUE(C.isOk()) << C.status().message();
-  EXPECT_FALSE(*C);
-}
-
-TEST_F(SolverTest, ImageToTermCartesianConjunction) {
-  ImagePredicate P;
-  P.Guard = F.mkAnd(F.mkIntOp(Op::IntLt, X0, F.mkInt(0)),
-                    F.mkIntOp(Op::IntLt, X1, F.mkInt(0)));
-  P.Outputs = {F.mkIntOp(Op::IntAdd, X0, F.mkInt(5)),
-               F.mkIntOp(Op::IntAdd, X1, F.mkInt(5))};
-  P.NumInputs = 2;
-  Result<TermRef> T = S.imageToTerm(P);
-  ASSERT_TRUE(T.isOk()) << T.status().message();
-  TermRef Expected = F.mkAnd(F.mkIntOp(Op::IntLt, F.mkVar(0, I), F.mkInt(5)),
-                             F.mkIntOp(Op::IntLt, F.mkVar(1, I), F.mkInt(5)));
-  Result<bool> Eq = S.isValid(F.mkIff(*T, Expected));
-  ASSERT_TRUE(Eq.isOk());
-  EXPECT_TRUE(*Eq) << printTerm(*T);
-}
-
-TEST_F(SolverTest, ImageToTermNonCartesianFallsBackToQe) {
-  // The Example 6.1 image: y0 >= y1 /\ y1 >= 0.
-  ImagePredicate P;
-  P.Guard = F.mkAnd(F.mkIntOp(Op::IntGe, X0, F.mkInt(0)),
-                    F.mkIntOp(Op::IntGe, X1, F.mkInt(0)));
-  P.Outputs = {F.mkIntOp(Op::IntAdd, X0, X1), X0};
-  P.NumInputs = 2;
-  Result<TermRef> T = S.imageToTerm(P);
-  ASSERT_TRUE(T.isOk()) << T.status().message();
-  TermRef Y0 = F.mkVar(0, I), Y1 = F.mkVar(1, I);
-  TermRef Expected = F.mkAnd(F.mkIntOp(Op::IntGe, Y0, Y1),
-                             F.mkIntOp(Op::IntGe, Y1, F.mkInt(0)));
-  Result<bool> Eq = S.isValid(F.mkIff(*T, Expected));
-  ASSERT_TRUE(Eq.isOk());
-  EXPECT_TRUE(*Eq) << printTerm(*T);
-}
-
-TEST_F(SolverTest, ImageModelLiesInImage) {
-  ImagePredicate P;
-  P.Guard = F.mkIntOp(Op::IntLt, X0, F.mkInt(0));
-  P.Outputs = {F.mkIntOp(Op::IntAdd, X0, F.mkInt(5))};
-  P.NumInputs = 1;
-  Result<std::vector<Value>> M = S.imageModel(P);
-  ASSERT_TRUE(M.isOk()) << M.status().message();
-  ASSERT_EQ(M->size(), 1u);
-  EXPECT_LT((*M)[0].getInt(), 5);
-}
-
-TEST_F(SolverTest, ImageEmptyWhenGuardUnsat) {
-  ImagePredicate P;
-  P.Guard = F.mkFalse();
-  P.Outputs = {X0};
-  P.NumInputs = 1;
-  Result<bool> Sat = S.imageIsSat(P);
-  ASSERT_TRUE(Sat.isOk());
-  EXPECT_FALSE(*Sat);
 }
 
 TEST_F(SolverTest, AuxCallsAreInlinedForSolving) {

@@ -45,6 +45,7 @@
 #include <csignal>
 #include <cstdlib>
 #include <mutex>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -766,45 +767,67 @@ TEST(WorkerSupervision, ShardFailingAfterTheDeadlineIsBudgetExhausted) {
   EXPECT_EQ(Bad.status().code(), StatusCode::Cancelled);
 }
 
-/// Answers every determinism and transition-injectivity shard with "no
-/// event" (correct for an injective-by-construction program) and fails
-/// every ambiguity shard with \p Failure, as a worker cut short by the
-/// request's deadline would.
+/// The scan whose shards a FailingDispatcher fails.
+enum class FailedScan { Determinism, TransitionInjectivity, Ambiguity };
+
+/// Fails every shard of one scan with \p Failure, as a worker cut short by
+/// the request's deadline would, and answers the other scans' shards with
+/// "no event" (correct for an injective-by-construction program).
 class FailingDispatcher : public ShardDispatcher {
 public:
-  explicit FailingDispatcher(Status Failure, bool FailDet)
-      : Failure(std::move(Failure)), FailDet(FailDet) {}
-  unsigned procs() const override { return 2; }
+  FailingDispatcher(Status Failure, FailedScan Which)
+      : Failure(std::move(Failure)), Which(Which) {}
+  unsigned procs() const override { return Procs; }
   Result<uint64_t> determinismShard(uint64_t, uint64_t) override {
-    if (FailDet)
+    if (Which == FailedScan::Determinism)
       return Failure;
     return ShardNoEvent;
   }
   Result<uint64_t> transitionInjectivityShard(uint64_t, uint64_t) override {
+    if (Which == FailedScan::TransitionInjectivity)
+      return Failure;
     return ShardNoEvent;
   }
   void prepareAmbiguity(bool) override {}
   Result<AmbShardResult>
   ambiguityShard(bool, uint64_t, uint64_t, const std::vector<uint64_t> &,
                  const std::vector<AmbShardConfig> &) override {
-    return Failure;
+    if (Which == FailedScan::Ambiguity)
+      return Failure;
+    return AmbShardResult();
   }
+
+  unsigned Procs = 2;
 
 private:
   Status Failure;
-  bool FailDet;
+  FailedScan Which;
 };
+
+/// Lowers \p Source into \p Ctx's factory.
+Result<LoweredProgram> lowerSource(SolverContext &Ctx,
+                                   const std::string &Source) {
+  Result<AstProgram> Ast = parseGenic(Source);
+  if (!Ast)
+    return Ast.status();
+  return lowerProgram(Ctx.factory(), *Ast);
+}
 
 TEST(WorkerPipeline, ScanDriversKeepBudgetCodesOfFailedShards) {
   // A worker shard cut short by the deadline must end the phase as budget
   // exhaustion (exit 4), not as a solver fault (exit 5): seen on the UTF-8
   // decoder at --worker-procs 2 with a short --timeout-seconds. Budget
   // codes pass through the scan drivers; other failures poison the phase.
+  // The multi-state program has no lookahead rules, so its transition-
+  // injectivity scan ships nothing; the BASE64 encoder's does.
   SolverContext Ctx;
-  Result<AstProgram> Ast = parseGenic(multiStateProgram());
-  ASSERT_TRUE(Ast.isOk()) << Ast.status().message();
-  Result<LoweredProgram> Prog = lowerProgram(Ctx.factory(), *Ast);
+  Result<LoweredProgram> Prog = lowerSource(Ctx, multiStateProgram());
   ASSERT_TRUE(Prog.isOk()) << Prog.status().message();
+  SolverContext LookCtx;
+  Result<LoweredProgram> Look =
+      lowerSource(LookCtx, corpusSource("BASE64 encoder"));
+  ASSERT_TRUE(Look.isOk()) << Look.status().message();
+  ASSERT_FALSE(transitionInjectivityRules(Look->Machine).empty());
 
   for (StatusCode Code : {StatusCode::Cancelled, StatusCode::Timeout,
                           StatusCode::SolverError, StatusCode::Error}) {
@@ -818,7 +841,7 @@ TEST(WorkerPipeline, ScanDriversKeepBudgetCodesOfFailedShards) {
     StatusCode Expected =
         Code == StatusCode::Error ? StatusCode::SolverError : Code;
 
-    FailingDispatcher Amb(Failure, /*FailDet=*/false);
+    FailingDispatcher Amb(Failure, FailedScan::Ambiguity);
     InjectivityOptions IOpts;
     IOpts.Workers = &Amb;
     Result<InjectivityResult> Inj =
@@ -829,13 +852,159 @@ TEST(WorkerPipeline, ScanDriversKeepBudgetCodesOfFailedShards) {
               std::string::npos)
         << Inj.status().message();
 
-    FailingDispatcher Det(Failure, /*FailDet=*/true);
+    FailingDispatcher Ti(Failure, FailedScan::TransitionInjectivity);
+    IOpts.Workers = &Ti;
+    Result<InjectivityResult> TiRun =
+        checkInjectivity(Look->Machine, LookCtx.solver(), IOpts);
+    ASSERT_FALSE(TiRun.isOk());
+    EXPECT_EQ(TiRun.status().code(), Expected) << TiRun.status().message();
+    EXPECT_NE(
+        TiRun.status().message().find("transition-injectivity shard failed"),
+        std::string::npos)
+        << TiRun.status().message();
+
+    FailingDispatcher Det(Failure, FailedScan::Determinism);
     DeterminismOptions DOpts;
     DOpts.Workers = &Det;
     Result<std::optional<DeterminismViolation>> D =
         checkDeterminism(Prog->Machine, Ctx.solver(), DOpts);
     ASSERT_FALSE(D.isOk());
     EXPECT_EQ(D.status().code(), Expected) << D.status().message();
+  }
+}
+
+/// Answers every ambiguity shard with \p Reply, whatever was asked: a
+/// worker whose reply names indices outside the coordinator's level or
+/// product.
+class ForgedReplyDispatcher : public FailingDispatcher {
+public:
+  explicit ForgedReplyDispatcher(AmbShardResult Reply)
+      : FailingDispatcher(Status::error("unused"), FailedScan::Ambiguity),
+        Reply(std::move(Reply)) {}
+  Result<AmbShardResult>
+  ambiguityShard(bool, uint64_t, uint64_t, const std::vector<uint64_t> &,
+                 const std::vector<AmbShardConfig> &) override {
+    return Reply;
+  }
+
+private:
+  AmbShardResult Reply;
+};
+
+TEST(WorkerPipeline, OutOfRangeAmbiguityReplyDegradesToSolverError) {
+  // A reply is input from another process: a finisher event or discovery
+  // outside the level, or a step index outside the product, must fail the
+  // phase as a solver error instead of indexing past the coordinator's
+  // arrays.
+  SolverContext Ctx;
+  Result<LoweredProgram> Prog = lowerSource(Ctx, multiStateProgram());
+  ASSERT_TRUE(Prog.isOk()) << Prog.status().message();
+  constexpr uint64_t Far = uint64_t(1) << 40;
+  AmbShardResult BadFin;
+  BadFin.FinEvent = Far;
+  AmbShardResult BadCfg;
+  BadCfg.Discoveries.push_back({Far, 0, 0, false});
+  AmbShardResult BadStep;
+  BadStep.Discoveries.push_back({0, Far, 0, false});
+  for (const AmbShardResult &Reply : {BadFin, BadCfg, BadStep}) {
+    ForgedReplyDispatcher Forged(Reply);
+    InjectivityOptions IOpts;
+    IOpts.Workers = &Forged;
+    Result<InjectivityResult> Inj =
+        checkInjectivity(Prog->Machine, Ctx.solver(), IOpts);
+    ASSERT_FALSE(Inj.isOk());
+    EXPECT_EQ(Inj.status().code(), StatusCode::SolverError)
+        << Inj.status().message();
+    EXPECT_NE(Inj.status().message().find("ambiguity shard failed: shard "
+                                          "returned an out-of-range"),
+              std::string::npos)
+        << Inj.status().message();
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// The shard chunk driver
+//===----------------------------------------------------------------------===//
+
+TEST(ShardDriver, ChunksCoverTheRangeOnceInOrder) {
+  // W threads' worth of chunks — W = Jobs in-process, W = procs() through
+  // a dispatcher (Jobs then ignored) — cut [0, N) into min(N, 4W)
+  // contiguous chunks, run on at most min(W, N) threads, and come back in
+  // chunk order.
+  for (unsigned W : {1u, 2u, 8u}) {
+    for (size_t N : {size_t(0), size_t(1), size_t(4 * W), size_t(4 * W + 1)}) {
+      for (bool Shipped : {false, true}) {
+        FailingDispatcher Fleet(Status::error("unused"), FailedScan::Ambiguity);
+        Fleet.Procs = W;
+        std::mutex Mu;
+        std::set<std::thread::id> Threads;
+        TraceSpan Span("test.scan");
+        Result<std::vector<std::pair<size_t, size_t>>> R =
+            runShardChunks<std::pair<size_t, size_t>>(
+                "determinism", N, Shipped ? 3u : W,
+                Shipped ? &Fleet : nullptr, Span,
+                [&](size_t Begin, size_t End, ShardDispatcher *Via)
+                    -> Result<std::pair<size_t, size_t>> {
+                  EXPECT_EQ(Via, Shipped ? &Fleet : nullptr);
+                  std::lock_guard<std::mutex> Lock(Mu);
+                  Threads.insert(std::this_thread::get_id());
+                  return std::make_pair(Begin, End);
+                });
+        ASSERT_TRUE(R.isOk()) << R.status().message();
+        std::string Case = "W " + std::to_string(W) + " N " +
+                           std::to_string(N) + (Shipped ? " shipped" : "");
+        EXPECT_EQ(R->size(), std::min<size_t>(N, 4 * W)) << Case;
+        EXPECT_LE(Threads.size(), std::max<size_t>(1, std::min<size_t>(W, N)))
+            << Case;
+        size_t Next = 0;
+        for (const auto &[Begin, End] : *R) {
+          EXPECT_EQ(Begin, Next) << Case;
+          EXPECT_LT(Begin, End) << Case;
+          Next = End;
+        }
+        EXPECT_EQ(Next, N) << Case;
+      }
+    }
+  }
+
+  // A dispatcher without worker processes leaves the chunks in-process.
+  FailingDispatcher Empty(Status::error("unused"), FailedScan::Ambiguity);
+  Empty.Procs = 0;
+  TraceSpan Span("test.scan");
+  Result<std::vector<int>> R = runShardChunks<int>(
+      "determinism", 5, 1, &Empty, Span,
+      [](size_t, size_t, ShardDispatcher *Via) -> Result<int> {
+        return Via ? 1 : 0;
+      });
+  ASSERT_TRUE(R.isOk());
+  EXPECT_EQ(*R, std::vector<int>(4, 0));
+}
+
+TEST(ShardDriver, FirstFailedChunkMapsThroughShardFailure) {
+  // The failure reported is the first failed chunk's in chunk order, with
+  // budget codes kept and everything else turned into SolverError.
+  for (StatusCode Code : {StatusCode::Timeout, StatusCode::Cancelled,
+                          StatusCode::SolverError, StatusCode::Error}) {
+    auto Fail = [Code](std::string Message) {
+      return Code == StatusCode::Timeout     ? Status::timeout(Message)
+             : Code == StatusCode::Cancelled ? Status::cancelled(Message)
+             : Code == StatusCode::SolverError
+                 ? Status::solverError(Message)
+                 : Status::error(Message);
+    };
+    TraceSpan Span("test.scan");
+    // 8 items on 2 threads: 8 chunks of one item each; chunks 3 and 5 fail.
+    Result<std::vector<int>> R = runShardChunks<int>(
+        "ambiguity", 8, 2, nullptr, Span,
+        [&](size_t Begin, size_t, ShardDispatcher *) -> Result<int> {
+          if (Begin == 3 || Begin == 5)
+            return Fail("chunk " + std::to_string(Begin));
+          return int(Begin);
+        });
+    ASSERT_FALSE(R.isOk());
+    EXPECT_EQ(R.status().code(),
+              Code == StatusCode::Error ? StatusCode::SolverError : Code);
+    EXPECT_EQ(R.status().message(), "ambiguity shard failed: chunk 3");
   }
 }
 

@@ -141,10 +141,9 @@ Result<IpcMessage> handleDet(WorkerState &St, const IpcMessage &Req) {
     St.DetPairs = determinismPairList(St.Prog->Machine);
   if (*Begin > *End || *End > St.DetPairs->size())
     return Status::error("det shard range outside the pair list");
-  size_t Ev = scanDeterminismShard(St.Prog->Machine, *St.DetPairs, *St.Pool,
-                                   *Begin, *End);
   IpcMessage Reply;
-  Reply.setU64("event", Ev == SIZE_MAX ? ShardNoEvent : Ev);
+  Reply.setU64("event", scanDeterminismShard(St.Prog->Machine, *St.DetPairs,
+                                             *St.Pool, *Begin, *End));
   return Reply;
 }
 
@@ -159,10 +158,10 @@ Result<IpcMessage> handleTi(WorkerState &St, const IpcMessage &Req) {
     St.TiRules = transitionInjectivityRules(St.Prog->Machine);
   if (*Begin > *End || *End > St.TiRules->size())
     return Status::error("ti shard range outside the rule list");
-  size_t Ev = scanTransitionInjectivityShard(St.Prog->Machine, *St.TiRules,
-                                             *St.Pool, *Begin, *End);
   IpcMessage Reply;
-  Reply.setU64("event", Ev == SIZE_MAX ? ShardNoEvent : Ev);
+  Reply.setU64("event",
+               scanTransitionInjectivityShard(St.Prog->Machine, *St.TiRules,
+                                              *St.Pool, *Begin, *End));
   return Reply;
 }
 
