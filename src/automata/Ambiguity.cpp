@@ -785,9 +785,8 @@ genic::checkAmbiguity(const CartesianSefa &Input, Solver &S,
 
   // Overlap verdicts are semantic, so a cache keyed on the original guard
   // TermRefs can be shared by all workers across all levels — and, via
-  // AmbiguityOptions::Overlaps, across the CEGAR rounds of one injectivity
-  // check; the mutex cost is trivial against a solver query. Errors are not
-  // cached (as in GuardOracle).
+  // AmbiguityOptions::Overlaps, across calls; the mutex cost is trivial
+  // against a solver query. Errors are not cached (as in GuardOracle).
   GuardOverlapCache LocalOverlaps;
   GuardOverlapCache &Overlaps =
       Opts.Overlaps ? *Opts.Overlaps : LocalOverlaps;
@@ -830,7 +829,7 @@ genic::checkAmbiguity(const CartesianSefa &Input, Solver &S,
                                   Level.data() + Begin, End - Begin, Begin,
                                   IsVisited, &Cutoff);
           Result<AmbShardResult> R = W->ambiguityShard(
-              Opts.Hull, ProductFP, Begin, VisitedKeys,
+              ProductFP, Begin, VisitedKeys,
               std::vector<Config>(Level.begin() + Begin, Level.begin() + End));
           if (!R)
             return R;
@@ -927,9 +926,9 @@ struct AmbiguityShardScanner::Impl {
   explicit Impl(ProductSearch PS) : PS(std::move(PS)) {}
   ProductSearch PS;
   /// Worker-local overlap cache, carried across scan calls (and thus
-  /// across levels and CEGAR rounds) like the coordinator's CEGAR-wide
-  /// cache. Purely an accelerator: verdicts are semantic, keyed by guard
-  /// identity in this process's factory.
+  /// across levels) like the coordinator's per-check cache. Purely an
+  /// accelerator: verdicts are semantic, keyed by guard identity in this
+  /// process's factory.
   GuardOverlapCache Overlaps;
 };
 

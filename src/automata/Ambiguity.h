@@ -49,18 +49,19 @@ struct AmbiguityOptions {
   SolverSessionPool *Sessions = nullptr;
   /// Shared (guard, guard) overlap verdicts, keyed by the guards' TermRefs
   /// in the caller's factory. Pass the same cache to every checkAmbiguity
-  /// call of a CEGAR loop so the hull and exact rounds stop re-discharging
+  /// call over one automaton so repeated searches stop re-discharging
   /// identical product queries; a private per-call cache is used when null.
   GuardOverlapCache *Overlaps = nullptr;
   /// When set, each BFS level's chunks are shipped to out-of-process
   /// workers instead of thread-pooled sessions. Valid only when \p A is
   /// the output automaton the workers can rebuild from their own copy of
-  /// the loaded program (buildOutputAutomaton with \p Hull); the expanded
-  /// product's structural fingerprint is checked per shard, and a shard
-  /// the dispatcher cannot complete degrades the search to SolverError.
+  /// the loaded program (buildOutputAutomaton); the expanded product's
+  /// structural fingerprint is checked per shard, and a shard the
+  /// dispatcher cannot complete degrades the search to SolverError.
   ShardDispatcher *Workers = nullptr;
-  /// Which output automaton the workers should scan against (the CEGAR
-  /// round's AllowHull flag). Ignored without Workers.
+  /// Ignored. It named the hull or exact output automaton of an earlier
+  /// two-round check, and stays for callers written against that
+  /// interface; there is one output automaton now.
   bool Hull = true;
 };
 
@@ -69,7 +70,7 @@ struct AmbiguityOptions {
 /// performs) and scans level chunks against it with exactly the in-process
 /// chunk semantics — per-chunk new-key dedup, batch priming, first
 /// finisher event, discoveries in scan order. Guard-overlap verdicts are
-/// cached across calls, mirroring the coordinator's CEGAR-wide cache.
+/// cached across calls, mirroring the coordinator's per-check cache.
 class AmbiguityShardScanner {
 public:
   /// Builds the product for \p Input, interning terms into \p S's factory.

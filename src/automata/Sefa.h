@@ -38,7 +38,10 @@ struct SefaTransition {
   /// Target state, or CartesianSefa::FinalState for a finalizer.
   unsigned To = 0;
   /// Unary guards over Var(0), one per consumed symbol; the transition's
-  /// lookahead is Guards.size() and its guard is /\_i Guards[i](x_i).
+  /// lookahead is Guards.size() and its guard is /\_i Guards[i](x_i). A
+  /// guard may also mention other variables, read as existentially
+  /// quantified witnesses (see buildOutputAutomaton); each guard's
+  /// witnesses are its own.
   std::vector<TermRef> Guards;
   /// Path identity (Definition 3.4 paths are sequences of (state, rule)
   /// pairs): transitions derived from the same s-EFT rule share an Id.
@@ -73,7 +76,9 @@ public:
 
   /// Whether the automaton accepts \p Word (some accepting path exists),
   /// ignoring guard satisfiability subtleties: guards are evaluated
-  /// natively on the concrete symbols.
+  /// natively on the concrete symbols. Only quantifier-free guards over
+  /// Var(0) evaluate; an output automaton has existential guards only on
+  /// wide bit-vector images above the projection cap (Solver::project).
   bool accepts(const ValueList &Word) const;
 
   /// The number of distinct accepting paths of \p Word, saturating at

@@ -383,10 +383,9 @@ Result<uint64_t> WorkerSupervisor::transitionInjectivityShard(uint64_t Begin,
   return R->getU64("event");
 }
 
-void WorkerSupervisor::prepareAmbiguity(bool Hull) {
+void WorkerSupervisor::prepareAmbiguity() {
   IpcMessage Req;
   Req.setStr("op", workerop::Prep);
-  Req.setU64("hull", Hull ? 1 : 0);
   for (auto &SP : Slots) {
     Slot &S = *SP;
     {
@@ -446,12 +445,11 @@ void WorkerSupervisor::joinPreps(bool Abandon) {
 }
 
 Result<AmbShardResult> WorkerSupervisor::ambiguityShard(
-    bool Hull, uint64_t Fingerprint, uint64_t CfgBase,
+    uint64_t Fingerprint, uint64_t CfgBase,
     const std::vector<uint64_t> &VisitedKeys,
     const std::vector<AmbShardConfig> &LevelChunk) {
   IpcMessage Req;
   Req.setStr("op", workerop::Amb);
-  Req.setU64("hull", Hull ? 1 : 0);
   Req.setU64("fp", Fingerprint);
   Req.setU64("cfg-base", CfgBase);
   Req.setU64List("visited", VisitedKeys);

@@ -124,9 +124,9 @@ public:
   /// in a background thread (spawning the worker first if needed). The
   /// slot stays Busy until the worker has built the product, so the first
   /// ambiguity shard simply waits for a prepped slot.
-  void prepareAmbiguity(bool Hull) override;
+  void prepareAmbiguity() override;
   Result<AmbShardResult>
-  ambiguityShard(bool Hull, uint64_t Fingerprint, uint64_t CfgBase,
+  ambiguityShard(uint64_t Fingerprint, uint64_t CfgBase,
                  const std::vector<uint64_t> &VisitedKeys,
                  const std::vector<AmbShardConfig> &LevelChunk) override;
 

@@ -119,21 +119,20 @@ public:
                                                      uint64_t End) = 0;
 
   /// Starts building the output automaton and product that ambiguity
-  /// shards with \p Hull scan against, on every worker, and returns
-  /// without waiting. The coordinator calls it before its own build of the
+  /// shards scan against, on every worker, and returns without waiting. The coordinator calls it before its own build of the
   /// same product so the builds overlap; a shard that reaches a worker
   /// still building waits for it. Failures are not reported here: the
   /// next shard on that worker owns them.
-  virtual void prepareAmbiguity(bool Hull) = 0;
+  virtual void prepareAmbiguity() = 0;
 
   /// Scans one chunk of an ambiguity BFS level against the output
-  /// automaton built with \p Hull. \p Fingerprint is the coordinator's
+  /// automaton's product. \p Fingerprint is the coordinator's
   /// structural hash of the expanded product — a worker whose own
   /// expansion disagrees refuses the shard. \p CfgBase is the absolute
   /// frontier index of LevelChunk[0]; \p VisitedKeys snapshots the
   /// visited set (prior levels only, per the merge contract).
   virtual Result<AmbShardResult>
-  ambiguityShard(bool Hull, uint64_t Fingerprint, uint64_t CfgBase,
+  ambiguityShard(uint64_t Fingerprint, uint64_t CfgBase,
                  const std::vector<uint64_t> &VisitedKeys,
                  const std::vector<AmbShardConfig> &LevelChunk) = 0;
 };

@@ -19,17 +19,17 @@
 ///          trace-epoch-ns}                      -> {}
 ///   det   {begin, end}                          -> {event}
 ///   ti    {begin, end}                          -> {event}
-///   prep  {hull}                                -> {}
-///   amb   {hull, fp, cfg-base, visited,
+///   prep  {}                                    -> {}
+///   amb   {fp, cfg-base, visited,
 ///          cfg-p, cfg-q, cfg-d}                 -> {fin, disc-cfg, disc-i1,
 ///                                                   disc-i2, disc-err}
 ///   collect {}                                  -> {metrics..., trace,
 ///                                                   trace-dropped}
 ///   quit  {}                                    -> {}
 ///
-/// prep builds the output automaton and expanded product an amb shard with
-/// the same hull flag scans against, ahead of the first such shard; amb
-/// builds it itself when no prep came first (a respawned worker). Both the
+/// prep builds the output automaton and expanded product amb shards scan
+/// against, ahead of the first such shard; amb builds it itself when no
+/// prep came first (a respawned worker). Both the
 /// product and a failed build are kept for the worker's lifetime, so prep
 /// is idempotent and amb answers the same with or without it. prep is not
 /// a shard: its reply carries nothing the coordinator uses.

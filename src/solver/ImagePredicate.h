@@ -13,8 +13,9 @@
 ///
 /// The term language is quantifier-free, so this existential predicate gets
 /// its own representation. Solver::project turns it into unary predicates
-/// (enumeration, quantifier elimination, interval learning or a hull),
-/// whose conjunction is the Cartesian guard of Definition 4.12.
+/// (enumeration or quantifier elimination) where it can, whose conjunction
+/// is the Cartesian guard of Definition 4.12; a wide bit-vector image
+/// enters the output automaton as the existential predicate itself.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -15,9 +15,9 @@
 /// and projection memoization in Solver all sit on this template.
 ///
 /// GuardOverlapCache is the thread-safe sibling used by the ambiguity
-/// product search: one instance is shared across every CEGAR round of an
-/// injectivity check so the hull and exact rounds stop re-discharging
-/// identical (guard, guard) product queries.
+/// product search: one instance is shared by every worker thread and BFS
+/// level of an injectivity check, so no (guard, guard) product query is
+/// discharged twice.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -141,7 +141,7 @@ struct ScopedQueryKeyHash {
 };
 
 /// Satisfiability verdicts for guard-pair overlaps, shared across threads
-/// and across CEGAR rounds. Keys are TermRefs of the factory the automaton
+/// and BFS levels. Keys are TermRefs of the factory the automaton
 /// lives in (hash-consed, so stable for the whole injectivity check); the
 /// ordered map keeps iteration deterministic for debugging. All operations
 /// take the internal mutex — contention is negligible next to the SMT calls

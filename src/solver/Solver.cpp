@@ -12,11 +12,8 @@
 ///                     operators outside our term language, triggering the
 ///                     fallbacks below
 ///  - eliminateExists(): tactic cascade qe_lite -> qe -> qe2
-///  - project():       strategy chain — exact model enumeration (capped for
-///                     wide bit-vectors), QE for integers, exact interval
-///                     learning with one-alternation containment queries,
-///                     and an optional [min, max] hull by quantifier-free
-///                     binary search for callers that validate downstream.
+///  - project():       exact model enumeration for bit-vectors (no closed
+///                     form past the cap for wide ones), QE for integers.
 ///                     The injectivity pipeline conjoins the per-position
 ///                     projections into a Cartesian s-EFA (Definition
 ///                     4.12) and validates its witnesses instead of
@@ -50,8 +47,7 @@ using namespace genic;
 
 namespace {
 
-/// A closed interval of bit-vector values, used by the interval-learning
-/// fallback of project().
+/// A closed interval of bit-vector values: one run of an enumerated image.
 struct Interval {
   uint64_t Lo;
   uint64_t Hi;
@@ -81,17 +77,15 @@ struct ModelKeyHash {
 };
 
 /// Memo key for project(): the image predicate's identity plus the
-/// requested position and strategy. Hull and exact projections of the same
-/// predicate are distinct entries (the hull may over-approximate).
+/// requested position.
 struct ProjKey {
   TermRef Guard;
   std::vector<TermRef> Outputs;
   unsigned NumInputs;
   unsigned Index;
-  bool Hull;
   bool operator==(const ProjKey &O) const {
     return Guard == O.Guard && Outputs == O.Outputs &&
-           NumInputs == O.NumInputs && Index == O.Index && Hull == O.Hull;
+           NumInputs == O.NumInputs && Index == O.Index;
   }
 };
 struct ProjKeyHash {
@@ -100,8 +94,7 @@ struct ProjKeyHash {
     for (TermRef O : K.Outputs)
       H = hashMix(H, reinterpret_cast<size_t>(O));
     H = hashMix(H, K.NumInputs);
-    H = hashMix(H, K.Index);
-    return hashMix(H, K.Hull ? 1 : 0);
+    return hashMix(H, K.Index);
   }
 };
 
@@ -222,10 +215,10 @@ public:
   /// default cap than SatCache: values are whole model vectors.
   QueryCache<ModelKey, std::vector<Value>, ModelKeyHash> ModelCache{
       1u << 16, "solver.model"};
-  /// Successful project() answers. The CEGAR loop re-projects the same
-  /// (rule, position) predicates in the exact round after the hull round.
-  QueryCache<ProjKey, TermRef, ProjKeyHash> ProjCache{1u << 16,
-                                                      "solver.proj"};
+  /// Successful project() answers, "no closed form" included (a function
+  /// of the image too).
+  QueryCache<ProjKey, std::optional<TermRef>, ProjKeyHash> ProjCache{
+      1u << 16, "solver.proj"};
 
   // -- Incremental sessions --------------------------------------------------
 
@@ -1100,53 +1093,41 @@ public:
 
   // -- Image predicates -----------------------------------------------------
 
-  Result<TermRef> project(const ImagePredicate &P, unsigned I,
-                          bool AllowHull) {
+  Result<std::optional<TermRef>> project(const ImagePredicate &P,
+                                         unsigned I) {
     assert(I < P.arity() && "projection index out of range");
-    ProjKey Key{P.Guard, P.Outputs, P.NumInputs, I, AllowHull};
-    if (const TermRef *Cached = ProjCache.find(Key))
+    ProjKey Key{P.Guard, P.Outputs, P.NumInputs, I};
+    if (const std::optional<TermRef> *Cached = ProjCache.find(Key))
       return *Cached;
-    Result<TermRef> R = projectUncached(P, I, AllowHull);
+    Result<std::optional<TermRef>> R = projectUncached(P, I);
     if (R)
       ProjCache.insert(Key, *R);
     return R;
   }
 
-  Result<TermRef> projectUncached(const ImagePredicate &P, unsigned I,
-                                  bool AllowHull) {
+  Result<std::optional<TermRef>> projectUncached(const ImagePredicate &P,
+                                                 unsigned I) {
     const Type &OutTy = P.Outputs[I]->type();
-    // Bit-vectors: exact enumeration first. It beats quantifier
-    // elimination both in speed and in the readability of the result
-    // (coalesced intervals instead of Z3's pointwise disjunctions), and is
-    // exhaustive for narrow widths; for wide ones a cap bails out to the
-    // strategies below. Most values come from concrete evaluation around
-    // one solver model, so an image of 600 values or more is usually
-    // refuted without 600 solver queries. Which branch runs depends on the
-    // image alone (fewer values than the cap, or not), never on how the
-    // values were found.
-    if (OutTy.isBitVec()) {
-      unsigned Cap = OutTy.width() <= 9 ? 0 /*unbounded*/ : 600;
-      Result<TermRef> Enumerated = enumerateBvImage(P, I, Cap);
-      if (Enumerated || OutTy.width() <= 9)
-        return Enumerated;
-    }
-    if (OutTy.isBitVec()) {
-      // Z3's qe tactics rarely finish on wide bit-vector images in useful
-      // time (and on narrow ones enumeration already won), so bit-vectors
-      // go straight to the dedicated strategies.
-      // Over-approximating [min, max] hull via binary search — sound where
-      // the caller validates downstream (the ambiguity check does). Purely
-      // quantifier-free queries, so it always terminates quickly.
-      if (AllowHull)
-        return bvImageHull(P, I);
-      // Exact interval learning with one-alternation containment queries.
-      return learnUnaryBvImage(P, I);
-    }
+    // Bit-vectors: exact enumeration. It beats quantifier elimination both
+    // in speed and in the readability of the result (coalesced intervals
+    // instead of Z3's pointwise disjunctions), and is exhaustive for
+    // narrow widths; for wide ones Z3's qe tactics rarely finish in useful
+    // time, so an image that reaches the cap has no closed form. Most
+    // values come from concrete evaluation around one solver model, so an
+    // image of 600 values or more is usually refuted without 600 solver
+    // queries. Which outcome comes back depends on the image alone (fewer
+    // values than the cap, or not), never on how the values were found.
+    if (OutTy.isBitVec())
+      return enumerateBvImage(P, I, OutTy.width() <= 9 ? 0 /*unbounded*/
+                                                       : 600);
     // Integers: real quantifier elimination on
     //   exists x . Guard /\ y = f_I(x)      (y at index NumInputs).
     TermRef Y = Factory.mkVar(P.NumInputs, OutTy);
     TermRef Phi = Factory.mkAnd(P.Guard, Factory.mkEq(Y, P.Outputs[I]));
-    return eliminateExists(Phi, P.NumInputs);
+    Result<TermRef> Psi = eliminateExists(Phi, P.NumInputs);
+    if (!Psi)
+      return Psi.status();
+    return std::optional<TermRef>(*Psi);
   }
 
   /// Whether every subterm of \p T, calls inlined, is Bool or BitVec. Such
@@ -1271,7 +1252,8 @@ public:
   }
 
   /// Exact image by enumeration; \p Cap = 0 means the full domain (only
-  /// for widths <= 9). Fails when the image has Cap values or more. The
+  /// for widths <= 9). No closed form when the image has Cap values or
+  /// more. The
   /// first value is a solver model. For a finite-domain predicate
   /// walkBvImage then seeds the set from that model's input by concrete
   /// evaluation, and one conjunction blocks every seeded value. A blocking
@@ -1280,8 +1262,8 @@ public:
   /// answers each check incrementally. Which values the walk and the
   /// models meet first does not matter: the loop either exhausts the image
   /// or reaches the cap, and both outcomes depend on the image alone.
-  Result<TermRef> enumerateBvImage(const ImagePredicate &P, unsigned I,
-                                   unsigned Cap) {
+  Result<std::optional<TermRef>>
+  enumerateBvImage(const ImagePredicate &P, unsigned I, unsigned Cap) {
     const unsigned Width = P.Outputs[I]->type().width();
     const bool FiniteDomain = isFiniteDomain(P, I);
     z3::expr Y = ctx().constant("img_y", ctx().bv_sort(Width));
@@ -1325,7 +1307,7 @@ public:
       S.add(z3::mk_and(Blocked));
     }
     if (Values.size() >= Limit)
-      return Status::error("image enumeration: cap exceeded");
+      return std::optional<TermRef>();
     std::sort(Values.begin(), Values.end());
     std::vector<Interval> Runs;
     for (uint64_t V : Values) {
@@ -1334,243 +1316,7 @@ public:
       else
         Runs.push_back({V, V});
     }
-    return intervalsToTerm(Runs, Width);
-  }
-
-  /// The [min, max] hull of the image, by binary search with
-  /// quantifier-free queries only. Over-approximates fragmented images.
-  Result<TermRef> bvImageHull(const ImagePredicate &P, unsigned I) {
-    const unsigned Width = P.Outputs[I]->type().width();
-    const uint64_t Max = Value::maskOf(Width);
-    z3::expr Y = ctx().constant("img_y", ctx().bv_sort(Width));
-    z3::expr Member = translate(P.Guard) && Y == translate(P.Outputs[I]);
-    // The Member core is asserted once into a private solver and every
-    // binary-search probe runs as a push/pop delta against it, letting the
-    // backend keep its lemmas.
-    z3::solver Probe = makeImageSolver(isFiniteDomain(P, I));
-    Probe.add(Member);
-    auto Verdict = [&](z3::check_result CR, const char *What) -> Result<bool> {
-      if (CR == z3::sat)
-        return true;
-      if (CR == z3::unsat)
-        return false;
-      return unknownStatus(std::string("solver query for ") + What);
-    };
-    auto ProbeSat = [&](const z3::expr &Q, const char *What) -> Result<bool> {
-      Probe.push();
-      Probe.add(Q);
-      z3::check_result CR = check(Probe, nullptr, /*IncrementalQuery=*/true);
-      Probe.pop();
-      return Verdict(CR, What);
-    };
-    Result<bool> Any = Verdict(
-        check(Probe, nullptr, /*IncrementalQuery=*/true), "image hull seed");
-    if (!Any)
-      return Any.status();
-    if (!*Any)
-      return Factory.mkFalse();
-    // Largest member: binary search on "exists a member >= m".
-    auto Bound = [&](bool FindMax) -> Result<uint64_t> {
-      uint64_t Lo = 0, Hi = Max;
-      while (Lo < Hi) {
-        uint64_t Mid = FindMax ? Lo + (Hi - Lo + 1) / 2 : Lo + (Hi - Lo) / 2;
-        z3::expr Q = FindMax ? z3::uge(Y, ctx().bv_val(Mid, Width))
-                             : z3::ule(Y, ctx().bv_val(Mid, Width));
-        Result<bool> Sat = ProbeSat(Q, "image hull bound");
-        if (!Sat)
-          return Sat.status();
-        if (FindMax) {
-          if (*Sat)
-            Lo = Mid;
-          else
-            Hi = Mid - 1;
-        } else {
-          if (*Sat)
-            Hi = Mid;
-          else
-            Lo = Mid + 1;
-        }
-      }
-      return Lo;
-    };
-    Result<uint64_t> HullMax = Bound(true);
-    if (!HullMax)
-      return HullMax.status();
-    Result<uint64_t> HullMin = Bound(false);
-    if (!HullMin)
-      return HullMin.status();
-    return intervalsToTerm({{*HullMin, *HullMax}}, Width);
-  }
-
-  /// Interval-learning fallback: computes the set of feasible values of
-  /// f_I(x) under Guard as a union of maximal closed intervals, verified
-  /// hole-free, and returns it as a term over Var(0).
-  Result<TermRef> learnUnaryBvImage(const ImagePredicate &P, unsigned I) {
-    const unsigned Width = P.Outputs[I]->type().width();
-    const uint64_t Max = Value::maskOf(Width);
-    z3::expr Y = ctx().constant("img_y", ctx().bv_sort(Width));
-    z3::expr Member =
-        translate(P.Guard) && Y == translate(P.Outputs[I]);
-    // The quantified no-witness core is loop-invariant; build it once.
-    z3::expr NoWitness = [&] {
-      std::map<unsigned, Type> Types = varTypes(P.Guard);
-      for (const auto &[Index, Ty] : varTypes(P.Outputs[I]))
-        Types.emplace(Index, Ty);
-      z3::expr_vector Bound(ctx());
-      for (const auto &[Index, Ty] : Types)
-        if (Index < P.NumInputs)
-          Bound.push_back(varExpr(Index, Ty));
-      return Bound.empty() ? !Member : z3::forall(Bound, !Member);
-    }();
-
-    // The loop discharges hundreds of queries that differ only in the
-    // concrete Y bounds, so the Member / NoWitness cores are asserted once
-    // into private solvers and every probe runs as a push/pop delta. The
-    // quantified containment solver stays on the default solver; the
-    // quantifier-free ones take QF_FD where they can.
-    const bool FiniteDomain = isFiniteDomain(P, I);
-    z3::solver MemberS = makeImageSolver(FiniteDomain);
-    MemberS.add(Member);
-    z3::solver ContS(ctx());
-    ContS.add(NoWitness);
-    z3::solver SeedS = makeImageSolver(FiniteDomain);
-    SeedS.add(Member);
-    auto ProbeDelta = [&](z3::solver &S, const z3::expr &Q) {
-      S.push();
-      S.add(Q);
-      z3::check_result CR = check(S, nullptr, /*IncrementalQuery=*/true);
-      S.pop();
-      return toSatResult(CR);
-    };
-
-    // Membership of a single concrete value.
-    auto IsMember = [&](uint64_t V) -> Result<bool> {
-      z3::expr Pin = Y == ctx().bv_val(V, Width);
-      SatResult R = ProbeDelta(MemberS, Pin);
-      if (R == SatResult::Unknown)
-        return unknownStatus("solver query for interval-learning membership");
-      return R == SatResult::Sat;
-    };
-    // Whole-interval containment: no hole in [Lo, Hi]. One quantifier
-    // alternation; falls back to pointwise scanning on unknown.
-    auto IntervalContained = [&](uint64_t Lo, uint64_t Hi) -> Result<bool> {
-      z3::expr Bounds = z3::uge(Y, ctx().bv_val(Lo, Width)) &&
-                        z3::ule(Y, ctx().bv_val(Hi, Width));
-      SatResult R = ProbeDelta(ContS, Bounds);
-      if (R == SatResult::Unknown) {
-        // Pointwise fallback; only viable for short intervals.
-        if (Hi - Lo > 4096)
-          return Status::error("interval-learning: containment unknown");
-        for (uint64_t V = Lo; V <= Hi; ++V) {
-          Result<bool> M = IsMember(V);
-          if (!M)
-            return M;
-          if (!*M)
-            return false;
-          if (V == Hi)
-            break;
-        }
-        return true;
-      }
-      return R == SatResult::Unsat;
-    };
-
-    std::vector<Interval> Intervals;
-    auto InHypothesis = [&](const z3::expr &E) {
-      z3::expr Any = ctx().bool_val(false);
-      for (const Interval &Iv : Intervals)
-        Any = Any || (z3::uge(E, ctx().bv_val(Iv.Lo, Width)) &&
-                      z3::ule(E, ctx().bv_val(Iv.Hi, Width)));
-      return Any;
-    };
-
-    const unsigned MaxIntervals = 256;
-    while (Intervals.size() <= MaxIntervals) {
-      // Find a member outside the hypothesis. The learned result is
-      // seed-order independent — each round discovers one maximal run of
-      // the image and the final union is canonical — so the term does not
-      // depend on which model the seed solver returns.
-      uint64_t Seed = 0;
-      SeedS.push();
-      SeedS.add(!InHypothesis(Y));
-      z3::check_result CR = check(SeedS, nullptr, /*IncrementalQuery=*/true);
-      if (CR == z3::sat)
-        SeedS.get_model().eval(Y, true).is_numeral_u64(Seed);
-      SeedS.pop();
-      if (CR == z3::unsat)
-        break; // Hypothesis covers the image exactly.
-      if (CR != z3::sat)
-        return unknownStatus("interval-learning seed query");
-
-      // Grow [Seed, Seed] to a maximal contained interval by binary search.
-      uint64_t Lo = Seed, Hi = Seed;
-      uint64_t Step = 1;
-      // Exponential probe upward, then binary refine.
-      while (Hi < Max) {
-        uint64_t Probe = Hi + std::min(Step, Max - Hi);
-        Result<bool> C = IntervalContained(Hi + 1, Probe);
-        if (!C)
-          return C.status();
-        if (!*C)
-          break;
-        Hi = Probe;
-        Step *= 2;
-      }
-      if (Hi < Max) {
-        uint64_t BadHigh = std::min(Hi + Step, Max);
-        // Invariant: [Seed, Hi] contained; (Hi, BadHigh] has a hole.
-        while (Hi + 1 < BadHigh) {
-          uint64_t Mid = Hi + (BadHigh - Hi) / 2;
-          Result<bool> C = IntervalContained(Hi + 1, Mid);
-          if (!C)
-            return C.status();
-          if (*C)
-            Hi = Mid;
-          else
-            BadHigh = Mid;
-        }
-      }
-      Step = 1;
-      while (Lo > 0) {
-        uint64_t Probe = Lo - std::min(Step, Lo);
-        Result<bool> C = IntervalContained(Probe, Lo - 1);
-        if (!C)
-          return C.status();
-        if (!*C)
-          break;
-        Lo = Probe;
-        Step *= 2;
-      }
-      if (Lo > 0) {
-        uint64_t BadLow = Lo >= Step ? Lo - Step : 0;
-        while (BadLow + 1 < Lo) {
-          uint64_t Mid = BadLow + (Lo - BadLow) / 2;
-          Result<bool> C = IntervalContained(Mid, Lo - 1);
-          if (!C)
-            return C.status();
-          if (*C)
-            Lo = Mid;
-          else
-            BadLow = Mid;
-        }
-      }
-      Intervals.push_back({Lo, Hi});
-    }
-    if (Intervals.size() > MaxIntervals)
-      return Status::error("interval-learning: image too fragmented");
-
-    // Coalesce adjacent intervals and emit the predicate over Var(0).
-    std::sort(Intervals.begin(), Intervals.end(),
-              [](const Interval &A, const Interval &B) { return A.Lo < B.Lo; });
-    std::vector<Interval> Merged;
-    for (const Interval &Iv : Intervals) {
-      if (!Merged.empty() && Iv.Lo <= Merged.back().Hi + 1 &&
-          Merged.back().Hi >= Iv.Lo - 1)
-        Merged.back().Hi = std::max(Merged.back().Hi, Iv.Hi);
-      else
-        Merged.push_back(Iv);
-    }
-    return intervalsToTerm(Merged, Width);
+    return std::optional<TermRef>(intervalsToTerm(Runs, Width));
   }
 
   /// Emits a sorted, disjoint interval union as a predicate over Var(0).
@@ -1785,10 +1531,10 @@ Result<TermRef> Solver::eliminateExists(TermRef Phi, unsigned NumEliminate) {
   }
 }
 
-Result<TermRef> Solver::project(const ImagePredicate &P, unsigned I,
-                                bool AllowHull) {
+Result<std::optional<TermRef>> Solver::project(const ImagePredicate &P,
+                                               unsigned I) {
   try {
-    return TheImpl->project(P, I, AllowHull);
+    return TheImpl->project(P, I);
   } catch (const z3::exception &Ex) {
     return Status::solverError(std::string("project: ") + Ex.msg());
   }

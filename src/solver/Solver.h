@@ -235,30 +235,29 @@ public:
   ///   exists Var(0)..Var(NumEliminate-1) . Phi
   /// over the remaining variables, re-indexed downward by \p NumEliminate.
   /// Tries Z3's qe tactic cascade; fails if elimination or back-translation
-  /// is impossible (callers then use the image-predicate fallbacks).
+  /// is impossible.
   Result<TermRef> eliminateExists(TermRef Phi, unsigned NumEliminate);
 
   // Image predicates (Definition 4.9, §4.3) -------------------------------------
 
   /// The unary projection psi_I(y) = exists x. Guard /\ y = Outputs[I](x),
-  /// as a quantifier-free term over Var(0). Strategy chain: exact model
-  /// enumeration (capped for wide bit-vectors), the QE cascade, then either
-  /// exact interval learning or — when \p AllowHull is set — a [min, max]
-  /// hull computed with quantifier-free binary search, which may
-  /// over-approximate fragmented images. Pass AllowHull only where an
-  /// over-approximation is sound (the ambiguity check validates its
-  /// witnesses, so it qualifies).
+  /// as a quantifier-free term over Var(0), when it has one this function
+  /// computes exactly: bit-vector images by model enumeration, other types
+  /// by the QE cascade. A bit-vector image of 600 values or more (above 9
+  /// bits) has no closed form here, and the answer is an empty optional;
+  /// callers that can work with the existential predicate itself (the
+  /// Lemma 4.14 product, see buildOutputAutomaton) use it instead.
   ///
   /// A bit-vector image is enumerated mostly without the solver: the
   /// first value is a solver model, concrete evaluation of the predicate
   /// around that model's input seeds more, and a blocking loop finds the
-  /// rest until Unsat or the cap (600 values above 9 bits). The result is
-  /// a function of the image alone: the exact set when it is under the
-  /// cap, else the hull or the learned intervals. Finite-domain image
-  /// queries run on Z3's QF_FD solver. Every projection still sends at
-  /// least one query, so deadlines and fault plans reach it.
-  Result<TermRef> project(const ImagePredicate &P, unsigned I,
-                          bool AllowHull = false);
+  /// rest until Unsat or the cap. The result is a function of the image
+  /// alone: the exact set when it is under the cap, else no closed form.
+  /// Finite-domain image queries run on Z3's QF_FD solver. Every
+  /// projection still sends at least one query, so deadlines and fault
+  /// plans reach it, and they fail the call as any other query does.
+  Result<std::optional<TermRef>> project(const ImagePredicate &P,
+                                         unsigned I);
 
   // Introspection -------------------------------------------------------------
 
@@ -281,7 +280,7 @@ public:
     uint64_t ModelCacheMisses = 0;
     uint64_t ModelCacheEvictions = 0;
     /// project() answers served from / missed by / evicted from the
-    /// projection memo, keyed by (guard, outputs, position, hull flag).
+    /// projection memo, keyed by (guard, outputs, position).
     uint64_t ProjCacheHits = 0;
     uint64_t ProjCacheMisses = 0;
     uint64_t ProjCacheEvictions = 0;

@@ -65,9 +65,18 @@ genic::invertAuxFunction(SygusEngine &Engine, const FuncDef *Fn,
   Type Out = Fn->ReturnType;
   TermRef Domain = Fn->Domain ? Fn->Domain : F.mkTrue();
 
-  // The inverse's domain: the image of Fn.
-  ImagePredicate Whole{Domain, {Fn->Body}, 1};
-  Result<TermRef> Image = S.project(Whole, 0);
+  // The inverse's domain: the image of Fn, and each branch's image, need
+  // closed forms: they are printed guards of the inverse.
+  auto ImageOf = [&](const ImagePredicate &P) -> Result<TermRef> {
+    Result<std::optional<TermRef>> Image = S.project(P, 0);
+    if (!Image)
+      return Image.status();
+    if (!*Image)
+      return Status::error("auxiliary function " + Fn->Name +
+                           ": image has no closed form");
+    return **Image;
+  };
+  Result<TermRef> Image = ImageOf({Domain, {Fn->Body}, 1});
   if (!Image)
     return Image.status();
 
@@ -87,7 +96,7 @@ genic::invertAuxFunction(SygusEngine &Engine, const FuncDef *Fn,
     if (!*Feasible)
       continue;
     ImagePredicate P{Cond, {Leaf}, 1};
-    Result<TermRef> BranchImage = S.project(P, 0);
+    Result<TermRef> BranchImage = ImageOf(P);
     if (!BranchImage)
       return BranchImage.status();
     SynthesisSpec Spec{P, F.mkVar(0, In)};

@@ -214,38 +214,30 @@ genic::checkTransitionInjectivity(const Seft &A, Solver &S,
   return std::optional<TransitionInjectivityViolation>(std::nullopt);
 }
 
-Result<CartesianSefa> genic::buildOutputAutomaton(const Seft &A, Solver &S) {
-  return buildOutputAutomaton(A, S, /*AllowHull=*/true);
-}
-
-Result<CartesianSefa> genic::buildOutputAutomaton(const Seft &A, Solver &S,
-                                                  bool AllowHull) {
-  return buildOutputAutomaton(A, S, AllowHull, InjectivityOptions());
-}
-
-Result<CartesianSefa> genic::buildOutputAutomaton(
-    const Seft &A, Solver &S, bool AllowHull, const InjectivityOptions &Opts) {
+Result<CartesianSefa>
+genic::buildOutputAutomaton(const Seft &A, Solver &S,
+                            const InjectivityOptions &Opts) {
   MetricsPhaseScope Phase("cegar");
   TraceSpan ProjSpan("cegar.projections");
-  ProjSpan.arg("hull", AllowHull);
   const auto &Ts = A.transitions();
 
   // One task per (rule, output position): the per-position projections are
-  // independent and dominate isInj wall-clock (~0.8-1.4s each on the UTF-16
-  // encoder), so this is the grain that parallelizes the pipeline. Each
-  // task gets a fresh private fork of the shared factory — not a pooled
-  // session — because its result is a term: every fork is created at the
-  // same frozen parent state, so a fork's history is a pure function of its
-  // rule and the projection's structure cannot depend on which tasks ran
-  // before it on the same thread. Forking shares the rule's guard and
-  // outputs by pointer, so task setup clones nothing. A fork builds its Z3
-  // context on its first query, on the pool thread, and drops it when its
-  // task ends; only the factory stays alive for the clone-back below.
+  // independent and are most of the automaton's cost, so this is the grain
+  // that parallelizes the pipeline. Each task gets a fresh private fork of
+  // the shared factory — not a pooled session — because its result is a
+  // term: every fork is created at the same frozen parent state, so a
+  // fork's history is a pure function of its rule and the projection's
+  // structure cannot depend on which tasks ran before it on the same
+  // thread. Forking shares the rule's guard and outputs by pointer, so task
+  // setup clones nothing. A fork builds its Z3 context on its first query,
+  // on the pool thread, and drops it when its task ends; only the factory
+  // stays alive for the clone-back below.
   struct ProjTask {
     std::unique_ptr<SolverContext> Ctx;
     ImagePredicate P{nullptr, {}, 0};
     unsigned J = 0;
-    Result<TermRef> Psi = Status::error("projection task did not run");
+    Result<std::optional<TermRef>> Psi =
+        Status::error("projection task did not run");
   };
   std::vector<ProjTask> Tasks;
   for (unsigned Index = 0, E = Ts.size(); Index != E; ++Index) {
@@ -263,14 +255,13 @@ Result<CartesianSefa> genic::buildOutputAutomaton(
 
   ThreadPool TP(std::min<size_t>(std::max(1u, Opts.Jobs), Tasks.size()),
                 "proj");
-  bool Hull = AllowHull;
   {
     FreezeGuard Quiesce(S.factory());
     for (ProjTask &Task : Tasks) {
       ProjTask *T = &Task;
-      TP.submit([T, Hull] {
+      TP.submit([T] {
         MetricsPhaseScope WorkerPhase("cegar");
-        T->Psi = T->Ctx->solver().project(T->P, T->J, Hull);
+        T->Psi = T->Ctx->solver().project(T->P, T->J);
         T->Ctx->solver().drainStats();
         T->Ctx->solver().releaseBackend();
       });
@@ -282,8 +273,16 @@ Result<CartesianSefa> genic::buildOutputAutomaton(
   // factory (structurally identical terms re-intern to identical TermRefs,
   // preserving the ambiguity check's guard dedup), and the empty-output
   // epsilon gates run on the shared solver exactly as in the serial order.
+  // A projection with no closed form enters as its existential predicate
+  // phi(w) /\ Var(0) = f_J(w): the Lemma 4.14 product only asks whether
+  // guards are satisfiable, whether two overlap, and for a model of their
+  // conjunction, so the witnesses w stay free. They are renamed apart per
+  // (rule, position) in this order, so every process that builds the
+  // automaton from the same program builds the same terms.
   CartesianSefa Out(A.numStates(), A.initial(), A.outputType());
-  TermCloner Back(S.factory());
+  TermFactory &F = S.factory();
+  TermCloner Back(F);
+  unsigned NextWitness = 1;
   size_t TaskIdx = 0;
   for (unsigned Index = 0, E = Ts.size(); Index != E; ++Index) {
     const SeftTransition &T = Ts[Index];
@@ -292,28 +291,36 @@ Result<CartesianSefa> genic::buildOutputAutomaton(
     NT.To = T.To == Seft::FinalState ? CartesianSefa::FinalState : T.To;
     NT.Id = Index;
     if (!T.Outputs.empty()) {
-      // Per-position projections. When the rule's image predicate is
-      // Cartesian (Definition 4.12) their conjunction is exact; otherwise
-      // it over-approximates, which keeps the check sound for the
+      // Per-position guards. When the rule's image predicate is Cartesian
+      // (Definition 4.12) their conjunction is exact; otherwise it
+      // over-approximates, which keeps the check sound for the
       // "injective" verdict (every true path stays accepting), and
       // ambiguity witnesses are validated against the real transducer
       // before being reported (checkInjectivity below). The expensive
       // Sigma_2 Cartesian query is thereby avoided on the happy path.
       for (unsigned J = 0, K = T.Outputs.size(); J != K; ++J) {
         ProjTask &Task = Tasks[TaskIdx++];
-        if (Task.Psi) {
-          NT.Guards.push_back(Back.clone(*Task.Psi));
+        Result<std::optional<TermRef>> Psi = std::move(Task.Psi);
+        if (Psi && *Psi)
+          Psi = std::optional<TermRef>(Back.clone(**Psi));
+        if (!Psi)
+          // The fork's projection failed (worker-scoped fault, flaky
+          // timeout). Retry once in the shared session — a fresh attempt
+          // with the full budget whose query history is jobs-independent —
+          // so a transient worker failure doesn't abort the phase and the
+          // outcome stays identical across --jobs values.
+          Psi = S.project(Task.P, Task.J);
+        if (!Psi)
+          return Psi.status();
+        if (*Psi) {
+          NT.Guards.push_back(**Psi);
           continue;
         }
-        // The fork's projection failed (worker-scoped fault, flaky
-        // timeout). Retry once in the shared session — a fresh attempt
-        // with the full budget whose query history is jobs-independent —
-        // so a transient worker failure doesn't abort the phase and the
-        // outcome stays identical across --jobs values.
-        Result<TermRef> Again = S.project(Task.P, Task.J, Hull);
-        if (!Again)
-          return Again.status();
-        NT.Guards.push_back(*Again);
+        NT.Guards.push_back(F.mkAnd(
+            shiftedGuard(F, T, NextWitness, A.inputType()),
+            F.mkEq(F.mkVar(0, T.Outputs[J]->type()),
+                   shiftedOutput(F, T, J, NextWitness, A.inputType()))));
+        NextWitness += T.Lookahead;
       }
     } else {
       // Empty output: an epsilon transition guarded by the satisfiability
@@ -329,6 +336,11 @@ Result<CartesianSefa> genic::buildOutputAutomaton(
     Out.addTransition(std::move(NT));
   }
   return Out;
+}
+
+Result<CartesianSefa> genic::buildOutputAutomaton(
+    const Seft &A, Solver &S, bool, const InjectivityOptions &Opts) {
+  return buildOutputAutomaton(A, S, Opts);
 }
 
 Result<InputContext> genic::sampleInputContext(const Seft &A, Solver &S,
@@ -453,9 +465,7 @@ Result<InjectivityResult> genic::checkInjectivity(const Seft &A, Solver &S) {
 Result<InjectivityResult>
 genic::checkInjectivity(const Seft &A, Solver &S,
                         const InjectivityOptions &Opts) {
-  // One warm session pool and one overlap cache serve every phase and both
-  // CEGAR iterations: the exact round starts with every (guard, guard)
-  // verdict the hull round already discharged.
+  // One warm session pool and one overlap cache serve every phase.
   InjectivityOptions Eff = Opts;
   std::optional<SolverSessionPool> LocalPool;
   if (!Eff.Sessions) {
@@ -501,59 +511,48 @@ genic::checkInjectivity(const Seft &A, Solver &S,
   }
 
   // Part 2: path-injectivity via ambiguity of the output automaton
-  // (Lemmas 4.10 and 4.14), CEGAR-style: first with cheap hull
-  // projections, then — only if a witness fails to validate — with exact
-  // interval-learned projections.
-  for (bool AllowHull : {true, false}) {
-    TraceSpan RoundSpan("cegar.round");
-    RoundSpan.arg("hull", AllowHull);
-    if (S.cancellation().cancelled())
-      return Status::cancelled(
-          "injectivity CEGAR loop: global deadline exhausted");
-    // Worker processes build their copy of this round's product while we
-    // build ours, so no ambiguity shard waits on a build.
-    if (Eff.Workers && Eff.Workers->procs() > 0)
-      Eff.Workers->prepareAmbiguity(AllowHull);
-    Result<CartesianSefa> AO = buildOutputAutomaton(A, S, AllowHull, Eff);
-    if (!AO)
-      return AO.status();
-    AmbiguityOptions AmbOpts;
-    AmbOpts.Jobs = Eff.Jobs;
-    AmbOpts.Sessions = Eff.Sessions;
-    AmbOpts.Overlaps = Eff.Overlaps;
-    AmbOpts.Workers = Eff.Workers;
-    AmbOpts.Hull = AllowHull;
-    Result<std::optional<AmbiguityWitness>> Amb =
-        checkAmbiguity(*AO, S, AmbOpts);
-    if (!Amb)
-      return Amb.status();
-    if (!Amb->has_value())
-      return InjectivityResult{true, std::nullopt, ""};
+  // (Lemmas 4.10 and 4.14), CEGAR-style: the automaton's guards are exact,
+  // so a witness that no input realizes means some rule's image predicate
+  // is not Cartesian, and the instance falls outside the decidable
+  // fragment.
+  if (S.cancellation().cancelled())
+    return Status::cancelled(
+        "injectivity CEGAR loop: global deadline exhausted");
+  // Worker processes build their copy of the product while we build ours,
+  // so no ambiguity shard waits on a build.
+  if (Eff.Workers && Eff.Workers->procs() > 0)
+    Eff.Workers->prepareAmbiguity();
+  Result<CartesianSefa> AO = buildOutputAutomaton(A, S, Eff);
+  if (!AO)
+    return AO.status();
+  AmbiguityOptions AmbOpts;
+  AmbOpts.Jobs = Eff.Jobs;
+  AmbOpts.Sessions = Eff.Sessions;
+  AmbOpts.Overlaps = Eff.Overlaps;
+  AmbOpts.Workers = Eff.Workers;
+  Result<std::optional<AmbiguityWitness>> Amb =
+      checkAmbiguity(*AO, S, AmbOpts);
+  if (!Amb)
+    return Amb.status();
+  if (!Amb->has_value())
+    return InjectivityResult{true, std::nullopt, ""};
 
-    const AmbiguityWitness &W = **Amb;
-    InjectivityResult R;
-    R.Injective = false;
-    R.Detail = "two accepting paths produce the output " + toString(W.Word);
-    if (W.PathA.empty() && W.PathB.empty()) {
-      R.Detail += " (epsilon-cycle ambiguity: unboundedly many paths)";
-      return R;
-    }
-    Result<ValueList> U1 = inputForPath(A, S, W.PathA, W.Word);
-    Result<ValueList> U2 = inputForPath(A, S, W.PathB, W.Word);
-    if (U1 && U2) {
-      R.Witness = {*U1, *U2};
-      return R;
-    }
-    // Spurious witness: the hull over-approximation was too coarse.
-    // Retry with exact projections; if those also produce an unrealizable
-    // witness, some rule's image predicate is genuinely not Cartesian and
-    // the instance falls outside the decidable fragment.
-    if (!AllowHull)
-      return Status::error(
-          "ambiguity witness " + toString(W.Word) +
-          " could not be realized by concrete inputs; some rule's output "
-          "predicate is not Cartesian, so injectivity is undecidable here "
-          "(Theorems 4.8/4.16)");
+  const AmbiguityWitness &W = **Amb;
+  InjectivityResult R;
+  R.Injective = false;
+  R.Detail = "two accepting paths produce the output " + toString(W.Word);
+  if (W.PathA.empty() && W.PathB.empty()) {
+    R.Detail += " (epsilon-cycle ambiguity: unboundedly many paths)";
+    return R;
   }
-  unreachable("CEGAR loop must return");
+  Result<ValueList> U1 = inputForPath(A, S, W.PathA, W.Word);
+  Result<ValueList> U2 = inputForPath(A, S, W.PathB, W.Word);
+  if (!U1 || !U2)
+    return Status::error(
+        "ambiguity witness " + toString(W.Word) +
+        " could not be realized by concrete inputs; some rule's output "
+        "predicate is not Cartesian, so injectivity is undecidable here "
+        "(Theorems 4.8/4.16)");
+  R.Witness = {*U1, *U2};
+  return R;
 }

@@ -45,14 +45,14 @@ namespace genic {
 struct InjectivityOptions {
   unsigned Jobs = 1;
   /// Warm worker sessions for the verdict-only parallel queries; a private
-  /// pool is created (and shared across the CEGAR iterations) when null.
+  /// pool is created (and shared by every phase) when null.
   /// Term-producing stages (projections) use fresh per-task forks of \p S's
   /// factory instead — see SolverContext.h for the determinism contract.
   SolverSessionPool *Sessions = nullptr;
   /// Shared (guard, guard) overlap verdicts for the ambiguity product
-  /// search. checkInjectivity creates one per call when null and reuses it
-  /// across the hull and exact CEGAR rounds, so the second round starts
-  /// with every verdict the first round discharged.
+  /// search. checkInjectivity creates one per call when null; a caller
+  /// that runs the phases itself passes one to keep the verdicts of
+  /// repeated searches over the same automaton.
   GuardOverlapCache *Overlaps = nullptr;
   /// When set, the verdict-only scans (transition-injectivity rules, the
   /// ambiguity product levels) ship their chunks to out-of-process workers;
@@ -97,26 +97,33 @@ checkTransitionInjectivity(const Seft &A, Solver &S,
                            const InjectivityOptions &Opts);
 
 /// Definition 4.9 with the epsilon-step collapsed: builds the output
-/// automaton whose transition with id i carries the per-position
-/// projections of rule i's image predicate. For Cartesian predicates
-/// (Definition 4.12) the decomposition is exact; otherwise it
+/// automaton whose transition with id i carries one guard per output
+/// position of rule i, each over Var(0). A guard is the exact projection
+/// of the rule's image predicate (Solver::project) where it has a closed
+/// form; otherwise (a bit-vector image at the enumeration cap) it is the
+/// existential predicate phi(w) /\ Var(0) = f_j(w) itself, with free
+/// witness variables w renamed apart per (rule, position) in rule/position
+/// order, so the automaton is exact either way. Only the Lemma 4.14
+/// product reads such guards: it asks for satisfiability, overlaps and
+/// models, never a negation. For Cartesian predicates (Definition 4.12)
+/// the conjunction of the positions is exact; otherwise it
 /// over-approximates, which checkInjectivity compensates for by validating
 /// ambiguity witnesses against the real transducer.
-Result<CartesianSefa> buildOutputAutomaton(const Seft &A, Solver &S);
+///
+/// The per-(rule, position) projections — the dominant cost of the output
+/// automaton — are fanned out over \p Opts.Jobs workers. Each projection
+/// runs in a fresh private session whose factory history is a pure
+/// function of that one rule (pooled sessions must not export terms, see
+/// SolverSessionPool.h); results are cloned back into \p S's factory in
+/// rule/position order, so the automaton is structurally identical for
+/// every Jobs value, and in every process that lowered the same program.
+Result<CartesianSefa>
+buildOutputAutomaton(const Seft &A, Solver &S,
+                     const InjectivityOptions &Opts = InjectivityOptions());
 
-/// As above, controlling whether wide bit-vector projections may use the
-/// over-approximating [min, max] hull (sound for the ambiguity check, whose
-/// witnesses are validated) instead of exact interval learning.
-Result<CartesianSefa> buildOutputAutomaton(const Seft &A, Solver &S,
-                                           bool AllowHull);
-
-/// As above with the per-(rule, position) projections — the dominant cost
-/// of the whole injectivity check on the coder corpus — fanned out over
-/// \p Opts.Jobs workers. Each projection runs in a fresh private session
-/// whose factory history is a pure function of that one rule (pooled
-/// sessions must not export terms, see SolverSessionPool.h); results are
-/// cloned back into \p S's factory in rule/position order, so the automaton
-/// is structurally identical for every Jobs value.
+/// The same automaton; the flag is ignored. It chose between an
+/// over-approximating hull and exact projections in an earlier two-round
+/// check, and stays for callers written against that interface.
 Result<CartesianSefa> buildOutputAutomaton(const Seft &A, Solver &S,
                                            bool AllowHull,
                                            const InjectivityOptions &Opts);

@@ -124,7 +124,7 @@ TEST_P(Utf16Lifetime, OutputAutomatonReleasesItsForks) {
   InjectivityOptions Opts;
   Opts.Jobs = Jobs;
   Result<CartesianSefa> AO =
-      buildOutputAutomaton(Prog->Machine, Root.solver(), true, Opts);
+      buildOutputAutomaton(Prog->Machine, Root.solver(), Opts);
   ASSERT_TRUE(AO.isOk()) << AO.status().message();
   EXPECT_EQ(Solver::liveBackendContexts(), Held);
   EXPECT_GT(contextsCreated(M), 0u);

@@ -6,9 +6,12 @@
 
 #include "transducer/Injectivity.h"
 
+#include "support/Trace.h"
 #include "transducer/Determinism.h"
 
 #include <gtest/gtest.h>
+
+#include <string>
 
 using namespace genic;
 
@@ -195,6 +198,90 @@ TEST_F(InjectivityTest, NonCartesianImageStillDecidedWhenUnambiguous) {
   Result<InjectivityResult> R = checkInjectivity(A, S);
   ASSERT_TRUE(R.isOk()) << R.status().message();
   EXPECT_TRUE(R->Injective) << R->Detail;
+}
+
+/// Two rules over 16-bit symbols, each consuming two, whose every output
+/// image has far more values than project() enumerates: every guard of
+/// the output automaton is an existential image predicate.
+class WideImageTest : public ::testing::Test {
+protected:
+  TermFactory F;
+  Solver S{F};
+  Type B16 = Type::bitVecTy(16);
+  TermRef X0 = F.mkVar(0, B16);
+  TermRef X1 = F.mkVar(1, B16);
+  TermRef bv(uint64_t V) { return F.mkBv(V, 16); }
+
+  /// Number of cegar.projections spans \p Run records.
+  template <typename Fn> size_t projectionSpans(Fn Run) {
+    TraceRecorder &R = TraceRecorder::global();
+    R.enable();
+    Run();
+    R.disable();
+    std::string Json = R.json();
+    R.clear();
+    size_t N = 0;
+    const std::string Name = "\"name\":\"cegar.projections\"";
+    for (size_t At = Json.find(Name); At != std::string::npos;
+         At = Json.find(Name, At + 1))
+      ++N;
+    return N;
+  }
+};
+
+TEST_F(WideImageTest, OverlappingWideImagesAreNotInjectiveInOneRound) {
+  // [x0, x1] under x0 < 0x8000, and [x0 - 0x4000, x1] under
+  // x0 >= 0x8000: both rules are injective, but their first outputs share
+  // [0x4000, 0x7fff], so [0x4000, 0] and [0x8000, 0] collide. The exact
+  // guards find that in the one and only round, and the witness is
+  // realized by inputForPath.
+  Seft A(1, 0, B16, B16);
+  A.addTransition({0, Seft::FinalState, 2,
+                   F.mkBvOp(Op::BvUlt, X0, bv(0x8000)), {X0, X1}});
+  A.addTransition({0, Seft::FinalState, 2,
+                   F.mkBvOp(Op::BvUge, X0, bv(0x8000)),
+                   {F.mkBvOp(Op::BvSub, X0, bv(0x4000)), X1}});
+  Result<InjectivityResult> R = Status::error("not run");
+  EXPECT_EQ(projectionSpans([&] { R = checkInjectivity(A, S); }), 1u);
+  ASSERT_TRUE(R.isOk()) << R.status().message();
+  EXPECT_FALSE(R->Injective);
+  ASSERT_TRUE(R->Witness.has_value()) << R->Detail;
+  const auto &[U1, U2] = *R->Witness;
+  EXPECT_NE(U1, U2);
+  EXPECT_EQ(A.transduce(U1), A.transduce(U2));
+  EXPECT_EQ(A.transduce(U1).size(), 1u);
+}
+
+TEST_F(WideImageTest, InjectiveWideImagesTakeOneRound) {
+  // The identity, split at x0 = 0x8000: the first outputs' images
+  // [0, 0x7fff] and [0x8000, 0xffff] are disjoint, so the machine is
+  // injective.
+  Seft A(1, 0, B16, B16);
+  A.addTransition({0, Seft::FinalState, 2,
+                   F.mkBvOp(Op::BvUlt, X0, bv(0x8000)), {X0, X1}});
+  A.addTransition({0, Seft::FinalState, 2,
+                   F.mkBvOp(Op::BvUge, X0, bv(0x8000)), {X0, X1}});
+  Result<InjectivityResult> R = Status::error("not run");
+  EXPECT_EQ(projectionSpans([&] { R = checkInjectivity(A, S); }), 1u);
+  ASSERT_TRUE(R.isOk()) << R.status().message();
+  EXPECT_TRUE(R->Injective) << R->Detail;
+}
+
+TEST_F(WideImageTest, NonCartesianImageIsStillAnError) {
+  // [x0, x1] under x0 >= x1 and under x0 < x1: the machine is the
+  // identity, so injective, but neither image predicate is Cartesian.
+  // Per position both images cover almost all of [0, 0xffff], so the
+  // output automaton is ambiguous, and no input realizes the witness on
+  // both paths: the instance is outside the decidable fragment.
+  Seft A(1, 0, B16, B16);
+  A.addTransition({0, Seft::FinalState, 2, F.mkBvOp(Op::BvUge, X0, X1),
+                   {X0, X1}});
+  A.addTransition({0, Seft::FinalState, 2, F.mkBvOp(Op::BvUlt, X0, X1),
+                   {X0, X1}});
+  Result<InjectivityResult> R = checkInjectivity(A, S);
+  ASSERT_FALSE(R.isOk());
+  EXPECT_NE(R.status().message().find("is not Cartesian"), std::string::npos)
+      << R.status().message();
 }
 
 TEST_F(InjectivityTest, SampleInputContext) {

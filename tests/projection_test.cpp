@@ -5,17 +5,19 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Pins the terms Solver::project returns for bit-vector image predicates.
-/// Most image values come from concrete evaluation around one solver model,
-/// and the rest from a blocking loop; the result must not depend on that
-/// split. So every (rule, output position) predicate of the 14 corpus
-/// coders is projected under both hull flags and compared with an
-/// independent reference: a blocking loop of models on a second session's
-/// scoped stack, rendered as the maximal-interval term, and for images at
-/// the cap a reference hull by binary search. Synthetic predicates pin the
-/// choice function at the cap (599, 600 and 601 values), the solver's
-/// completion of what the walk cannot reach, empty and full domains,
-/// the deadline and fault paths, and the walk's evaluation counts.
+/// Pins the terms Solver::project returns for bit-vector image predicates,
+/// and the output-automaton guards built from them. Most image values come
+/// from concrete evaluation around one solver model, and the rest from a
+/// blocking loop; the result must not depend on that split. So every
+/// (rule, output position) guard of the 14 corpus coders' output automata
+/// is compared with an independent reference: a blocking loop of models on
+/// a second session's scoped stack, rendered as the maximal-interval term.
+/// An image at the cap has no closed form; its guard is the existential
+/// image predicate, checked against reference membership on sampled
+/// values. Synthetic predicates pin the choice function at the cap (599,
+/// 600 and 601 values), the solver's completion of what the walk cannot
+/// reach, empty and full domains, the deadline and fault paths, and the
+/// walk's evaluation counts.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -27,6 +29,7 @@
 #include "support/Deadline.h"
 #include "support/Metrics.h"
 #include "term/Printer.h"
+#include "transducer/Injectivity.h"
 
 #include <gtest/gtest.h>
 
@@ -97,21 +100,21 @@ public:
 
   /// The image by blocking loop: one model per value, each blocked by a
   /// y != v assertion, until Unsat or \p Limit values (0 = no limit).
-  /// std::nullopt when the loop reaches the limit.
-  std::optional<std::vector<uint64_t>> values(size_t Limit) {
+  /// Returns whether the loop finished under the limit; \p Values gets
+  /// every value found either way.
+  bool values(size_t Limit, std::vector<uint64_t> &Values) {
     ScopedAssertions Blocks(S);
-    std::vector<uint64_t> Values;
     while (Limit == 0 || Values.size() < Limit) {
       Result<std::optional<std::vector<Value>>> M =
           S.modelAssuming({}, Types);
       EXPECT_TRUE(M.isOk()) << M.status().message();
       if (!M.isOk() || !M->has_value())
-        return Values;
+        return true;
       uint64_t V = (**M).back().getBits();
       Values.push_back(V);
       Blocks.add(F.mkNot(F.mkEq(Y, F.mkBv(V, Width))));
     }
-    return std::nullopt;
+    return false;
   }
 
   /// Whether some member satisfies \p Extra (a formula over y).
@@ -121,74 +124,6 @@ public:
     return R == SatResult::Sat;
   }
   bool member(uint64_t V) { return any(F.mkEq(Y, F.mkBv(V, Width))); }
-
-  /// The [min, max] hull by binary search on "a member >= m / <= m".
-  Run hull() {
-    const uint64_t Max = Value::maskOf(Width);
-    uint64_t Lo = 0, Hi = Max;
-    while (Lo < Hi) {
-      uint64_t Mid = Lo + (Hi - Lo + 1) / 2;
-      if (any(F.mkBvOp(Op::BvUge, Y, F.mkBv(Mid, Width))))
-        Lo = Mid;
-      else
-        Hi = Mid - 1;
-    }
-    uint64_t HullMax = Lo;
-    Lo = 0;
-    Hi = Max;
-    while (Lo < Hi) {
-      uint64_t Mid = Lo + (Hi - Lo) / 2;
-      if (any(F.mkBvOp(Op::BvUle, Y, F.mkBv(Mid, Width))))
-        Hi = Mid;
-      else
-        Lo = Mid + 1;
-    }
-    return {Lo, HullMax};
-  }
-
-  /// \p R (over Var(0)) applied to y, or to y + \p Delta.
-  TermRef at(TermRef R, int Delta = 0) {
-    TermRef Arg = Y;
-    if (Delta)
-      Arg = F.mkBvOp(Delta > 0 ? Op::BvAdd : Op::BvSub, Y,
-                     F.mkBv(Delta > 0 ? Delta : -Delta, Width));
-    TermRef Repl[] = {Arg};
-    return F.substitute(R, Repl);
-  }
-
-  /// The maximal runs of the set \p R denotes, found by enumerating its
-  /// run boundaries with the solver (R is over Var(0); at most \p Limit
-  /// runs).
-  std::vector<Run> runsOfTerm(TermRef R, size_t Limit) {
-    const uint64_t Max = Value::maskOf(Width);
-    auto Ends = [&](TermRef Boundary) {
-      // A fresh session: the boundaries are about R alone.
-      Solver T(F);
-      ScopedAssertions Blocks(T);
-      Blocks.add(Boundary);
-      std::vector<uint64_t> Out;
-      while (Out.size() <= Limit) {
-        Result<std::optional<std::vector<Value>>> M =
-            T.modelAssuming({}, Types);
-        EXPECT_TRUE(M.isOk()) << M.status().message();
-        if (!M.isOk() || !M->has_value())
-          break;
-        Out.push_back((**M).back().getBits());
-        Blocks.add(F.mkNot(F.mkEq(Y, F.mkBv(Out.back(), Width))));
-      }
-      std::sort(Out.begin(), Out.end());
-      return Out;
-    };
-    std::vector<uint64_t> Los = Ends(F.mkAnd(
-        at(R), F.mkOr(F.mkEq(Y, F.mkBv(0, Width)), F.mkNot(at(R, -1)))));
-    std::vector<uint64_t> His = Ends(F.mkAnd(
-        at(R), F.mkOr(F.mkEq(Y, F.mkBv(Max, Width)), F.mkNot(at(R, 1)))));
-    EXPECT_EQ(Los.size(), His.size());
-    std::vector<Run> Runs;
-    for (size_t K = 0; K < std::min(Los.size(), His.size()); ++K)
-      Runs.push_back({Los[K], His[K]});
-    return Runs;
-  }
 
   unsigned width() const { return Width; }
 
@@ -201,64 +136,66 @@ private:
   ScopedAssertions Scope;
 };
 
-/// Checks project(P, I, Hull) for both hull flags against the reference.
-/// Images under the cap (or of width <= 9) must be the exact run term. At
-/// or over the cap the hull flag must give the reference hull, and the
-/// exact flag a term that holds the whole image, whose maximal runs start
-/// and end on image values and are bounded by non-members (containment of
-/// a run's interior would need a quantified query, which the reference
-/// avoids), unless interval learning gives up within its budget.
-void expectReferenceProjection(Solver &Tested, Solver &Ref,
-                               const ImagePredicate &P, unsigned I,
-                               const std::string &What) {
+/// Checks \p Guard, the output-automaton guard of position \p I of the
+/// rule \p P, against the reference. An image under the cap (or of width
+/// <= 9) must come back as the exact run term. At the cap, project() must
+/// report no closed form, and the guard (the existential image predicate,
+/// witnesses free) must agree with reference membership on sampled values:
+/// image values, their neighbours and the domain's ends.
+void expectReferenceGuard(Solver &Tested, Solver &Ref, const ImagePredicate &P,
+                          unsigned I, TermRef Guard, const std::string &What) {
   SCOPED_TRACE(What);
   TermFactory &F = Tested.factory();
   ReferenceImage Image(Ref, P, I);
   const unsigned Width = Image.width();
-  std::optional<std::vector<uint64_t>> Values =
-      Image.values(Width <= 9 ? 0 : Cap);
-  for (bool Hull : {true, false}) {
-    // Interval learning on an image at the cap may give up on a quantified
-    // containment query (it does on the UTF decoders, whose pipelines
-    // never ask for it); a short budget keeps that case cheap, and giving
-    // up is accepted only from the learner.
-    const bool Learned = !Values && !Hull;
-    Solver Short(F);
-    SolverControl NoRetry;
-    NoRetry.RetryUnknown = false;
-    Short.setControl(NoRetry);
-    Short.setTimeoutMs(1000);
-    Result<TermRef> R = (Learned ? Short : Tested).project(P, I, Hull);
-    if (Learned && !R.isOk()) {
-      EXPECT_NE(R.status().message().find("interval-learning"),
-                std::string::npos)
-          << R.status().message();
-      continue;
-    }
-    ASSERT_TRUE(R.isOk()) << "hull " << Hull << ": " << R.status().message();
-    if (Values) {
-      EXPECT_EQ(*R, runsTerm(F, runsOf(*Values), Width))
-          << "hull " << Hull << ": " << printTerm(*R);
-      continue;
-    }
-    if (Hull) {
-      EXPECT_EQ(*R, runsTerm(F, {Image.hull()}, Width)) << printTerm(*R);
-      continue;
-    }
-    EXPECT_FALSE(Image.any(F.mkNot(Image.at(*R))))
-        << "image value outside " << printTerm(*R);
-    const uint64_t Max = Value::maskOf(Width);
-    for (const Run &Rn : Image.runsOfTerm(*R, 256)) {
-      EXPECT_TRUE(Image.member(Rn.Lo)) << Rn.Lo;
-      EXPECT_TRUE(Image.member(Rn.Hi)) << Rn.Hi;
-      if (Rn.Lo != 0) {
-        EXPECT_FALSE(Image.member(Rn.Lo - 1)) << Rn.Lo - 1;
-      }
-      if (Rn.Hi != Max) {
-        EXPECT_FALSE(Image.member(Rn.Hi + 1)) << Rn.Hi + 1;
-      }
-    }
+  std::vector<uint64_t> Values;
+  if (Image.values(Width <= 9 ? 0 : Cap, Values)) {
+    EXPECT_EQ(Guard, runsTerm(F, runsOf(Values), Width)) << printTerm(Guard);
+    return;
   }
+  Result<std::optional<TermRef>> R = Tested.project(P, I);
+  ASSERT_TRUE(R.isOk()) << R.status().message();
+  EXPECT_FALSE(R->has_value()) << printTerm(**R);
+  const uint64_t Max = Value::maskOf(Width);
+  std::vector<uint64_t> Samples{0, 1, Max - 1, Max};
+  for (size_t K = 0; K < Values.size(); K += Values.size() / 16) {
+    Samples.push_back(Values[K]);
+    Samples.push_back((Values[K] + 1) & Max);
+    Samples.push_back((Values[K] - 1) & Max);
+  }
+  unsigned In = 0;
+  for (uint64_t V : Samples) {
+    TermRef Pin[] = {F.mkBv(V, Width)};
+    Result<bool> Sat = Tested.isSat(F.substitute(Guard, Pin));
+    ASSERT_TRUE(Sat.isOk()) << Sat.status().message();
+    const bool Member = Image.member(V);
+    EXPECT_EQ(*Sat, Member) << "value " << V << ", guard "
+                            << printTerm(Guard);
+    In += Member;
+  }
+  EXPECT_GE(In, 16u);
+}
+
+/// The output-automaton guard of position \p I of a one-rule machine with
+/// \p P's guard and outputs over inputs of type \p In.
+TermRef outputGuard(Solver &S, const ImagePredicate &P, unsigned I, Type In) {
+  Seft A(1, 0, In, P.Outputs[I]->type());
+  A.addTransition({0, Seft::FinalState, P.NumInputs, P.Guard,
+                   std::vector<TermRef>(P.Outputs.begin(), P.Outputs.end())});
+  Result<CartesianSefa> AO = buildOutputAutomaton(A, S);
+  EXPECT_TRUE(AO.isOk()) << AO.status().message();
+  if (!AO.isOk() || AO->transitions().size() != 1)
+    return nullptr;
+  return AO->transitions()[0].Guards[I];
+}
+
+/// expectReferenceGuard on the guard outputGuard builds in \p Tested.
+void expectReferenceProjection(Solver &Tested, Solver &Ref,
+                               const ImagePredicate &P, unsigned I, Type In,
+                               const std::string &What) {
+  TermRef Guard = outputGuard(Tested, P, I, In);
+  ASSERT_NE(Guard, nullptr);
+  expectReferenceGuard(Tested, Ref, P, I, Guard, What);
 }
 
 class ProjectionImageTest : public ::testing::TestWithParam<size_t> {};
@@ -278,19 +215,24 @@ TEST_P(ProjectionImageTest, EveryRuleImageMatchesTheReferenceLoop) {
   Result<LoweredProgram> Prog = lowerProgram(F, *Ast);
   ASSERT_TRUE(Prog.isOk()) << Prog.status().message();
   Solver Tested(F), Ref(F);
-  unsigned Projected = 0;
+  Result<CartesianSefa> AO = buildOutputAutomaton(Prog->Machine, Tested);
+  ASSERT_TRUE(AO.isOk()) << AO.status().message();
+  // Every rule has outputs, so the automaton keeps every rule, in order.
   const auto &Ts = Prog->Machine.transitions();
+  ASSERT_EQ(AO->transitions().size(), Ts.size());
+  unsigned Projected = 0;
   for (unsigned Rule = 0; Rule != Ts.size(); ++Rule) {
     const SeftTransition &T = Ts[Rule];
     ImagePredicate P;
     P.Guard = T.Guard;
     P.Outputs.assign(T.Outputs.begin(), T.Outputs.end());
     P.NumInputs = T.Lookahead;
+    ASSERT_EQ(AO->transitions()[Rule].Guards.size(), P.arity());
     for (unsigned J = 0; J != P.arity(); ++J) {
       ASSERT_TRUE(P.Outputs[J]->type().isBitVec());
-      expectReferenceProjection(Tested, Ref, P, J,
-                                "rule " + std::to_string(Rule) +
-                                    ", position " + std::to_string(J));
+      expectReferenceGuard(Tested, Ref, P, J, AO->transitions()[Rule].Guards[J],
+                           "rule " + std::to_string(Rule) + ", position " +
+                               std::to_string(J));
       ++Projected;
     }
   }
@@ -319,7 +261,7 @@ TEST_F(ProjectionTest, CoupledGuardIsCompletedByTheSolver) {
   P.Outputs = {X0};
   P.NumInputs = 2;
   Solver Tested(F), Ref(F);
-  expectReferenceProjection(Tested, Ref, P, 0, "coupled guard");
+  expectReferenceProjection(Tested, Ref, P, 0, B8, "coupled guard");
   Solver S(F);
   ASSERT_TRUE(S.project(P, 0).isOk());
   EXPECT_EQ(S.stats().ImageValuesEvaluated, 0u);
@@ -338,7 +280,7 @@ TEST_F(ProjectionTest, WalkAndSolverShareAFragmentedImage) {
   P.Outputs = {F.mkBvOp(Op::BvAdd, X0, X1)};
   P.NumInputs = 3;
   Solver Tested(F), Ref(F);
-  expectReferenceProjection(Tested, Ref, P, 0, "fragmented image");
+  expectReferenceProjection(Tested, Ref, P, 0, B8, "fragmented image");
   Solver S(F);
   ASSERT_TRUE(S.project(P, 0).isOk());
   const Solver::Stats &St = S.stats();
@@ -386,8 +328,8 @@ TEST_F(ProjectionTest, WalkEvaluationsDrainIntoTheEvalCounters) {
 TEST_F(ProjectionTest, CapBoundaryPinsTheChoiceFunction) {
   // f = x & 0xfffb (bit 2 cleared) under f <= T: runs of four values in
   // every eight. T = 1194, 1195, 1200 give 599, 600 and 601 values. Under
-  // the cap the exact set comes back under both flags; at and over it the
-  // hull flag gives [0, T] and the exact flag the learned runs.
+  // the cap the exact set comes back; at and over it there is no closed
+  // form.
   TermRef X = F.mkVar(0, B16);
   TermRef Out = F.mkBvOp(Op::BvAnd, X, bv(0xfffb, 16));
   for (uint64_t T : {1194u, 1195u, 1200u}) {
@@ -402,15 +344,16 @@ TEST_F(ProjectionTest, CapBoundaryPinsTheChoiceFunction) {
     P.Outputs = {Out};
     P.NumInputs = 1;
     Solver Tested(F), Ref(F);
-    expectReferenceProjection(Tested, Ref, P, 0, "cap boundary");
+    expectReferenceProjection(Tested, Ref, P, 0, B16, "cap boundary");
     Solver S(F);
-    Result<TermRef> Hull = S.project(P, 0, /*AllowHull=*/true);
-    Result<TermRef> Exact = S.project(P, 0, /*AllowHull=*/false);
-    ASSERT_TRUE(Hull.isOk() && Exact.isOk());
-    TermRef Set = runsTerm(F, runsOf(Values), 16);
-    EXPECT_EQ(*Exact, Set) << printTerm(*Exact);
-    EXPECT_EQ(*Hull, Values.size() < Cap ? Set : runsTerm(F, {{0, T}}, 16))
-        << printTerm(*Hull);
+    Result<std::optional<TermRef>> R = S.project(P, 0);
+    ASSERT_TRUE(R.isOk()) << R.status().message();
+    if (Values.size() < Cap) {
+      ASSERT_TRUE(R->has_value());
+      EXPECT_EQ(**R, runsTerm(F, runsOf(Values), 16)) << printTerm(**R);
+    } else {
+      EXPECT_FALSE(R->has_value()) << printTerm(**R);
+    }
   }
 }
 
@@ -421,11 +364,11 @@ TEST_F(ProjectionTest, EmptyImageIsFalse) {
   P.Outputs = {X};
   P.NumInputs = 1;
   Solver Tested(F), Ref(F);
-  expectReferenceProjection(Tested, Ref, P, 0, "empty image");
+  expectReferenceProjection(Tested, Ref, P, 0, B16, "empty image");
   Solver S(F);
-  Result<TermRef> R = S.project(P, 0);
-  ASSERT_TRUE(R.isOk());
-  EXPECT_EQ(*R, F.mkFalse());
+  Result<std::optional<TermRef>> R = S.project(P, 0);
+  ASSERT_TRUE(R.isOk() && R->has_value());
+  EXPECT_EQ(**R, F.mkFalse());
   EXPECT_EQ(S.stats().ImageValuesSolved, 0u);
   EXPECT_EQ(S.stats().ImageValuesEvaluated, 0u);
 }
@@ -440,11 +383,11 @@ TEST_F(ProjectionTest, FullNineBitDomainIsTrue) {
   P.Outputs = {X};
   P.NumInputs = 1;
   Solver Tested(F), Ref(F);
-  expectReferenceProjection(Tested, Ref, P, 0, "full domain");
+  expectReferenceProjection(Tested, Ref, P, 0, B9, "full domain");
   Solver S(F);
-  Result<TermRef> R = S.project(P, 0);
-  ASSERT_TRUE(R.isOk());
-  EXPECT_EQ(*R, F.mkTrue());
+  Result<std::optional<TermRef>> R = S.project(P, 0);
+  ASSERT_TRUE(R.isOk() && R->has_value());
+  EXPECT_EQ(**R, F.mkTrue());
   const Solver::Stats &St = S.stats();
   EXPECT_EQ(St.ImageValuesEvaluated + St.ImageValuesSolved, 512u);
   EXPECT_GT(St.ImageValuesEvaluated, 256u);
@@ -461,11 +404,9 @@ TEST_F(ProjectionTest, ExpiredDeadlineIsCancelled) {
   SolverControl Expired;
   Expired.Cancel = CancellationToken(Deadline::after(0));
   S.setControl(Expired);
-  for (bool Hull : {true, false}) {
-    Result<TermRef> R = S.project(P, 0, Hull);
-    ASSERT_FALSE(R.isOk());
-    EXPECT_EQ(R.status().code(), StatusCode::Cancelled);
-  }
+  Result<std::optional<TermRef>> R = S.project(P, 0);
+  ASSERT_FALSE(R.isOk());
+  EXPECT_EQ(R.status().code(), StatusCode::Cancelled);
 }
 
 TEST_F(ProjectionTest, InjectedThrowIsSolverErrorAndTheSessionAnswers) {
@@ -480,12 +421,13 @@ TEST_F(ProjectionTest, InjectedThrowIsSolverErrorAndTheSessionAnswers) {
   ASSERT_TRUE(Plan.isOk());
   Faulty.Faults = *Plan;
   S.setControl(Faulty);
-  Result<TermRef> Thrown = S.project(P, 0);
+  Result<std::optional<TermRef>> Thrown = S.project(P, 0);
   ASSERT_FALSE(Thrown.isOk());
   EXPECT_EQ(Thrown.status().code(), StatusCode::SolverError);
-  Result<TermRef> After = S.project(P, 0);
+  Result<std::optional<TermRef>> After = S.project(P, 0);
   ASSERT_TRUE(After.isOk()) << After.status().message();
-  EXPECT_EQ(*After, runsTerm(F, {{0, 99}}, 8)) << printTerm(*After);
+  ASSERT_TRUE(After->has_value());
+  EXPECT_EQ(**After, runsTerm(F, {{0, 99}}, 8)) << printTerm(**After);
 }
 
 } // namespace

@@ -8,6 +8,7 @@
 
 #include "term/Eval.h"
 #include "term/Printer.h"
+#include "transducer/Injectivity.h"
 
 #include <gtest/gtest.h>
 
@@ -70,8 +71,9 @@ TEST_F(SolverMoreTest, EquivalentUnderBooleans) {
 }
 
 TEST_F(SolverMoreTest, ProjectWideBitVectorRange) {
-  // 32-bit affine image: the enumeration cap is exceeded and the hull
-  // takes over; for a contiguous image the hull IS exact. (This is the
+  // 32-bit affine image [0x1000, 0x10FFF]: the enumeration cap is reached,
+  // so project() reports no closed form, and the output automaton carries
+  // the existential image predicate instead, which is exact. (This is the
   // mode the injectivity pipeline uses for wide symbols.)
   TermFactory F2;
   Solver S2(F2);
@@ -83,13 +85,24 @@ TEST_F(SolverMoreTest, ProjectWideBitVectorRange) {
       F2.mkBvOp(Op::BvUle, X, F2.mkBv(0x10FFFF, 32)));
   P.Outputs = {F2.mkBvOp(Op::BvLshr, X, F2.mkBv(4, 32))};
   P.NumInputs = 1;
-  Result<TermRef> Psi = S2.project(P, 0, /*AllowHull=*/true);
+  Result<std::optional<TermRef>> Psi = S2.project(P, 0);
   ASSERT_TRUE(Psi.isOk()) << Psi.status().message();
+  EXPECT_FALSE(Psi->has_value()) << printTerm(**Psi);
+
+  Seft A(1, 0, B32, B32);
+  A.addTransition({0, Seft::FinalState, 1, P.Guard, P.Outputs});
+  Result<CartesianSefa> AO = buildOutputAutomaton(A, S2);
+  ASSERT_TRUE(AO.isOk()) << AO.status().message();
+  ASSERT_EQ(AO->transitions().size(), 1u);
+  TermRef Guard = AO->transitions()[0].Guards[0];
   auto Holds = [&](uint64_t V) {
-    std::vector<Value> Env{Value::bitVecVal(V, 32)};
-    return evalBool(*Psi, Env);
+    TermRef Pin[] = {F2.mkBv(V, 32)};
+    Result<bool> Sat = S2.isSat(F2.substitute(Guard, Pin));
+    EXPECT_TRUE(Sat.isOk()) << Sat.status().message();
+    return Sat.isOk() && *Sat;
   };
   EXPECT_TRUE(Holds(0x1000));
+  EXPECT_TRUE(Holds(0x8765));
   EXPECT_TRUE(Holds(0x10FFF));
   EXPECT_FALSE(Holds(0xFFF));
   EXPECT_FALSE(Holds(0x11000));
@@ -105,39 +118,13 @@ TEST_F(SolverMoreTest, ProjectWideImageWithinEnumerationCap) {
   P.Guard = F2.mkTrue();
   P.Outputs = {F2.mkBvOp(Op::BvLshr, X, F2.mkBv(8, 16))};
   P.NumInputs = 1;
-  Result<TermRef> Psi = S2.project(P, 0, /*AllowHull=*/false);
+  Result<std::optional<TermRef>> Psi = S2.project(P, 0);
   ASSERT_TRUE(Psi.isOk()) << Psi.status().message();
+  ASSERT_TRUE(Psi->has_value());
   std::vector<Value> In{Value::bitVecVal(0xFF, 16)};
   std::vector<Value> Out{Value::bitVecVal(0x100, 16)};
-  EXPECT_TRUE(evalBool(*Psi, In));
-  EXPECT_FALSE(evalBool(*Psi, Out));
-}
-
-TEST_F(SolverMoreTest, ProjectHullOverapproximatesFragmentedImages) {
-  // Image {0} U [0x20000, 0x2FFFF]: the hull is one interval containing
-  // both, the exact mode keeps the gap.
-  TermFactory F2;
-  Solver S2(F2);
-  Type B32 = Type::bitVecTy(32);
-  TermRef X = F2.mkVar(0, B32);
-  ImagePredicate P;
-  P.Guard = F2.mkOr(
-      F2.mkEq(X, F2.mkBv(0, 32)),
-      F2.mkAnd(F2.mkBvOp(Op::BvUge, X, F2.mkBv(0x20000, 32)),
-               F2.mkBvOp(Op::BvUle, X, F2.mkBv(0x2FFFF, 32))));
-  P.Outputs = {X};
-  P.NumInputs = 1;
-  Result<TermRef> Hull = S2.project(P, 0, /*AllowHull=*/true);
-  ASSERT_TRUE(Hull.isOk()) << Hull.status().message();
-  std::vector<Value> Mid{Value::bitVecVal(0x10000, 32)};
-  EXPECT_TRUE(evalBool(*Hull, Mid)) << "hull should cover the gap";
-  Result<TermRef> Exact = S2.project(P, 0, /*AllowHull=*/false);
-  ASSERT_TRUE(Exact.isOk()) << Exact.status().message();
-  EXPECT_FALSE(evalBool(*Exact, Mid)) << printTerm(*Exact);
-  std::vector<Value> Zero{Value::bitVecVal(0, 32)};
-  std::vector<Value> In{Value::bitVecVal(0x23456, 32)};
-  EXPECT_TRUE(evalBool(*Exact, Zero));
-  EXPECT_TRUE(evalBool(*Exact, In));
+  EXPECT_TRUE(evalBool(**Psi, In));
+  EXPECT_FALSE(evalBool(**Psi, Out));
 }
 
 TEST_F(SolverMoreTest, CheckSatOnBoolVariables) {

@@ -117,12 +117,13 @@ TEST_F(SolverTest, ProjectLiaShiftedRange) {
   P.Guard = F.mkIntOp(Op::IntLt, X0, F.mkInt(0));
   P.Outputs = {F.mkIntOp(Op::IntAdd, X0, F.mkInt(5))};
   P.NumInputs = 1;
-  Result<TermRef> Psi = S.project(P, 0);
+  Result<std::optional<TermRef>> Psi = S.project(P, 0);
   ASSERT_TRUE(Psi.isOk()) << Psi.status().message();
+  ASSERT_TRUE(Psi->has_value());
   TermRef Expected = F.mkIntOp(Op::IntLt, F.mkVar(0, I), F.mkInt(5));
-  Result<bool> Eq = S.isValid(F.mkIff(*Psi, Expected));
+  Result<bool> Eq = S.isValid(F.mkIff(**Psi, Expected));
   ASSERT_TRUE(Eq.isOk());
-  EXPECT_TRUE(*Eq) << printTerm(*Psi);
+  EXPECT_TRUE(*Eq) << printTerm(**Psi);
 }
 
 TEST_F(SolverTest, ProjectBvShiftImage) {
@@ -131,13 +132,14 @@ TEST_F(SolverTest, ProjectBvShiftImage) {
   P.Guard = F.mkTrue();
   P.Outputs = {F.mkBvOp(Op::BvLshr, V0, F.mkBv(2, 8))};
   P.NumInputs = 1;
-  Result<TermRef> Psi = S.project(P, 0);
+  Result<std::optional<TermRef>> Psi = S.project(P, 0);
   ASSERT_TRUE(Psi.isOk()) << Psi.status().message();
+  ASSERT_TRUE(Psi->has_value());
   TermRef Y = F.mkVar(0, B8);
   TermRef Expected = F.mkBvOp(Op::BvUle, Y, F.mkBv(0x3F, 8));
-  Result<bool> Eq = S.isValid(F.mkIff(*Psi, Expected));
+  Result<bool> Eq = S.isValid(F.mkIff(**Psi, Expected));
   ASSERT_TRUE(Eq.isOk());
-  EXPECT_TRUE(*Eq) << printTerm(*Psi);
+  EXPECT_TRUE(*Eq) << printTerm(**Psi);
 }
 
 TEST_F(SolverTest, ProjectBase64MappingImageIsTheAlphabet) {
@@ -155,8 +157,9 @@ TEST_F(SolverTest, ProjectBase64MappingImageIsTheAlphabet) {
   P.Guard = Le(X, Bv(0x3f));
   P.Outputs = {E};
   P.NumInputs = 1;
-  Result<TermRef> Psi = S.project(P, 0);
+  Result<std::optional<TermRef>> Psi = S.project(P, 0);
   ASSERT_TRUE(Psi.isOk()) << Psi.status().message();
+  ASSERT_TRUE(Psi->has_value());
   // Check pointwise against the alphabet.
   std::vector<bool> InAlphabet(256, false);
   for (char C : std::string("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstu"
@@ -164,7 +167,7 @@ TEST_F(SolverTest, ProjectBase64MappingImageIsTheAlphabet) {
     InAlphabet[static_cast<unsigned char>(C)] = true;
   for (unsigned V = 0; V < 256; ++V) {
     std::vector<Value> Env{Value::bitVecVal(V, 8)};
-    EXPECT_EQ(evalBool(*Psi, Env), InAlphabet[V]) << "at value " << V;
+    EXPECT_EQ(evalBool(**Psi, Env), InAlphabet[V]) << "at value " << V;
   }
 }
 
@@ -199,12 +202,13 @@ TEST_P(BvAffineProjection, IntervalIsExact) {
   P.Guard = F.mkBvOp(Op::BvUle, X, F.mkBv(0x20, 8));
   P.Outputs = {F.mkBvOp(Op::BvAdd, X, F.mkBv(C, 8))};
   P.NumInputs = 1;
-  Result<TermRef> Psi = S.project(P, 0);
+  Result<std::optional<TermRef>> Psi = S.project(P, 0);
   ASSERT_TRUE(Psi.isOk()) << Psi.status().message();
+  ASSERT_TRUE(Psi->has_value());
   for (unsigned V = 0; V < 256; ++V) {
     bool Expected = V >= C && V <= 0x20 + C;
     std::vector<Value> Env{Value::bitVecVal(V, 8)};
-    EXPECT_EQ(evalBool(*Psi, Env), Expected) << "value " << V << " c " << C;
+    EXPECT_EQ(evalBool(**Psi, Env), Expected) << "value " << V << " c " << C;
   }
 }
 

@@ -308,6 +308,42 @@ TEST_F(SygusTest, InvertBase64MappingE) {
   EXPECT_FALSE(evalBool((*D)->Domain, Pad));
 }
 
+TEST_F(SygusTest, WideAuxImageHasNoInverseButTheRuleInverts) {
+  // f(x) = x + 1 over 16 bits is injective, but its image is all 65536
+  // values, past what project() enumerates: the inverse's printed domain
+  // has no closed form, so invertAuxFunction fails, and the rule that
+  // calls f is inverted without an inv_f component.
+  TermFactory F2;
+  Solver S2(F2);
+  SygusEngine E2(S2);
+  Type B16 = Type::bitVecTy(16);
+  TermRef P0 = F2.mkVar(0, B16);
+  const FuncDef *Fn = F2.makeFunc("inc16", {B16}, B16,
+                                  F2.mkBvOp(Op::BvAdd, P0, F2.mkBv(1, 16)));
+  Result<const FuncDef *> Inv = invertAuxFunction(E2, Fn, "inv_inc16");
+  ASSERT_FALSE(Inv.isOk());
+  EXPECT_NE(Inv.status().message().find("no closed form"), std::string::npos)
+      << Inv.status().message();
+
+  Seft D(1, 0, B16, B16);
+  D.addTransition({0, 0, 1, F2.mkTrue(), {F2.mkCall(Fn, {P0})}});
+  D.addTransition({0, Seft::FinalState, 0, F2.mkTrue(), {}});
+  Inverter Inverse(S2);
+  Result<InversionOutcome> R = Inverse.invert(D, {Fn});
+  ASSERT_TRUE(R.isOk()) << R.status().message();
+  EXPECT_TRUE(R->complete());
+  EXPECT_EQ(F2.lookupFunc("inv_inc16"), nullptr);
+  for (auto U : std::vector<ValueList>{
+           {Value::bitVecVal(0, 16)},
+           {Value::bitVecVal(0xffff, 16), Value::bitVecVal(0x1234, 16)}}) {
+    auto Mid = D.transduceFunctional(U);
+    ASSERT_TRUE(Mid.has_value());
+    auto Back = R->Inverse.transduce(*Mid, 4);
+    ASSERT_EQ(Back.size(), 1u) << "input " << toString(U);
+    EXPECT_EQ(Back[0], U);
+  }
+}
+
 TEST_F(SygusTest, FullInverterOnExample55) {
   // Example 5.5: invert D (the sign-splitting transducer); the paper gives
   // its inverse explicitly.

@@ -43,6 +43,7 @@
 
 #include <chrono>
 #include <csignal>
+#include <cstdio>
 #include <cstdlib>
 #include <mutex>
 #include <set>
@@ -475,10 +476,9 @@ struct RawWorker {
     return R ? replyStatus(*R) : R.status();
   }
 
-  Result<IpcMessage> prep(bool Hull) {
+  Result<IpcMessage> prep() {
     IpcMessage Req;
     Req.setStr("op", workerop::Prep);
-    Req.setU64("hull", Hull ? 1 : 0);
     return call(Req);
   }
 
@@ -491,7 +491,6 @@ struct RawWorker {
 
 /// One ambiguity shard request, as the coordinator shipped it.
 struct AmbCall {
-  bool Hull = true;
   uint64_t Fingerprint = 0;
   uint64_t CfgBase = 0;
   std::vector<uint64_t> VisitedKeys;
@@ -500,7 +499,6 @@ struct AmbCall {
   IpcMessage request() const {
     IpcMessage Req;
     Req.setStr("op", workerop::Amb);
-    Req.setU64("hull", Hull ? 1 : 0);
     Req.setU64("fp", Fingerprint);
     Req.setU64("cfg-base", CfgBase);
     Req.setU64List("visited", VisitedKeys);
@@ -531,16 +529,16 @@ public:
                                               uint64_t End) override {
     return Inner.transitionInjectivityShard(Begin, End);
   }
-  void prepareAmbiguity(bool Hull) override { Inner.prepareAmbiguity(Hull); }
+  void prepareAmbiguity() override { Inner.prepareAmbiguity(); }
   Result<AmbShardResult>
-  ambiguityShard(bool Hull, uint64_t Fingerprint, uint64_t CfgBase,
+  ambiguityShard(uint64_t Fingerprint, uint64_t CfgBase,
                  const std::vector<uint64_t> &VisitedKeys,
                  const std::vector<AmbShardConfig> &LevelChunk) override {
     {
       std::lock_guard<std::mutex> Lock(Mu);
-      Calls.push_back({Hull, Fingerprint, CfgBase, VisitedKeys, LevelChunk});
+      Calls.push_back({Fingerprint, CfgBase, VisitedKeys, LevelChunk});
     }
-    return Inner.ambiguityShard(Hull, Fingerprint, CfgBase, VisitedKeys,
+    return Inner.ambiguityShard(Fingerprint, CfgBase, VisitedKeys,
                                 LevelChunk);
   }
 
@@ -607,7 +605,7 @@ AmbCall firstAmbiguityShard() {
 
 TEST(WorkerSupervision, PrepBeforeLoadIsAnErrorReplyNotACrash) {
   RawWorker W;
-  Result<IpcMessage> R = W.prep(true);
+  Result<IpcMessage> R = W.prep();
   ASSERT_TRUE(R.isOk()) << R.status().message();
   Status St = replyStatus(*R);
   EXPECT_FALSE(St.isOk());
@@ -624,11 +622,11 @@ TEST(WorkerSupervision, PrepBeforeLoadIsAnErrorReplyNotACrash) {
 TEST(WorkerSupervision, PrepTwiceIsIdempotent) {
   RawWorker W;
   ASSERT_TRUE(W.load(multiStateProgram()).isOk());
-  Result<IpcMessage> First = W.prep(true);
+  Result<IpcMessage> First = W.prep();
   ASSERT_TRUE(First.isOk()) << First.status().message();
   EXPECT_TRUE(replyStatus(*First).isOk());
   Result<IpcMessage> After1 = W.collect();
-  Result<IpcMessage> Second = W.prep(true);
+  Result<IpcMessage> Second = W.prep();
   ASSERT_TRUE(Second.isOk()) << Second.status().message();
   EXPECT_EQ(encodeIpcMessage(*Second), encodeIpcMessage(*First));
   Result<IpcMessage> After2 = W.collect();
@@ -656,7 +654,7 @@ TEST(WorkerSupervision, PrepThenAmbAnswersLikeAmbAlone) {
     RawWorker Prepped, Cold;
     ASSERT_TRUE(Prepped.load(multiStateProgram(), Fault).isOk());
     ASSERT_TRUE(Cold.load(multiStateProgram(), Fault).isOk());
-    Result<IpcMessage> P = Prepped.prep(Shard.Hull);
+    Result<IpcMessage> P = Prepped.prep();
     ASSERT_TRUE(P.isOk()) << P.status().message();
     FailedPreps += !replyStatus(*P).isOk();
     Result<IpcMessage> A = Prepped.call(Shard.request());
@@ -674,7 +672,7 @@ TEST(WorkerSupervision, PrepDoesNotBypassTheFingerprintCheck) {
   AmbCall Shard = firstAmbiguityShard();
   RawWorker W;
   ASSERT_TRUE(W.load(multiStateProgram()).isOk());
-  Result<IpcMessage> P = W.prep(Shard.Hull);
+  Result<IpcMessage> P = W.prep();
   ASSERT_TRUE(P.isOk() && replyStatus(*P).isOk());
   Shard.Fingerprint ^= 1;
   Result<IpcMessage> R = W.call(Shard.request());
@@ -694,18 +692,42 @@ std::string corpusSource(const std::string &Name) {
   return "";
 }
 
+/// A one-state machine whose product takes seconds to build, in solver
+/// queries that all honour the request's deadline. Each of its 4 rules
+/// reads a pair (x, y) with y = x + k and outputs x, x + 1, x + 2 and
+/// x + 3, each from a range of 599 values, one under the projection cap.
+/// The concrete walk holds y fixed, so it finds no second value, and each
+/// of the 16 projections asks the solver for all 599. On a 4-vCPU x86-64
+/// VM the coordinator's build took 1.8-2.2 s on two threads, and a
+/// worker's 2.4-3.2 s on one; the scans before it take about 0.1 s.
+std::string slowProductProgram() {
+  std::string Source = "trans S (l : (BitVec 16) list) : (BitVec 16) :=\n"
+                       "  match l with\n";
+  for (unsigned K = 0; K != 4; ++K) {
+    char Rule[200];
+    std::snprintf(Rule, sizeof(Rule),
+                  "  | x::y::tail when (and (and (#x%04x <= x) "
+                  "(x < #x%04x)) (y == (x + #x%04x))) -> x :: (x + #x0001) "
+                  ":: (x + #x0002) :: (x + #x0003) :: S(tail)\n",
+                  K * 0x1000, K * 0x1000 + 599, K + 1);
+    Source += Rule;
+  }
+  return Source + "  | [] when true -> []\n"
+                  "isInjective S\n"
+                  "invert S\n";
+}
+
 TEST(WorkerSupervision, CancelledCollectKillsAWorkerStillInPrep) {
-  // The UTF-16 encoder's exact-round product takes seconds to build on one
-  // thread: its projections learn intervals with quantified queries.
-  // Once the request is cancelled, collect() must kill the worker
-  // mid-build instead of waiting for it — and not call that a crash.
+  // Once the request is cancelled, collect() must kill a worker still
+  // building slowProductProgram()'s product instead of waiting for it —
+  // and not call that a crash.
   WorkerSupervisorConfig Cfg = workerConfig(1);
-  Cfg.Source = corpusSource("UTF-16 encoder");
+  Cfg.Source = slowProductProgram();
   CancellationToken Cancel(Deadline::never());
   Cfg.Cancel = Cancel;
   Result<std::unique_ptr<WorkerSupervisor>> W = WorkerSupervisor::launch(Cfg);
   ASSERT_TRUE(W.isOk()) << W.status().message();
-  (*W)->prepareAmbiguity(false);
+  (*W)->prepareAmbiguity();
   while ((*W)->slotStates()[0].Pid <= 0)
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   std::this_thread::sleep_for(std::chrono::milliseconds(300));
@@ -788,9 +810,9 @@ public:
       return Failure;
     return ShardNoEvent;
   }
-  void prepareAmbiguity(bool) override {}
+  void prepareAmbiguity() override {}
   Result<AmbShardResult>
-  ambiguityShard(bool, uint64_t, uint64_t, const std::vector<uint64_t> &,
+  ambiguityShard(uint64_t, uint64_t, const std::vector<uint64_t> &,
                  const std::vector<AmbShardConfig> &) override {
     if (Which == FailedScan::Ambiguity)
       return Failure;
@@ -882,7 +904,7 @@ public:
       : FailingDispatcher(Status::error("unused"), FailedScan::Ambiguity),
         Reply(std::move(Reply)) {}
   Result<AmbShardResult>
-  ambiguityShard(bool, uint64_t, uint64_t, const std::vector<uint64_t> &,
+  ambiguityShard(uint64_t, uint64_t, const std::vector<uint64_t> &,
                  const std::vector<AmbShardConfig> &) override {
     return Reply;
   }
@@ -1142,12 +1164,11 @@ TEST(WorkerPipeline, CrashInsideTheProductBuildDegradesAsBeforePrep) {
 
 TEST(WorkerPipeline, TimedOutRequestDoesNotWaitForPrep) {
   // A one-second budget runs out while the coordinator and both workers
-  // are still building the UTF-16 encoder's exact-round product (seconds
-  // of interval learning; the hull round before it takes a fraction of a
-  // second). The run returns budget-exhausted at about the deadline, and
-  // a worker killed in prep is not reported as a crash. (The workers' own
-  // copy of the deadline stops their solver queries too, so the kill
-  // itself is pinned by CancelledCollectKillsAWorkerStillInPrep.)
+  // are still building slowProductProgram()'s product (see there). The
+  // run returns budget-exhausted at about the deadline, and a worker killed
+  // in prep is not reported as a crash. (The workers' own copy of the
+  // deadline stops their solver queries too, so the kill itself is pinned
+  // by CancelledCollectKillsAWorkerStillInPrep.)
   InverterOptions Options;
   Options.Jobs = 2;
   GenicTool Tool(Options);
@@ -1155,8 +1176,8 @@ TEST(WorkerPipeline, TimedOutRequestDoesNotWaitForPrep) {
   Tool.request().WorkerBinary = GENIC_WORKER_BIN;
   Tool.request().BudgetSeconds = 1.0;
   auto Start = std::chrono::steady_clock::now();
-  Result<GenicReport> R = Tool.run(corpusSource("UTF-16 encoder"),
-                                   /*ForceInjectivity=*/true);
+  Result<GenicReport> R =
+      Tool.run(slowProductProgram(), /*ForceInjectivity=*/true);
   double Seconds = std::chrono::duration<double>(
                        std::chrono::steady_clock::now() - Start)
                        .count();

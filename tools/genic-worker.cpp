@@ -61,10 +61,10 @@ struct WorkerState {
   std::optional<std::vector<std::pair<unsigned, unsigned>>> DetPairs;
   std::optional<std::vector<unsigned>> TiRules;
 
-  // One product build per AllowHull flavor, run by prep (or, after a
-  // respawn, by the first amb shard). A failed build is kept too, so amb
-  // after prep answers exactly like amb alone.
-  std::optional<Result<std::unique_ptr<AmbiguityShardScanner>>> Scanner[2];
+  // The one product build, run by prep (or, after a respawn, by the first
+  // amb shard). A failed build is kept too, so amb after prep answers
+  // exactly like amb alone.
+  std::optional<Result<std::unique_ptr<AmbiguityShardScanner>>> Scanner;
 };
 
 Status handleLoad(WorkerState &St, const IpcMessage &Req) {
@@ -165,18 +165,15 @@ Result<IpcMessage> handleTi(WorkerState &St, const IpcMessage &Req) {
   return Reply;
 }
 
-/// Builds the output automaton and its product for one AllowHull flavor,
-/// once per worker: the body of prep, and amb's no-op fallback. Exceptions
-/// (injected throw faults) are memoized as the error reply they would have
-/// produced.
-Result<AmbiguityShardScanner *> ensureScanner(WorkerState &St, bool Hull) {
-  std::optional<Result<std::unique_ptr<AmbiguityShardScanner>>> &Built =
-      St.Scanner[Hull ? 1 : 0];
+/// Builds the output automaton and its product once per worker: the body
+/// of prep, and amb's no-op fallback. Exceptions (injected throw faults)
+/// are memoized as the error reply they would have produced.
+Result<AmbiguityShardScanner *> ensureScanner(WorkerState &St) {
+  auto &Built = St.Scanner;
   if (!Built) {
     Solver &Slv = St.Ctx->solver();
     try {
-      Result<CartesianSefa> AO =
-          buildOutputAutomaton(St.Prog->Machine, Slv, /*AllowHull=*/Hull);
+      Result<CartesianSefa> AO = buildOutputAutomaton(St.Prog->Machine, Slv);
       Built = AO ? AmbiguityShardScanner::create(*AO, Slv)
                  : Result<std::unique_ptr<AmbiguityShardScanner>>(
                        AO.status());
@@ -190,13 +187,10 @@ Result<AmbiguityShardScanner *> ensureScanner(WorkerState &St, bool Hull) {
   return Built->value().get();
 }
 
-Result<IpcMessage> handlePrep(WorkerState &St, const IpcMessage &Req) {
+Result<IpcMessage> handlePrep(WorkerState &St) {
   if (!St.Prog)
     return Status::error("prep before load");
-  Result<uint64_t> Hull = Req.getU64("hull");
-  if (!Hull)
-    return Status::error("malformed prep request");
-  Result<AmbiguityShardScanner *> Scanner = ensureScanner(St, *Hull != 0);
+  Result<AmbiguityShardScanner *> Scanner = ensureScanner(St);
   if (!Scanner)
     return Scanner.status();
   return IpcMessage();
@@ -205,19 +199,18 @@ Result<IpcMessage> handlePrep(WorkerState &St, const IpcMessage &Req) {
 Result<IpcMessage> handleAmb(WorkerState &St, const IpcMessage &Req) {
   if (!St.Prog)
     return Status::error("amb shard before load");
-  Result<uint64_t> Hull = Req.getU64("hull");
   Result<uint64_t> Fp = Req.getU64("fp");
   Result<uint64_t> CfgBase = Req.getU64("cfg-base");
   Result<std::vector<uint64_t>> Visited = Req.getU64List("visited");
   Result<std::vector<uint64_t>> P = Req.getU64List("cfg-p");
   Result<std::vector<uint64_t>> Q = Req.getU64List("cfg-q");
   Result<std::vector<uint64_t>> D = Req.getU64List("cfg-d");
-  if (!Hull || !Fp || !CfgBase || !Visited || !P || !Q || !D)
+  if (!Fp || !CfgBase || !Visited || !P || !Q || !D)
     return Status::error("malformed amb request");
   if (P->size() != Q->size() || P->size() != D->size())
     return Status::error("amb config arrays disagree in length");
 
-  Result<AmbiguityShardScanner *> Scanner = ensureScanner(St, *Hull != 0);
+  Result<AmbiguityShardScanner *> Scanner = ensureScanner(St);
   if (!Scanner)
     return Scanner.status();
   if ((*Scanner)->fingerprint() != *Fp)
@@ -289,7 +282,7 @@ IpcMessage serveRequest(WorkerState &St, const IpcMessage &Req, bool &Quit) {
       return handleCollect(St);
     Result<IpcMessage> R = *Op == workerop::Det    ? handleDet(St, Req)
                            : *Op == workerop::Ti   ? handleTi(St, Req)
-                           : *Op == workerop::Prep ? handlePrep(St, Req)
+                           : *Op == workerop::Prep ? handlePrep(St)
                            : *Op == workerop::Amb  ? handleAmb(St, Req)
                                                    : Result<IpcMessage>(
                                                          Status::error(
