@@ -17,7 +17,8 @@
 #      Then a cegis query gate: on the 14 coders at --jobs 4, every
 #      cegis-phase query must be incremental unless a retry ran; and a
 #      cegar query gate: the same runs' projection queries must not rise
-#      above their measured total.
+#      above their measured total; and a pre-pass gate: the same runs'
+#      size-<=5 SyGuS pre-passes must not rise above theirs.
 #   2. Sanitizers: rebuild with -fsanitize=address,undefined and re-run the
 #      suites that exercise new machinery with threads and compiled
 #      evaluation (plus the term/solver cores under them), including the
@@ -182,6 +183,33 @@ print("%d cegar queries over %d coders (bound 261)"
 if len(sys.argv) - 1 != 14 or Total > 261:
     sys.exit("cegar query gate: %d cegar queries over %d coders, want at "
              "most 261 over 14" % (Total, len(sys.argv) - 1))
+PYEOF
+
+echo "=== pre-pass gate: exhausted shallow enumerations stay skipped ==="
+# A deterministic count, not a timing, over the same 14 runs. Each CEGIS
+# iteration of a synthesis call first enumerates every term of size <= 5,
+# unless an earlier such pre-pass of the call found none: examples only
+# grow within a call, so none can match later either, and the pass is
+# skipped. The 14 coders ran 268 pre-passes at --jobs 4 before the skip
+# and 189 with it (106 of them hits, 79 skipped); a rise means exhausted
+# pre-passes run again.
+python3 - build/*.cegis.json <<'PYEOF'
+import json, sys
+Runs = Hits = Skipped = 0
+for Path in sys.argv[1:]:
+    C = json.load(open(Path))["counters"]
+    def total(Suffix):
+        return sum(V for K, V in C.items()
+                   if K.startswith("sygus.") and K.endswith(Suffix))
+    Runs += total(".prepass.runs")
+    Hits += total(".prepass.hits")
+    Skipped += total(".prepass.skipped")
+print("%d pre-passes (%d hits), %d skipped over %d coders (bound 189)"
+      % (Runs, Hits, Skipped, len(sys.argv) - 1))
+# Zero means the counters went missing: every coder synthesizes.
+if len(sys.argv) - 1 != 14 or Runs > 189 or Runs == 0:
+    sys.exit("pre-pass gate: %d pre-passes over %d coders, want 1 to 189 "
+             "over 14" % (Runs, len(sys.argv) - 1))
 PYEOF
 
 echo "=== decode smoke: traced --decode-file through trace-lint ==="

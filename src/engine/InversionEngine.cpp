@@ -76,7 +76,7 @@ void registerRequestCounters(MetricsRegistry &Registry) {
   for (SolverSessionKind Kind :
        {SolverSessionKind::Shared, SolverSessionKind::Worker})
     recordEngineStats(Registry, Kind, CompiledEvalCache::Stats(),
-                      EnumeratorBankStore::Stats());
+                      EnumeratorBankStore::Stats(), SearchStats());
   Registry.counter("worker.clone_out_nodes");
   Registry.gauge("sessions.worker");
 }

@@ -1025,6 +1025,17 @@ public:
   }
 
   Result<TermRef> eliminateExists(TermRef Phi, unsigned NumEliminate) {
+    // The cascade honours the request deadline like a query does: a fired
+    // token stops it before the translation (which may build the Z3
+    // context) and before each tactic, and each tactic's budget is clamped
+    // to the time left.
+    auto Cancelled = [&] {
+      ++TheStats.QueriesCancelled;
+      LastUnknown = UnknownCause::Cancelled;
+      return unknownStatus("quantifier elimination");
+    };
+    if (Control.Cancel.cancelled())
+      return Cancelled();
     ++TheStats.QeCalls;
     std::map<unsigned, Type> Types = varTypes(Phi);
     z3::expr Body = translate(Phi);
@@ -1042,11 +1053,13 @@ public:
     applyTimeout(0);
     const char *Tactics[] = {"qe_lite", "qe", "qe2"};
     for (const char *Name : Tactics) {
+      if (Control.Cancel.cancelled())
+        return Cancelled();
       z3::expr Eliminated(ctx());
       try {
         z3::tactic T = z3::try_for(
             z3::tactic(ctx(), Name) & z3::tactic(ctx(), "simplify"),
-            TimeoutMs ? TimeoutMs : 60000);
+            effectiveTimeoutMs(TimeoutMs ? TimeoutMs : 60000));
         z3::goal G(ctx());
         G.add(Quantified);
         z3::apply_result R = T(G);
@@ -1068,6 +1081,8 @@ public:
         continue;
       return shiftDown(*Back, NumEliminate);
     }
+    if (Control.Cancel.cancelled())
+      return Cancelled();
     ++TheStats.QeFallbacks;
     return Status::error("quantifier elimination failed");
   }

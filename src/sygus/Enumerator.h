@@ -11,7 +11,8 @@
 /// identically on the current example set are observationally equivalent —
 /// only the first is kept. The CEGIS driver asks for a term matching the
 /// target outputs on the examples; enumeration by size means the first
-/// match is a smallest one.
+/// match is a smallest one. A candidate is evaluated on every example at
+/// once, straight on its children's signatures (term/LaneEval.h).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -27,8 +28,6 @@
 #include <vector>
 
 namespace genic {
-
-class CompiledEvalCache;
 
 /// One bottom-up enumeration session over a fixed example set.
 class Enumerator {
@@ -48,11 +47,6 @@ public:
     size_t MaxTerms = 400000;
     /// Wall-clock budget for one findMatching call.
     double TimeoutSeconds = 30;
-    /// Optional compiled-evaluation cache for auxiliary-function candidates
-    /// (the tree-walking hot spot of the inner loop). Not owned; typically
-    /// the engine-wide cache, so compiled aux bodies are shared across
-    /// CEGIS iterations and synthesis calls. Null falls back to eval().
-    CompiledEvalCache *EvalCache = nullptr;
     /// Optional persistent bank store (see EnumeratorBank.h). Not owned.
     /// When set, findMatching seeds its banks from the store entry for this
     /// (grammar, examples) pair, resumes enumeration past the completed
@@ -82,9 +76,15 @@ public:
   struct Stats {
     size_t TermsKept = 0;       // distinct signatures retained
     size_t CandidatesTried = 0; // combinations evaluated
-    uint64_t CandidateEvals = 0; // single (candidate, example) evaluations
+    uint64_t CandidateEvals = 0; // (candidate, example) lanes evaluated
     unsigned SizeReached = 0;
     bool TimedOut = false;
+    /// No match, and every size up to MaxSize was fully enumerated (none
+    /// cut short by the clock, MaxTerms, cancellation or the example cap).
+    /// No term of size <= MaxSize then matches the target on these
+    /// examples, nor on any example set that extends them: a signature
+    /// restricted to the old examples is the old signature.
+    bool Exhausted = false;
     bool RejectedOversized = false; // example set exceeded MaxExamples
     bool ReusedBank = false;        // seeded from the bank store
   };

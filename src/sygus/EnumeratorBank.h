@@ -6,11 +6,16 @@
 ///
 /// \file
 /// The enumerator's term banks, factored out of Enumerator.cpp so they can
-/// outlive a single findMatching call. A CEGIS iteration runs a shallow
+/// outlive a single findMatching call. A CEGIS iteration may run a shallow
 /// enumeration and a full one over the same (grammar, examples) pair, and
 /// repeated synthesis calls often re-pose structurally identical problems;
 /// persisting the banks lets the later run resume from the earlier run's
-/// completed sizes instead of re-enumerating them.
+/// completed sizes instead of re-enumerating them. (Once a shallow pass of
+/// a synthesis call is exhausted, the call skips the later ones, so a full
+/// pass after a skipped one finds no banks and starts from size 1.)
+///
+/// Signatures pack each example's value as one word (Value::rawBits()),
+/// the lane layout term/LaneEval.h evaluates candidates on.
 ///
 /// Banks are keyed by structural equality of the grammar and the example
 /// set, so a grown example set (a CEGIS counterexample) or a differently

@@ -23,22 +23,30 @@ SygusEngine::SygusEngine(Solver &S, Options O) : S(S), Opts(O) {}
 void genic::recordEngineStats(MetricsRegistry &Registry,
                               SolverSessionKind Kind,
                               const CompiledEvalCache::Stats &Eval,
-                              const EnumeratorBankStore::Stats &Bank) {
+                              const EnumeratorBankStore::Stats &Bank,
+                              const SearchStats &Search) {
   const std::string Family = counterFamily(Kind);
   Registry.counter("eval." + Family + ".lookups").add(Eval.Lookups);
   Registry.counter("eval." + Family + ".compiles").add(Eval.Compiles);
   Registry.counter("eval." + Family + ".evals").add(Eval.Evals);
   Registry.counter("bank." + Family + ".reuse_hits").add(Bank.ReuseHits);
   Registry.counter("bank." + Family + ".reuse_misses").add(Bank.ReuseMisses);
+  const std::string Sygus = "sygus." + Family;
+  Registry.counter(Sygus + ".prepass.runs").add(Search.PrepassRuns);
+  Registry.counter(Sygus + ".prepass.hits").add(Search.PrepassHits);
+  Registry.counter(Sygus + ".prepass.skipped").add(Search.PrepassSkipped);
+  Registry.counter(Sygus + ".candidates").add(Search.Candidates);
+  Registry.counter(Sygus + ".lane_evals").add(Search.LaneEvals);
 }
 
 void SygusEngine::drainStats() {
   const SolverControl &C = S.control();
   if (C.Metrics)
     recordEngineStats(*C.Metrics, C.Kind, EvalCache.stats(),
-                      BankStore.stats());
+                      BankStore.stats(), Search);
   EvalCache.resetStats();
   BankStore.resetStats();
+  Search = SearchStats();
 }
 
 Result<std::optional<std::vector<Value>>>
@@ -254,11 +262,19 @@ Result<TermRef> SygusEngine::synthesize(const SynthesisSpec &Spec,
   Enumerator::Config EC;
   EC.MaxSize = Opts.MaxTermSize;
   EC.TimeoutSeconds = Opts.EnumTimeoutSeconds;
-  EC.EvalCache = &EvalCache;
   EC.BankStore = Opts.ReuseBanks ? &BankStore : nullptr;
   EC.Cancel = S.cancellation();
 
   TermRef LastSliceGuess = nullptr;
+  // Set once a pre-pass has enumerated every term of its size bound
+  // without a match. The grammar is fixed for the call and iterations only
+  // append examples, so no such term can match a later example set either:
+  // every later pre-pass would return nothing, and is skipped.
+  bool PrepassExhausted = false;
+  auto NoteSearch = [&](const Enumerator::Stats &St) {
+    Search.Candidates += St.CandidatesTried;
+    Search.LaneEvals += St.CandidateEvals;
+  };
   for (unsigned Iter = 0; Iter < Opts.MaxCegisIterations; ++Iter) {
     if (S.cancellation().cancelled())
       return Finish(
@@ -267,16 +283,23 @@ Result<TermRef> SygusEngine::synthesize(const SynthesisSpec &Spec,
     std::optional<TermRef> Candidate;
     // A quick shallow enumeration first: when a tiny recovery exists
     // (y - 5, p0 + #x41, ...) it is both found fastest and most readable.
-    {
+    if (PrepassExhausted) {
+      ++Search.PrepassSkipped;
+    } else {
+      TraceSpan PrepassSpan("sygus.prepass");
       Enumerator::Config Small;
       Small.MaxSize = std::min(5u, Opts.MaxTermSize);
       Small.TimeoutSeconds = 2;
-      Small.EvalCache = &EvalCache;
       Small.BankStore = EC.BankStore;
       Small.Cancel = EC.Cancel;
       Enumerator SmallEnum(F, G, Ys, Small);
       MetricsPhaseScope EnumPhase("enumeration");
       Candidate = SmallEnum.findMatching(Targets);
+      NoteSearch(SmallEnum.stats());
+      ++Search.PrepassRuns;
+      Search.PrepassHits += Candidate.has_value();
+      PrepassExhausted = SmallEnum.stats().Exhausted;
+      PrepassSpan.arg("hit", Candidate.has_value() ? 1 : 0);
     }
     // Next the bit-slice strategy: near-free, and covers the bit-regrouping
     // shapes coders are made of. A guess that failed verification is never
@@ -284,6 +307,7 @@ Result<TermRef> SygusEngine::synthesize(const SynthesisSpec &Spec,
     // the strategy to give up).
     if (!Candidate && Opts.EnableBitSlice &&
         Spec.Target->type().isBitVec()) {
+      TraceSpan SliceSpan("sygus.bitslice");
       // Views: the outputs themselves plus unary components applied to
       // them (a decoder's recovery slices bits of D(y_j), not of y_j).
       std::vector<SliceView> Views;
@@ -332,9 +356,11 @@ Result<TermRef> SygusEngine::synthesize(const SynthesisSpec &Spec,
       }
     }
     if (!Candidate) {
+      TraceSpan EnumSpan("sygus.enumerate");
       Enumerator Enum(F, G, Ys, EC);
       MetricsPhaseScope EnumPhase("enumeration");
       Candidate = Enum.findMatching(Targets);
+      NoteSearch(Enum.stats());
       if (!Candidate) {
         if (S.cancellation().cancelled())
           return Finish(Status::cancelled(
@@ -349,6 +375,7 @@ Result<TermRef> SygusEngine::synthesize(const SynthesisSpec &Spec,
     }
 
     // Verify: sat( phi(x) /\ not (domains(g(f(x))) /\ g(f(x)) = t(x)) )?
+    TraceSpan VerifySpan("sygus.verify");
     TermRef OnOutputs = F.substitute(*Candidate, P.Outputs);
     TermRef Domains = F.calleeDomains(OnOutputs);
     TermRef Meets = F.mkAnd(

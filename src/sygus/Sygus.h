@@ -49,12 +49,28 @@ struct SynthesisSpec {
   TermRef Target = nullptr;
 };
 
-/// Adds \p Eval and \p Bank to \p Registry's "eval.<family>.*" and
-/// "bank.<family>.*" counters, the family given by \p Kind (see
-/// counterFamily). Zero stats register the families at zero.
+/// Counts of a SygusEngine's enumerative search, summed over its
+/// synthesize() calls.
+struct SearchStats {
+  /// Size-<=5 pre-passes run, those that returned a candidate, and those
+  /// skipped because an earlier pre-pass of the same call was exhausted.
+  uint64_t PrepassRuns = 0;
+  uint64_t PrepassHits = 0;
+  uint64_t PrepassSkipped = 0;
+  /// Enumerator combinations tried, and (candidate, example) lanes they
+  /// were evaluated on, over pre-passes and full passes.
+  uint64_t Candidates = 0;
+  uint64_t LaneEvals = 0;
+};
+
+/// Adds \p Eval, \p Bank and \p Search to \p Registry's
+/// "eval.<family>.*", "bank.<family>.*" and "sygus.<family>.*" counters,
+/// the family given by \p Kind (see counterFamily). Zero stats register
+/// the families at zero.
 void recordEngineStats(MetricsRegistry &Registry, SolverSessionKind Kind,
                        const CompiledEvalCache::Stats &Eval,
-                       const EnumeratorBankStore::Stats &Bank);
+                       const EnumeratorBankStore::Stats &Bank,
+                       const SearchStats &Search);
 
 /// The CEGIS driver.
 class SygusEngine {
@@ -104,9 +120,10 @@ public:
   const Options &options() const { return Opts; }
 
   /// The engine-wide compiled-evaluation cache: sampling, example
-  /// induction, bit-slice views, and the enumerator's aux-function inner
-  /// loop all evaluate through it, so guards, outputs, and aux bodies are
-  /// compiled once per engine rather than re-walked per example.
+  /// induction and bit-slice views evaluate through it, so guards, outputs
+  /// and aux bodies are compiled once per engine rather than re-walked per
+  /// example. (Enumerated candidates are evaluated on example lanes
+  /// instead; see term/LaneEval.h.)
   CompiledEvalCache &evalCache() { return EvalCache; }
   const CompiledEvalCache &evalCache() const { return EvalCache; }
 
@@ -115,9 +132,12 @@ public:
   /// miss counters live in its stats().
   const EnumeratorBankStore &bankStore() const { return BankStore; }
 
-  /// Adds the compiled-eval and bank counters to the registry of the
-  /// solver's control (see recordEngineStats; the family comes from the
-  /// solver's session kind), then zeroes them. Like Solver::drainStats, an
+  /// The search counts since the last drainStats().
+  const SearchStats &searchStats() const { return Search; }
+
+  /// Adds the compiled-eval, bank and search counters to the registry of
+  /// the solver's control (see recordEngineStats; the family comes from
+  /// the solver's session kind), then zeroes them. Like Solver::drainStats, an
   /// engine drains when its work for a request ends.
   void drainStats();
 
@@ -158,6 +178,7 @@ private:
   std::vector<CallRecord> Calls;
   CompiledEvalCache EvalCache;
   EnumeratorBankStore BankStore;
+  SearchStats Search;
   /// Preimage tables for unary components, built on first use.
   std::map<const FuncDef *, std::optional<SliceWrapper>> WrapperCache;
 };

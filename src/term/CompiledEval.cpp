@@ -238,32 +238,3 @@ std::optional<Value> CompiledEvalCache::callFunc(const FuncDef *F,
   }
   return run(CF.Body, Args);
 }
-
-void CompiledEvalCache::callFuncBatch(
-    const FuncDef *F, std::span<const std::vector<Value>> ArgLists,
-    std::vector<std::optional<Value>> &Out) {
-  const CompiledFunc &CF = getFunc(F);
-  Out.resize(ArgLists.size());
-  for (size_t I = 0, N = ArgLists.size(); I != N; ++I) {
-    ++TheStats.Evals;
-    if (CF.Domain) {
-      std::optional<Value> D = run(*CF.Domain, ArgLists[I]);
-      if (!D || !D->type().isBool() || !D->getBool()) {
-        Out[I] = std::nullopt;
-        continue;
-      }
-    }
-    Out[I] = run(CF.Body, ArgLists[I]);
-  }
-}
-
-void CompiledEvalCache::evalBatch(TermRef T,
-                                  std::span<const std::vector<Value>> Envs,
-                                  std::vector<std::optional<Value>> &Out) {
-  const CompiledProgram &P = compile(T);
-  Out.resize(Envs.size());
-  for (size_t E = 0, N = Envs.size(); E != N; ++E) {
-    ++TheStats.Evals;
-    Out[E] = run(P, Envs[E]);
-  }
-}

@@ -9,11 +9,13 @@
 /// stack-machine program (a flat instruction buffer with jump-based
 /// short-circuiting for ite/and/or and sub-programs for auxiliary-function
 /// calls), and the program is then executed many times without re-walking
-/// the tree. This is the throughput layer under the enumerative SyGuS
-/// engine: candidate evaluation touches every (candidate, example) pair, so
-/// replacing the recursive eval() — hash-map memo, per-node argument
-/// vectors, pointer chasing — with a linear sweep over a few bytes per node
-/// is worth 3-10x on the hot loop.
+/// the tree. This is the throughput layer for terms evaluated many times
+/// on one example each: guard sampling and example induction in SyGuS,
+/// projection-image walks, and the streaming decode runtime. Replacing the
+/// recursive eval() — hash-map memo, per-node argument vectors, pointer
+/// chasing — with a linear sweep over a few bytes per node is worth 3-10x
+/// there. (The enumerator's candidates, each evaluated once on every
+/// example, use the lane evaluator of term/LaneEval.h instead.)
 ///
 /// Semantics are exactly those of eval() in term/Eval.h, including
 /// left-to-right short-circuiting of and/or, laziness of ite branches, and
@@ -101,19 +103,6 @@ public:
   /// call site.
   std::optional<Value> callFunc(const FuncDef *F, std::span<const Value> Args);
 
-  /// Batched entry point: evaluates one program across all examples in a
-  /// single example-major sweep. Out is resized to Envs.size();
-  /// Out[e] is the value of \p T under Envs[e] (nullopt where undefined).
-  void evalBatch(TermRef T, std::span<const std::vector<Value>> Envs,
-                 std::vector<std::optional<Value>> &Out);
-
-  /// Batched auxiliary-function application: one callee lookup for the
-  /// whole sweep instead of one per row. Out is resized to
-  /// ArgLists.size(); Out[i] equals callFunc(F, ArgLists[i]).
-  void callFuncBatch(const FuncDef *F,
-                     std::span<const std::vector<Value>> ArgLists,
-                     std::vector<std::optional<Value>> &Out);
-
   /// Compiles without evaluating (for benchmarks and warm-up). The returned
   /// reference stays valid for the cache's lifetime, so callers on a hot
   /// loop can compile once and execute through runProgram() — skipping the
@@ -132,7 +121,7 @@ public:
   struct Stats {
     uint64_t Lookups = 0;  // program-cache probes
     uint64_t Compiles = 0; // probes that had to compile (misses)
-    uint64_t Evals = 0;    // program executions, batched ones included
+    uint64_t Evals = 0;    // program executions
     uint64_t hits() const { return Lookups - Compiles; }
   };
   const Stats &stats() const { return TheStats; }

@@ -9,13 +9,14 @@
 /// eval() of term/Eval.h — same values, same undefined outcomes — across
 /// the whole term language, including short-circuiting connectives and
 /// partial auxiliary functions. These tests check that property on random
-/// terms and random environments, plus the batch and direct-call entry
-/// points and the cache bookkeeping.
+/// terms and random environments, plus the direct-call entry point and the
+/// cache bookkeeping.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "term/CompiledEval.h"
 
+#include "RandomTerms.h"
 #include "term/Eval.h"
 #include "term/Printer.h"
 #include "term/TermFactory.h"
@@ -32,82 +33,14 @@ class CompiledEvalTest : public ::testing::Test {
 protected:
   TermFactory F;
   CompiledEvalCache Cache;
-  Type B8 = Type::bitVecTy(8);
-  Type Bool = Type::boolTy();
+  RandomTerms Gen{F};
+  Type B8 = Gen.B8;
+  Type Bool = Gen.Bool;
+  const FuncDef *Enc = Gen.Enc, *Dec = Gen.Dec, *Dec2 = Gen.Dec2;
 
-  /// Registers partial auxiliary functions shaped like the corpus coders':
-  /// 'enc' total, 'dec' partial, 'dec2' partial and calling 'dec' (nested
-  /// compiled calls with two domain checks).
-  const FuncDef *Enc = nullptr, *Dec = nullptr, *Dec2 = nullptr;
-  void SetUp() override {
-    TermRef P0 = F.mkVar(0, B8);
-    Enc = F.makeFunc("enc", {B8}, B8,
-                     F.mkBvOp(Op::BvAdd, P0, F.mkBv(0x41, 8)));
-    Dec = F.makeFunc("dec", {B8}, B8,
-                     F.mkBvOp(Op::BvSub, P0, F.mkBv(0x41, 8)),
-                     F.mkBvOp(Op::BvUge, P0, F.mkBv(0x41, 8)));
-    Dec2 = F.makeFunc("dec2", {B8}, B8,
-                      F.mkBvOp(Op::BvShl, F.mkCall(Dec, {P0}), F.mkBv(1, 8)),
-                      F.mkBvOp(Op::BvUle, P0, F.mkBv(0x7A, 8)));
-  }
-
-  /// A random term of the given type over NumVars bit-vector variables.
-  /// Depth-bounded; leans on every operator family the evaluator handles.
   TermRef randomTerm(std::mt19937_64 &Rng, const Type &Ty, unsigned NumVars,
                      unsigned Depth) {
-    auto Pick = [&](unsigned N) { return Rng() % N; };
-    if (Ty.isBool()) {
-      if (Depth == 0)
-        return F.mkBool(Pick(2));
-      switch (Pick(6)) {
-      case 0:
-        return F.mkNot(randomTerm(Rng, Bool, NumVars, Depth - 1));
-      case 1:
-        return F.mkAnd(randomTerm(Rng, Bool, NumVars, Depth - 1),
-                       randomTerm(Rng, Bool, NumVars, Depth - 1));
-      case 2:
-        return F.mkOr(randomTerm(Rng, Bool, NumVars, Depth - 1),
-                      randomTerm(Rng, Bool, NumVars, Depth - 1));
-      case 3:
-        return F.mkIte(randomTerm(Rng, Bool, NumVars, Depth - 1),
-                       randomTerm(Rng, Bool, NumVars, Depth - 1),
-                       randomTerm(Rng, Bool, NumVars, Depth - 1));
-      case 4: {
-        Op Cmp[] = {Op::BvUle, Op::BvUlt, Op::BvUge, Op::BvUgt};
-        return F.mkBvOp(Cmp[Pick(4)],
-                        randomTerm(Rng, B8, NumVars, Depth - 1),
-                        randomTerm(Rng, B8, NumVars, Depth - 1));
-      }
-      default:
-        return F.mkEq(randomTerm(Rng, B8, NumVars, Depth - 1),
-                      randomTerm(Rng, B8, NumVars, Depth - 1));
-      }
-    }
-    if (Depth == 0)
-      return Pick(2) ? F.mkVar(Pick(NumVars), B8)
-                     : F.mkBv(Rng() & 0xFF, 8);
-    switch (Pick(8)) {
-    case 0: {
-      Op Un[] = {Op::BvNeg, Op::BvNot};
-      return F.mkBvOp(Un[Pick(2)], randomTerm(Rng, B8, NumVars, Depth - 1));
-    }
-    case 1:
-      return F.mkIte(randomTerm(Rng, Bool, NumVars, Depth - 1),
-                     randomTerm(Rng, B8, NumVars, Depth - 1),
-                     randomTerm(Rng, B8, NumVars, Depth - 1));
-    case 2:
-      return F.mkCall(Dec, {randomTerm(Rng, B8, NumVars, Depth - 1)});
-    case 3:
-      return F.mkCall(Pick(2) ? Dec2 : Enc,
-                      {randomTerm(Rng, B8, NumVars, Depth - 1)});
-    default: {
-      Op Bin[] = {Op::BvAdd, Op::BvSub, Op::BvMul, Op::BvAnd,
-                  Op::BvOr,  Op::BvXor, Op::BvShl, Op::BvLshr};
-      return F.mkBvOp(Bin[Pick(8)],
-                      randomTerm(Rng, B8, NumVars, Depth - 1),
-                      randomTerm(Rng, B8, NumVars, Depth - 1));
-    }
-    }
+    return Gen.term(Rng, Ty, NumVars, Depth);
   }
 };
 
@@ -181,20 +114,6 @@ TEST_F(CompiledEvalTest, UnboundAndMistypedVariablesAreUndefined) {
   EXPECT_EQ(Cache.eval(T, Fine), Value::bitVecVal(3, 8));
 }
 
-TEST_F(CompiledEvalTest, BatchMatchesScalarEvaluation) {
-  std::mt19937_64 Rng(0xBA7C4);
-  TermRef T = randomTerm(Rng, B8, 2, 4);
-  std::vector<std::vector<Value>> Envs;
-  for (unsigned E = 0; E < 64; ++E)
-    Envs.push_back({Value::bitVecVal(Rng() & 0xFF, 8),
-                    Value::bitVecVal(Rng() & 0xFF, 8)});
-  std::vector<std::optional<Value>> Out;
-  Cache.evalBatch(T, Envs, Out);
-  ASSERT_EQ(Out.size(), Envs.size());
-  for (size_t E = 0; E < Envs.size(); ++E)
-    EXPECT_EQ(Out[E], eval(T, Envs[E])) << printTerm(T);
-}
-
 TEST_F(CompiledEvalTest, CallFuncMatchesEvalSemantics) {
   for (uint64_t Raw = 0; Raw < 256; ++Raw) {
     std::vector<Value> Arg{Value::bitVecVal(Raw, 8)};
@@ -208,31 +127,6 @@ TEST_F(CompiledEvalTest, CallFuncMatchesEvalSemantics) {
     EXPECT_EQ(Cache.callFunc(Dec, Arg), Reference(Dec));
     EXPECT_EQ(Cache.callFunc(Dec2, Arg), Reference(Dec2));
   }
-}
-
-TEST_F(CompiledEvalTest, CallFuncBatchMatchesPerRowCallFunc) {
-  // The enumerator's inner loop depends on this: one batched sweep over all
-  // examples must agree row-for-row with per-example callFunc, including
-  // domain rejection of the partial functions.
-  std::vector<std::vector<Value>> Rows;
-  for (uint64_t Raw = 0; Raw < 256; ++Raw)
-    Rows.push_back({Value::bitVecVal(Raw, 8)});
-  std::vector<std::optional<Value>> Out;
-  for (const FuncDef *Fn : {Enc, Dec, Dec2}) {
-    Cache.callFuncBatch(Fn, Rows, Out);
-    ASSERT_EQ(Out.size(), Rows.size());
-    bool SawDefined = false, SawUndefined = false;
-    for (size_t R = 0; R < Rows.size(); ++R) {
-      EXPECT_EQ(Out[R], Cache.callFunc(Fn, Rows[R])) << Fn->Name << " " << R;
-      (Out[R] ? SawDefined : SawUndefined) = true;
-    }
-    // The partial functions must exercise both outcomes in one batch.
-    EXPECT_TRUE(SawDefined) << Fn->Name;
-    EXPECT_EQ(SawUndefined, Fn->Domain != nullptr) << Fn->Name;
-  }
-  // An empty batch is a no-op that leaves Out empty.
-  Cache.callFuncBatch(Enc, {}, Out);
-  EXPECT_TRUE(Out.empty());
 }
 
 TEST_F(CompiledEvalTest, ProgramsAreCompiledOncePerTerm) {

@@ -6,7 +6,6 @@
 
 #include "sygus/Enumerator.h"
 
-#include "term/CompiledEval.h"
 #include "term/Eval.h"
 #include "term/Printer.h"
 
@@ -138,6 +137,7 @@ TEST_F(EnumeratorTest, OversizedExampleSetsAreRejectedLoudly) {
   Enumerator E(F, G, Ex);
   EXPECT_FALSE(E.findMatching(Target).has_value());
   EXPECT_TRUE(E.stats().RejectedOversized);
+  EXPECT_FALSE(E.stats().Exhausted);
 
   // Exactly MaxExamples examples still work (identity matches them all).
   Ex.resize(Enumerator::MaxExamples);
@@ -148,8 +148,9 @@ TEST_F(EnumeratorTest, OversizedExampleSetsAreRejectedLoudly) {
 }
 
 TEST_F(EnumeratorTest, CompiledAuxEvaluationMatchesFallback) {
-  // The enumerator's aux-candidate inner loop may run through a
-  // CompiledEvalCache; the found term must be the same either way.
+  // The enumerator evaluates aux-call candidates on example lanes
+  // (term/LaneEval.h); the term it finds must agree with the reference
+  // eval() on every example, including where the callee's domain rejects.
   TermRef P0 = F.mkVar(0, I);
   const FuncDef *Dec =
       F.makeFunc("decCa", {I}, I, F.mkIntOp(Op::IntSub, P0, F.mkInt(1)),
@@ -159,19 +160,62 @@ TEST_F(EnumeratorTest, CompiledAuxEvaluationMatchesFallback) {
   std::vector<std::vector<Value>> Ex{{Value::intVal(1)}, {Value::intVal(5)}};
   std::vector<Value> Target{Value::intVal(0), Value::intVal(4)};
 
-  Enumerator Plain(F, G, Ex);
-  auto A = Plain.findMatching(Target);
+  Enumerator E(F, G, Ex);
+  auto T = E.findMatching(Target);
+  ASSERT_TRUE(T.has_value());
+  for (size_t K = 0; K != Ex.size(); ++K)
+    EXPECT_EQ(eval(*T, Ex[K]), Target[K]) << printTerm(*T);
+  EXPECT_GT(E.stats().CandidateEvals, 0u);
 
-  CompiledEvalCache Cache;
+  // A partial callee's signature is undefined where its domain rejects:
+  // dec(x0) - 1 cannot stand for x0 - 2 on an example below the domain.
+  std::vector<std::vector<Value>> Low{{Value::intVal(0)}, {Value::intVal(5)}};
+  std::vector<Value> LowTarget{Value::intVal(-2), Value::intVal(3)};
+  Enumerator L(F, G, Low);
+  auto U = L.findMatching(LowTarget);
+  ASSERT_TRUE(U.has_value());
+  for (size_t K = 0; K != Low.size(); ++K)
+    EXPECT_EQ(eval(*U, Low[K]), LowTarget[K]) << printTerm(*U);
+}
+
+TEST_F(EnumeratorTest, ExhaustedSearchStaysEmptyOnMoreExamples) {
+  // No term of size <= 5 maps these bytes to these scrambled ones. A search
+  // that enumerated every size without a match is exhausted, and the same
+  // search on the examples plus one more finds nothing either: a term's
+  // signature on the larger set restricted to the old examples is its old
+  // signature. (SygusEngine skips such pre-passes on this basis.)
+  Grammar G = Grammar::standard(B8, {B8});
+  std::vector<std::vector<Value>> Ex;
+  std::vector<Value> Target;
+  const uint64_t Scrambled[] = {0x3C, 0x91, 0x07, 0xE2, 0x5D, 0xA8, 0x44};
+  for (uint64_t K = 0; K != 6; ++K) {
+    Ex.push_back({Value::bitVecVal(K * 37 + 5, 8)});
+    Target.push_back(Value::bitVecVal(Scrambled[K], 8));
+  }
   Enumerator::Config C;
-  C.EvalCache = &Cache;
-  Enumerator Compiled(F, G, Ex, C);
-  auto B = Compiled.findMatching(Target);
+  C.MaxSize = 5;
+  Enumerator E(F, G, Ex, C);
+  EXPECT_FALSE(E.findMatching(Target).has_value());
+  ASSERT_TRUE(E.stats().Exhausted);
 
-  ASSERT_TRUE(A.has_value());
-  ASSERT_TRUE(B.has_value());
-  EXPECT_EQ(*A, *B) << "compiled and interpreted enumeration diverged";
-  EXPECT_GT(Cache.stats().Evals, 0u) << "cache was not exercised";
+  Ex.push_back({Value::bitVecVal(0xFE, 8)});
+  Target.push_back(Value::bitVecVal(Scrambled[6], 8));
+  Enumerator More(F, G, Ex, C);
+  EXPECT_FALSE(More.findMatching(Target).has_value());
+  EXPECT_TRUE(More.stats().Exhausted);
+
+  // Runs cut short or matched are not exhausted.
+  Enumerator::Config Tight = C;
+  Tight.MaxTerms = 10;
+  Enumerator Cut(F, G, Ex, Tight);
+  EXPECT_FALSE(Cut.findMatching(Target).has_value());
+  EXPECT_FALSE(Cut.stats().Exhausted);
+  std::vector<Value> Identity;
+  for (const std::vector<Value> &Row : Ex)
+    Identity.push_back(Row[0]);
+  Enumerator Hit(F, G, Ex, C);
+  EXPECT_TRUE(Hit.findMatching(Identity).has_value());
+  EXPECT_FALSE(Hit.stats().Exhausted);
 }
 
 TEST_F(EnumeratorTest, MixedWidthGrammars) {
