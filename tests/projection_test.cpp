@@ -22,6 +22,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "coders/Corpus.h"
+#include "coders/Synthetic.h"
 #include "genic/Lower.h"
 #include "genic/Parser.h"
 #include "solver/FaultInjector.h"
@@ -34,6 +35,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <optional>
 
 using namespace genic;
@@ -407,6 +409,40 @@ TEST_F(ProjectionTest, ExpiredDeadlineIsCancelled) {
   Result<std::optional<TermRef>> R = S.project(P, 0);
   ASSERT_FALSE(R.isOk());
   EXPECT_EQ(R.status().code(), StatusCode::Cancelled);
+}
+
+TEST(ProjectionDeadline, IntProjectionsStopAtTheDeadline) {
+  // The Int output projections of a 100-state LIA machine run Z3's
+  // qe_lite -> qe -> qe2 cascade once per (rule, position), well over
+  // 0.3 s of work at --jobs 2. The cascade checks the token before each
+  // projection's translation (which would build the task's Z3 context) and
+  // before each tactic, and clamps each tactic's budget to the time left,
+  // so the automaton build gives up at the deadline with a budget status.
+  TermFactory F;
+  Result<AstProgram> Ast = parseGenic(makeRandomLiaProgram(1, 100));
+  ASSERT_TRUE(Ast.isOk()) << Ast.status().message();
+  Result<LoweredProgram> Prog = lowerProgram(F, *Ast);
+  ASSERT_TRUE(Prog.isOk()) << Prog.status().message();
+  Solver S(F);
+  SolverControl Timed;
+  Timed.Cancel = CancellationToken(Deadline::after(0.3));
+  S.setControl(Timed);
+  InjectivityOptions Opts;
+  Opts.Jobs = 2;
+  auto Start = std::chrono::steady_clock::now();
+  Result<CartesianSefa> AO = buildOutputAutomaton(Prog->Machine, S, Opts);
+  double Seconds = std::chrono::duration<double>(
+                       std::chrono::steady_clock::now() - Start)
+                       .count();
+  ASSERT_FALSE(AO.isOk()) << "the projections finished within 0.3 s";
+  EXPECT_TRUE(AO.status().code() == StatusCode::Cancelled ||
+              AO.status().code() == StatusCode::Timeout)
+      << AO.status().message();
+  // Unloaded it ends about 0.02 s past the deadline; the bound leaves room
+  // for a loaded machine, and a cascade that ignores the token runs about
+  // 0.7 s past.
+  EXPECT_LT(Seconds, 0.55) << "the build ran " << Seconds - 0.3
+                           << " s past the deadline";
 }
 
 TEST_F(ProjectionTest, InjectedThrowIsSolverErrorAndTheSessionAnswers) {
