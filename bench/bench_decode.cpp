@@ -380,7 +380,6 @@ int main(int Argc, char **Argv) {
     Json.field("rulesFired", Decoder.stats().RulesFired);
     Json.field("rulesFused", uint64_t(Compiled->fusedRules()));
     Json.field("rulesTotal", uint64_t(Compiled->numRules()));
-    Json.field("evalCacheHits", Compiled->cache().stats().hits());
     Json.endProgram();
 
     auto BaseIt = Baseline.find(Spec.name());

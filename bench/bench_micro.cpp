@@ -18,7 +18,6 @@
 #include "genic/Parser.h"
 #include "solver/Solver.h"
 #include "sygus/Enumerator.h"
-#include "term/CompiledEval.h"
 #include "term/Eval.h"
 
 #include <benchmark/benchmark.h>
@@ -73,39 +72,6 @@ void BM_TermEvalBase64Round(benchmark::State &State) {
   }
 }
 BENCHMARK(BM_TermEvalBase64Round);
-
-void BM_CompiledEvalBase64Round(benchmark::State &State) {
-  // Same Figure 2 expression as BM_TermEvalBase64Round, but through the
-  // compiled stack-machine cache (the Enumerator/CEGIS hot path). The gap
-  // between the two benchmarks is the recursive-walk overhead removed.
-  TermFactory F;
-  Type B8 = Type::bitVecTy(8);
-  TermRef X = F.mkVar(0, B8), Y = F.mkVar(1, B8);
-  TermRef P0 = F.mkVar(0, B8);
-  const FuncDef *E = F.makeFunc(
-      "E", {B8}, B8,
-      F.mkIte(F.mkBvOp(Op::BvUle, P0, F.mkBv(0x19, 8)),
-              F.mkBvOp(Op::BvAdd, P0, F.mkBv(0x41, 8)),
-              F.mkBvOp(Op::BvAdd, P0, F.mkBv(0x47, 8))),
-      F.mkBvOp(Op::BvUle, P0, F.mkBv(0x3f, 8)));
-  TermRef T = F.mkCall(
-      E, {F.mkBvOp(Op::BvOr,
-                   F.mkBvOp(Op::BvShl,
-                            F.mkBvOp(Op::BvAnd, X, F.mkBv(3, 8)),
-                            F.mkBv(4, 8)),
-                   F.mkBvOp(Op::BvLshr, Y, F.mkBv(4, 8)))});
-  CompiledEvalCache Cache;
-  std::vector<Value> Env{Value::bitVecVal(0, 8), Value::bitVecVal(0, 8)};
-  uint64_t K = 0;
-  for (auto _ : State) {
-    Env[0] = Value::bitVecVal(K & 0xFF, 8);
-    Env[1] = Value::bitVecVal((K >> 8) & 0xFF, 8);
-    benchmark::DoNotOptimize(Cache.eval(T, Env));
-    ++K;
-  }
-  State.counters["compiles"] = static_cast<double>(Cache.stats().Compiles);
-}
-BENCHMARK(BM_CompiledEvalBase64Round);
 
 void BM_TransduceBase64(benchmark::State &State) {
   TermFactory F;

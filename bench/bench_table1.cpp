@@ -289,8 +289,6 @@ int main(int Argc, char **Argv) {
     Json.field("workerSessions", Gauge("sessions.worker"));
     Json.field("compiledEvals",
                Counter("eval.shared.evals") + Counter("eval.worker.evals"));
-    Json.field("compiledPrograms", Counter("eval.shared.compiles") +
-                                       Counter("eval.worker.compiles"));
     Json.endProgram();
 
     // Percentage bound plus an absolute slack so sub-second programs don't

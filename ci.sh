@@ -20,9 +20,10 @@
 #      above their measured total; and a pre-pass gate: the same runs'
 #      size-<=5 SyGuS pre-passes must not rise above theirs.
 #   2. Sanitizers: rebuild with -fsanitize=address,undefined and re-run the
-#      suites that exercise new machinery with threads and compiled
-#      evaluation (plus the term/solver cores under them), including the
-#      fault-injection suite that drives every retry/degradation path.
+#      suites that exercise new machinery with threads and lane evaluation
+#      (stack lane buffers read through raw pointers; plus the term/solver
+#      cores under them), including the fault-injection suite that drives
+#      every retry/degradation path.
 #      Then a degraded-run smoke test: the UTF-8 encoder inversion under a
 #      1-second global budget must exit with the budget-exhausted code and
 #      a well-formed partial outcome report.
@@ -623,11 +624,11 @@ if [ "$SKIP_ASAN" -eq 0 ]; then
     -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-omit-frame-pointer" \
     -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined"
   cmake --build build-asan -j --target \
-    compiled_eval_test parallel_invert_test enumerator_test \
+    lane_eval_test parallel_invert_test enumerator_test \
     term_test eval_test solver_test support_test fault_injection_test \
     incremental_solver_test stream_decode_test backend_lifetime_test \
     sygus_test projection_test
-  for T in compiled_eval_test parallel_invert_test enumerator_test \
+  for T in lane_eval_test parallel_invert_test enumerator_test \
     term_test eval_test solver_test support_test fault_injection_test \
     incremental_solver_test backend_lifetime_test sygus_test \
     projection_test; do

@@ -75,8 +75,8 @@ void registerRequestCounters(MetricsRegistry &Registry) {
     recordSolverStats(Registry, Kind, Solver::Stats());
   for (SolverSessionKind Kind :
        {SolverSessionKind::Shared, SolverSessionKind::Worker})
-    recordEngineStats(Registry, Kind, CompiledEvalCache::Stats(),
-                      EnumeratorBankStore::Stats(), SearchStats());
+    recordEngineStats(Registry, Kind, EnumeratorBankStore::Stats(),
+                      SearchStats());
   Registry.counter("worker.clone_out_nodes");
   Registry.gauge("sessions.worker");
 }

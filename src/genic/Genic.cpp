@@ -138,12 +138,8 @@ std::string genic::formatStatsReport(const GenicReport &R,
       Counter("bank.worker.reuse_misses"));
   }
   auto PrintEval = [&](const std::string &Family, const char *Label) {
-    unsigned long long Lookups = Counter("eval." + Family + ".lookups");
-    unsigned long long Compiles = Counter("eval." + Family + ".compiles");
-    P("compiled eval (%s): %llu executions, %llu programs compiled, %llu "
-      "cache hits\n",
-      Label, Counter("eval." + Family + ".evals"), Compiles,
-      Lookups - Compiles);
+    P("concrete eval (%s): %llu inputs evaluated\n", Label,
+      Counter("eval." + Family + ".evals"));
   };
   if (Gauge("sessions.worker"))
     PrintEval("worker", "worker sessions");

@@ -12,7 +12,6 @@ using namespace genic;
 
 Result<CompiledSeft> CompiledSeft::compile(const Seft &Machine) {
   CompiledSeft CS;
-  CS.Cache = std::make_unique<CompiledEvalCache>();
   CS.States.resize(Machine.numStates());
   CS.Initial = Machine.initial();
   CS.InputType = Machine.inputType();
@@ -34,16 +33,14 @@ Result<CompiledSeft> CompiledSeft::compile(const Seft &Machine) {
       return Status::error("compiled s-EFT: rule without a guard");
 
     CompiledSeftRule R;
-    R.Guard = &CS.Cache->compile(T.Guard);
-    R.Outputs.reserve(T.Outputs.size());
-    for (TermRef F : T.Outputs)
-      R.Outputs.push_back(&CS.Cache->compile(F));
+    R.Guard = T.Guard;
+    R.Outputs.assign(T.Outputs.begin(), T.Outputs.end());
     R.Lookahead = T.Lookahead;
     R.To = T.To;
     R.Index = I;
 
-    // Fast tier: the whole rule as one unboxed program. Falls back to the
-    // generic programs above when the rule is outside the fused fragment.
+    // The whole rule as one unboxed program. A rule outside the fused
+    // fragment runs eval() on its terms instead.
     if (std::optional<FusedRuleProgram> Fused =
             fuseRule(T.Guard, T.Outputs, T.Lookahead, CS.InputType)) {
       CS.MaxFusedStack = std::max(CS.MaxFusedStack, Fused->StackDepth);

@@ -6,13 +6,13 @@
 ///
 /// \file
 /// The lowering pass under the streaming decode runtime: an s-EFT (usually a
-/// synthesized inverse, transducer/Invert.h) is compiled ONCE per machine
-/// into per-rule CompiledEval bytecode programs — the guard, every output
-/// function, and transitively every auxiliary function they call — and the
-/// rules are bucketed into per-state dispatch tables. After compile() the
-/// hot loop never walks a term tree again: running a rule is "execute the
-/// guard program on the window span, then the output programs", a few flat
-/// instruction sweeps with no allocation.
+/// synthesized inverse, transducer/Invert.h) is compiled ONCE per machine:
+/// each rule's guard, outputs and inlined auxiliary calls become one fused
+/// program over raw words (runtime/FusedRule.h), and the rules are bucketed
+/// into per-state dispatch tables. Running a fused rule is one flat
+/// instruction sweep over the window span with no allocation. A rule
+/// outside the fused fragment keeps its guard and output terms and runs
+/// through eval() of term/Eval.h on the window; every corpus rule fuses.
 ///
 /// This is the interpretive-overhead gap the streaming runtime closes
 /// (ROADMAP item 2): Seft::transduce() re-walks guard and output terms
@@ -42,10 +42,10 @@
 /// streaming state. The relation is re-checked wholesale by the
 /// differential fuzz in tests/stream_decode_test.cpp.
 ///
-/// Lifetime: the compiled programs reference constants by value but
-/// auxiliary FuncDefs by pointer, so the TermFactory owning the machine's
-/// terms must outlive the CompiledSeft. Like the underlying cache, a
-/// CompiledSeft is single-threaded: execution reuses one value stack.
+/// Lifetime: unfused rules reference the machine's terms, so the
+/// TermFactory owning them must outlive the CompiledSeft. A CompiledSeft
+/// is immutable after compile(); each StreamDecoder keeps its own scratch
+/// stack.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -54,25 +54,23 @@
 
 #include "runtime/FusedRule.h"
 #include "support/Result.h"
-#include "term/CompiledEval.h"
 #include "transducer/Seft.h"
 
 #include <deque>
-#include <memory>
 #include <vector>
 
 namespace genic {
 
-/// One lowered rule: bytecode programs plus the structural fields dispatch
-/// needs. Program pointers are owned by the machine's CompiledEvalCache.
+/// One lowered rule: its fused program plus the structural fields dispatch
+/// needs. The fused program is owned by the machine.
 struct CompiledSeftRule {
-  /// The fast tier: guard + inlined aux calls + outputs as one unboxed
-  /// program (runtime/FusedRule.h). Null when the rule fell back to the
-  /// generic per-term programs below; both tiers are semantically
-  /// identical, so dispatch just prefers this one.
+  /// Guard + inlined aux calls + outputs as one unboxed program
+  /// (runtime/FusedRule.h). Null when the rule is outside the fused
+  /// fragment; it then runs eval() on Guard and Outputs, which is
+  /// semantically identical.
   const FusedRuleProgram *Fused = nullptr;
-  const CompiledProgram *Guard = nullptr;
-  std::vector<const CompiledProgram *> Outputs;
+  TermRef Guard = nullptr;
+  std::vector<TermRef> Outputs;
   unsigned Lookahead = 0;
   /// Target state; Seft::FinalState for finalizers.
   unsigned To = 0;
@@ -106,10 +104,8 @@ struct CompiledSeftState {
 /// with compile(), execute through runtime/StreamDecoder.h.
 class CompiledSeft {
 public:
-  /// Lowers \p Machine. Compiles every guard and output term (and their
-  /// auxiliary callees) eagerly so the first decoded symbol already runs on
-  /// bytecode; hash-consing dedupes programs across rules via the eval
-  /// cache. The machine's term factory must outlive the result.
+  /// Lowers \p Machine, fusing every rule it can. The machine's term
+  /// factory must outlive the result.
   static Result<CompiledSeft> compile(const Seft &Machine);
 
   unsigned numStates() const { return States.size(); }
@@ -121,26 +117,26 @@ public:
   unsigned lookahead() const { return MaxLookahead; }
   const CompiledSeftState &state(unsigned Q) const { return States[Q]; }
 
-  /// The machine's program cache: execution entry points and compile-cache
-  /// counters (Stats.Lookups/Compiles/hits feed the decode path of --stats
-  /// and the decode.eval.* metrics keys).
-  CompiledEvalCache &cache() const { return *Cache; }
-
   /// Scratch words a fused rule execution needs; the decoder sizes its
   /// stack to this once. 0 when no rule fused.
   unsigned maxFusedStack() const { return MaxFusedStack; }
   /// How many of numRules() compiled to the fused (unboxed, call-inlined)
-  /// tier; the rest run on the generic per-term programs.
+  /// tier; the rest run on eval().
   unsigned fusedRules() const { return NumFusedRules; }
   unsigned numRules() const { return NumRules; }
+
+  /// Rules point into FusedStore: a move keeps them valid, a copy would
+  /// leave them pointing into the source.
+  CompiledSeft(CompiledSeft &&) = default;
+  CompiledSeft &operator=(CompiledSeft &&) = default;
+  CompiledSeft(const CompiledSeft &) = delete;
+  CompiledSeft &operator=(const CompiledSeft &) = delete;
 
 private:
   CompiledSeft() = default;
 
-  // unique_ptr keeps CompiledSeft movable (the cache itself is pinned:
-  // CompiledProgram addresses must survive moves). The deque pins fused
-  // programs the same way.
-  std::unique_ptr<CompiledEvalCache> Cache;
+  // The deque keeps fused programs at stable addresses as rules point in,
+  // across moves too.
   std::deque<FusedRuleProgram> FusedStore;
   std::vector<CompiledSeftState> States;
   unsigned Initial = 0;

@@ -15,8 +15,8 @@ namespace {
 
 using K = FusedInstr::K;
 
-/// Fusion gives up rather than emit a program this large; the generic tier
-/// handles pathological rules.
+/// Fusion gives up rather than emit a program this large; eval() handles
+/// pathological rules.
 constexpr size_t MaxCode = 1u << 16;
 constexpr unsigned MaxStack = 1024;
 
@@ -37,8 +37,7 @@ bool isCmp(K Kind) { return Kind >= K::CmpEq && Kind <= K::CmpSGt; }
 /// condition position — guards, aux-function domains, ite conditions —
 /// compile by jump threading (cond()): and/or trees become chains of
 /// compare-and-branch with no materialized booleans. Any construct outside
-/// the modeled fragment clears Ok and the caller falls back to the generic
-/// tier.
+/// the modeled fragment clears Ok and the caller falls back to eval().
 class Fuser {
 public:
   Fuser(unsigned Lookahead, const Type &InputType)
@@ -212,9 +211,8 @@ private:
     pop();
   }
 
-  /// Requires both operands to have the same type; mismatches (which the
-  /// boxed evaluator maps to undefined at runtime) are left to the generic
-  /// tier.
+  /// Requires both operands to have the same type; mismatches (which
+  /// eval() maps to undefined at runtime) are left to eval().
   bool sameType(TermRef T) {
     return T->arity() == 2 && T->child(0)->type() == T->child(1)->type();
   }
@@ -234,8 +232,8 @@ private:
       unsigned Index = T->varIndex();
       if (!F.F) {
         // A variable of the rule window. Out-of-range or mistyped
-        // variables evaluate to undefined only when reached, which the
-        // generic tier models; don't fuse.
+        // variables evaluate to undefined only when reached, which eval()
+        // models; don't fuse.
         if (Index >= Lookahead || T->type() != InputType) {
           Ok = false;
           return;
@@ -386,7 +384,7 @@ private:
     case Op::Call: {
       const FuncDef *F = T->callee();
       // The GENIC lowering only emits non-recursive aux functions; a cycle
-      // would make inlining diverge, so leave it to the generic tier.
+      // would make inlining diverge, so leave it to eval().
       if (!F || T->arity() != F->ParamTypes.size() ||
           std::find(Active.begin(), Active.end(), F) != Active.end()) {
         Ok = false;
@@ -396,7 +394,7 @@ private:
       for (unsigned I = 0; I != T->arity(); ++I) {
         TermRef Arg = T->child(I);
         if (Arg->type() != F->ParamTypes[I]) {
-          Ok = false; // Mistyped application: generic tier's problem.
+          Ok = false; // Mistyped application: left to eval().
           return;
         }
         compile(Arg);

@@ -7,9 +7,9 @@
 /// \file
 /// The fast tier of the s-EFT lowering (runtime/CompiledSeft.h): a whole
 /// rule — guard, auxiliary-function calls, and every output — fused into a
-/// single flat program over raw 64-bit words. Where the generic tier
-/// (term/CompiledEval.h) executes one bytecode program per term and boxes
-/// every intermediate in a typed Value, the fused tier:
+/// single flat program over raw 64-bit words. Where eval() (term/Eval.h)
+/// walks each term recursively and boxes every intermediate in a typed
+/// Value, the fused tier:
 ///
 ///  - resolves all types at COMPILE time (terms are statically typed), so
 ///    execution touches bare uint64_t: bools as 0/1, integers as their
@@ -34,9 +34,9 @@
 /// fuseRule() is total-or-nothing: any construct it cannot prove out
 /// statically (a variable outside the rule window, a type mismatch, a
 /// recursive aux cycle, an oversized program) yields nullopt and the rule
-/// runs on the generic tier instead, so fusion is purely an optimization
-/// and never changes semantics. The differential fuzz in
-/// tests/stream_decode_test.cpp holds both tiers to the term evaluator.
+/// runs through eval() instead, so fusion is purely an optimization and
+/// never changes semantics. The differential fuzz in
+/// tests/stream_decode_test.cpp holds both paths to Seft::transduce.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -108,7 +108,7 @@ struct FusedRuleProgram {
 /// Fuses one rule. \p Guard and \p Outputs are the rule's terms over
 /// Var(0..Lookahead-1) of \p InputType. Returns nullopt when the rule uses
 /// something the fused tier does not model (see file comment); the caller
-/// falls back to the generic tier.
+/// falls back to eval().
 std::optional<FusedRuleProgram> fuseRule(TermRef Guard,
                                          const std::vector<TermRef> &Outputs,
                                          unsigned Lookahead,

@@ -7,6 +7,7 @@
 #include "runtime/StreamDecoder.h"
 
 #include "support/Trace.h"
+#include "term/Eval.h"
 
 #include <string>
 
@@ -64,12 +65,11 @@ bool StreamDecoder::tryRule(const CompiledSeftRule &R, ValueList &Out) {
                       FusedStack.data()))
       return false;
   } else {
-    CompiledEvalCache &Cache = M.cache();
     Env Window(Buf.data() + Pos, R.Lookahead);
-    if (!Cache.runProgramBool(*R.Guard, Window))
+    if (!evalBool(R.Guard, Window))
       return false;
-    for (const CompiledProgram *F : R.Outputs) {
-      std::optional<Value> V = Cache.runProgram(*F, Window);
+    for (TermRef F : R.Outputs) {
+      std::optional<Value> V = eval(F, Window);
       if (!V)
         return false; // Undefined output: the non-symbolic rule doesn't exist.
       OutScratch.push_back(*V);

@@ -49,7 +49,7 @@ const char *toString(SolverSessionKind Kind);
 
 /// The counter family a session of \p Kind drains into ("shared" /
 /// "checker" / "worker"): solver counters go to "solver.<family>.*",
-/// compiled-eval and bank counters to "eval.<family>.*" and
+/// concrete-evaluation and bank counters to "eval.<family>.evals" and
 /// "bank.<family>.*".
 const char *counterFamily(SolverSessionKind Kind);
 
@@ -315,13 +315,14 @@ public:
     /// evaluation, and those it took from solver models (see project()).
     uint64_t ImageValuesEvaluated = 0;
     uint64_t ImageValuesSolved = 0;
+    /// Inputs the concrete image walk evaluated, whole lane batches
+    /// included.
+    uint64_t ImageInputsEvaluated = 0;
   };
   const Stats &stats() const;
 
   /// Adds stats() to the registry of the installed control (see
-  /// recordSolverStats), and the compiled evaluations project() ran on
-  /// bit-vector images to its "eval.<family>.*" counters, then zeroes
-  /// both. A session drains when its work
+  /// recordSolverStats), then zeroes them. A session drains when its work
   /// for a request ends, so the request's registry is the one place its
   /// totals are summed, and a session the next request reuses starts that
   /// request at zero. Without a registry the counters are only zeroed.
@@ -335,7 +336,8 @@ private:
 };
 
 /// Adds \p S to \p Registry's "solver.<family>.*" counters, the family
-/// given by \p Kind. A zero \p S registers the family at zero.
+/// given by \p Kind, and a nonzero ImageInputsEvaluated to
+/// "eval.<family>.evals". A zero \p S registers the family at zero.
 void recordSolverStats(MetricsRegistry &Registry, SolverSessionKind Kind,
                        const Solver::Stats &S);
 

@@ -52,8 +52,7 @@ Enumerator::findMatching(const std::vector<Value> &Target) {
   TargetSig.Raw.reserve(NumEx);
   for (const Value &V : Target)
     TargetSig.Raw.push_back(V.rawBits());
-  TargetSig.Defined = NumEx == 64 ? ~uint64_t{0}
-                                  : ((uint64_t{1} << NumEx) - 1);
+  TargetSig.Defined = laneMask(NumEx);
 
   // Seed the banks from the persistent store when one is configured: sizes
   // 1..CompletedThrough were fully enumerated by an earlier call over the

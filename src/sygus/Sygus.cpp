@@ -12,23 +12,45 @@
 #include "sygus/BitSlice.h"
 #include "sygus/Enumerator.h"
 #include "term/Eval.h"
+#include "term/LaneEval.h"
 
+#include <array>
+#include <bit>
 #include <random>
 #include <set>
+#include <span>
 
 using namespace genic;
+
+namespace {
+
+using LaneColumn = std::array<uint64_t, MaxLanes>;
+
+/// Binds Var(i) to the lane of x_i over the inputs \p Xs (at most
+/// MaxLanes, all typed like the first), packed into \p Columns.
+std::vector<Lane> inputLanes(std::span<const std::vector<Value>> Xs,
+                             std::vector<LaneColumn> &Columns) {
+  const size_t Arity = Xs.front().size();
+  Columns.resize(Arity);
+  std::vector<Lane> Env;
+  for (size_t I = 0; I != Arity; ++I) {
+    for (size_t E = 0; E != Xs.size(); ++E)
+      Columns[I][E] = Xs[E][I].rawBits();
+    Env.push_back(Lane{Columns[I].data(), Xs.front()[I].type()});
+  }
+  return Env;
+}
+
+} // namespace
 
 SygusEngine::SygusEngine(Solver &S, Options O) : S(S), Opts(O) {}
 
 void genic::recordEngineStats(MetricsRegistry &Registry,
                               SolverSessionKind Kind,
-                              const CompiledEvalCache::Stats &Eval,
                               const EnumeratorBankStore::Stats &Bank,
                               const SearchStats &Search) {
   const std::string Family = counterFamily(Kind);
-  Registry.counter("eval." + Family + ".lookups").add(Eval.Lookups);
-  Registry.counter("eval." + Family + ".compiles").add(Eval.Compiles);
-  Registry.counter("eval." + Family + ".evals").add(Eval.Evals);
+  Registry.counter("eval." + Family + ".evals").add(Search.InputsEvaluated);
   Registry.counter("bank." + Family + ".reuse_hits").add(Bank.ReuseHits);
   Registry.counter("bank." + Family + ".reuse_misses").add(Bank.ReuseMisses);
   const std::string Sygus = "sygus." + Family;
@@ -42,9 +64,7 @@ void genic::recordEngineStats(MetricsRegistry &Registry,
 void SygusEngine::drainStats() {
   const SolverControl &C = S.control();
   if (C.Metrics)
-    recordEngineStats(*C.Metrics, C.Kind, EvalCache.stats(),
-                      BankStore.stats(), Search);
-  EvalCache.resetStats();
+    recordEngineStats(*C.Metrics, C.Kind, BankStore.stats(), Search);
   BankStore.resetStats();
   Search = SearchStats();
 }
@@ -98,13 +118,16 @@ SygusEngine::sampleInputs(const SynthesisSpec &Spec, unsigned Want) {
     Note(Note, F.inlineCalls(Spec.Target));
   }
 
+  // An input is admissible when the guard holds and the outputs and the
+  // target are defined on it.
   auto Admissible = [&](const std::vector<Value> &X) {
-    if (!EvalCache.evalBool(P.Guard, X))
+    ++Search.InputsEvaluated;
+    if (!evalBool(P.Guard, X))
       return false;
     for (TermRef O : P.Outputs)
-      if (!EvalCache.eval(O, X))
+      if (!eval(O, X))
         return false;
-    return EvalCache.eval(Spec.Target, X).has_value();
+    return eval(Spec.Target, X).has_value();
   };
 
   std::set<std::vector<Value>> Seen;
@@ -124,16 +147,30 @@ SygusEngine::sampleInputs(const SynthesisSpec &Spec, unsigned Want) {
     return Value::bitVecVal(Rng(), Ty.width());
   };
 
-  // Phase 1: native rejection sampling — fast and diverse.
-  for (unsigned Attempt = 0;
-       Attempt < 8192 && Inputs.size() < Want; ++Attempt) {
-    std::vector<Value> X;
-    X.reserve(P.NumInputs);
-    for (unsigned I = 0; I < P.NumInputs; ++I)
-      X.push_back(RandomValue(Types[I]));
-    if (!Admissible(X) || !Seen.insert(X).second)
-      continue;
-    Inputs.push_back(std::move(X));
+  // Phase 1: native rejection sampling — fast and diverse. Up to 8192
+  // draws, evaluated MaxLanes at a time and taken in draw order; the draws
+  // of a batch after the Want-th input only advance the local generator.
+  std::vector<std::vector<Value>> Batch;
+  std::vector<LaneColumn> Columns;
+  for (unsigned Drawn = 0; Drawn < 8192 && Inputs.size() < Want;) {
+    const size_t N = std::min<size_t>(MaxLanes, 8192 - Drawn);
+    Drawn += N;
+    Batch.resize(N);
+    for (std::vector<Value> &X : Batch) {
+      X.clear();
+      for (unsigned I = 0; I < P.NumInputs; ++I)
+        X.push_back(RandomValue(Types[I]));
+    }
+    Search.InputsEvaluated += N;
+    std::vector<Lane> Env = inputLanes(Batch, Columns);
+    uint64_t Out[MaxLanes];
+    uint64_t Ok = evalBoolLanes(P.Guard, Env, ~uint64_t{0}, N);
+    for (TermRef O : P.Outputs)
+      Ok = evalLanes(O, Env, Ok, N, Out);
+    Ok = evalLanes(Spec.Target, Env, Ok, N, Out);
+    for (size_t E = 0; E != N && Inputs.size() < Want; ++E)
+      if ((Ok >> E & 1) && Seen.insert(Batch[E]).second)
+        Inputs.push_back(Batch[E]);
   }
 
   // Phase 2: solver models with blocking, for guards rejection sampling
@@ -208,7 +245,8 @@ Result<TermRef> SygusEngine::synthesize(const SynthesisSpec &Spec,
                         : Status::error(
                               "empty-output rule with unsatisfiable or "
                               "undecided guard"));
-    std::optional<Value> T = EvalCache.eval(Spec.Target, *M);
+    ++Search.InputsEvaluated;
+    std::optional<Value> T = eval(Spec.Target, *M);
     if (!T)
       return Finish(Status::error("target undefined on the guard model"));
     return Finish(F.mkConst(*T));
@@ -224,40 +262,57 @@ Result<TermRef> SygusEngine::synthesize(const SynthesisSpec &Spec,
   // composition checks that they are inverses.
   ScopedAssertions VerifyScope(S);
   VerifyScope.add(P.Guard);
-  Result<std::vector<std::vector<Value>>> Inputs =
-      sampleInputs(Spec, Opts.NumExamples);
-  if (!Inputs)
-    return Finish(Inputs.status());
-  std::vector<Type> Types;
-  for (const Value &V : Inputs->front())
-    Types.push_back(V.type());
 
-  // Induce (y, target) examples from the sampled inputs.
-  auto Induce = [&](const std::vector<std::vector<Value>> &Xs,
-                    std::vector<std::vector<Value>> &Ys,
-                    std::vector<Value> &Targets) -> Status {
-    for (const std::vector<Value> &X : Xs) {
+  // Induce (y, target) examples from at most MaxLanes sampled inputs,
+  // evaluating each output and the target on all of them at once. The
+  // first input with an undefined output, else an undefined target, fails.
+  std::vector<std::vector<Value>> Ys;
+  std::vector<Value> Targets;
+  std::vector<LaneColumn> Columns, Results(P.arity() + 1);
+  auto Induce = [&](std::span<const std::vector<Value>> Xs) -> Status {
+    const size_t N = Xs.size();
+    const uint64_t All = laneMask(N);
+    Search.InputsEvaluated += N;
+    std::vector<Lane> Env = inputLanes(Xs, Columns);
+    uint64_t OutputsDefined = All;
+    for (unsigned J = 0; J != P.arity(); ++J)
+      OutputsDefined &= evalLanes(P.Outputs[J], Env, All, N, Results[J].data());
+    uint64_t TargetDefined =
+        evalLanes(Spec.Target, Env, All, N, Results.back().data());
+    if (uint64_t Bad = All & ~(OutputsDefined & TargetDefined))
+      return Status::error(OutputsDefined >> std::countr_zero(Bad) & 1
+                               ? "target undefined on a sampled input"
+                               : "output undefined on a sampled input");
+    for (size_t E = 0; E != N; ++E) {
       std::vector<Value> Y;
       Y.reserve(P.arity());
-      for (TermRef O : P.Outputs) {
-        std::optional<Value> V = EvalCache.eval(O, X);
-        if (!V)
-          return Status::error("output undefined on a sampled input");
-        Y.push_back(*V);
-      }
-      std::optional<Value> T = EvalCache.eval(Spec.Target, X);
-      if (!T)
-        return Status::error("target undefined on a sampled input");
+      for (unsigned J = 0; J != P.arity(); ++J)
+        Y.push_back(Value::fromRawBits(P.Outputs[J]->type(), Results[J][E]));
       Ys.push_back(std::move(Y));
-      Targets.push_back(*T);
+      Targets.push_back(
+          Value::fromRawBits(Spec.Target->type(), Results.back()[E]));
     }
     return Status::ok();
   };
 
-  std::vector<std::vector<Value>> Ys;
-  std::vector<Value> Targets;
-  if (Status St = Induce(*Inputs, Ys, Targets); !St.isOk())
-    return Finish(St);
+  auto OverBudget = [] {
+    return Status::error("CEGIS exceeded the example budget (" +
+                         std::to_string(Enumerator::MaxExamples) + ")");
+  };
+  std::vector<Type> Types;
+  {
+    TraceSpan SampleSpan("sygus.sample");
+    Result<std::vector<std::vector<Value>>> Inputs =
+        sampleInputs(Spec, Opts.NumExamples);
+    if (!Inputs)
+      return Finish(Inputs.status());
+    if (Inputs->size() > Enumerator::MaxExamples)
+      return Finish(OverBudget());
+    for (const Value &V : Inputs->front())
+      Types.push_back(V.type());
+    if (Status St = Induce(*Inputs); !St.isOk())
+      return Finish(St);
+  }
 
   Enumerator::Config EC;
   EC.MaxSize = Opts.MaxTermSize;
@@ -311,6 +366,8 @@ Result<TermRef> SygusEngine::synthesize(const SynthesisSpec &Spec,
       // Views: the outputs themselves plus unary components applied to
       // them (a decoder's recovery slices bits of D(y_j), not of y_j).
       std::vector<SliceView> Views;
+      std::vector<Lane> YLanes = inputLanes(Ys, Columns);
+      const uint64_t All = laneMask(Ys.size());
       for (unsigned J = 0; J < P.arity(); ++J) {
         if (!Ys[0][J].type().isBitVec())
           continue;
@@ -334,18 +391,13 @@ Result<TermRef> SygusEngine::synthesize(const SynthesisSpec &Spec,
             continue;
           SliceView V;
           V.Term = F.mkCall(Fn, {F.mkVar(J, Ys[0][J].type())});
-          bool Defined = true;
-          for (const auto &Y : Ys) {
-            std::vector<Value> Arg{Y[J]};
-            std::optional<Value> Out = EvalCache.callFunc(Fn, Arg);
-            if (!Out) {
-              Defined = false;
-              break;
-            }
-            V.Values.push_back(*Out);
-          }
-          if (Defined)
-            Views.push_back(std::move(V));
+          uint64_t Out[MaxLanes];
+          Search.InputsEvaluated += Ys.size();
+          if (callLanes(Fn, {&YLanes[J], 1}, All, Ys.size(), Out) != All)
+            continue;
+          for (size_t E = 0; E != Ys.size(); ++E)
+            V.Values.push_back(Value::fromRawBits(Fn->Body->type(), Out[E]));
+          Views.push_back(std::move(V));
         }
       }
       std::optional<TermRef> Slice =
@@ -389,14 +441,10 @@ Result<TermRef> SygusEngine::synthesize(const SynthesisSpec &Spec,
       return Finish(*Candidate);
 
     // Counterexample-guided refinement.
-    std::vector<std::vector<Value>> NewX{**Cex};
-    if (Status St = Induce(NewX, Ys, Targets); !St.isOk())
+    if (Status St = Induce({&**Cex, 1}); !St.isOk())
       return Finish(St);
-    Inputs->push_back(std::move(**Cex));
     if (Ys.size() > Enumerator::MaxExamples)
-      return Finish(Status::error(
-          "CEGIS exceeded the example budget (" +
-          std::to_string(Enumerator::MaxExamples) + ")"));
+      return Finish(OverBudget());
   }
   return Finish(Status::error("CEGIS exceeded the iteration budget"));
 }

@@ -30,7 +30,6 @@
 #include "sygus/BitSlice.h"
 #include "sygus/EnumeratorBank.h"
 #include "sygus/Grammar.h"
-#include "term/CompiledEval.h"
 
 #include <map>
 #include <optional>
@@ -61,14 +60,16 @@ struct SearchStats {
   /// were evaluated on, over pre-passes and full passes.
   uint64_t Candidates = 0;
   uint64_t LaneEvals = 0;
+  /// Inputs that guard sampling, example induction and bit-slice views
+  /// evaluated concretely; a lane batch counts every input in it.
+  uint64_t InputsEvaluated = 0;
 };
 
-/// Adds \p Eval, \p Bank and \p Search to \p Registry's
-/// "eval.<family>.*", "bank.<family>.*" and "sygus.<family>.*" counters,
-/// the family given by \p Kind (see counterFamily). Zero stats register
-/// the families at zero.
+/// Adds \p Bank and \p Search to \p Registry's "bank.<family>.*",
+/// "sygus.<family>.*" and "eval.<family>.evals" counters, the family given
+/// by \p Kind (see counterFamily). Zero stats register the families at
+/// zero.
 void recordEngineStats(MetricsRegistry &Registry, SolverSessionKind Kind,
-                       const CompiledEvalCache::Stats &Eval,
                        const EnumeratorBankStore::Stats &Bank,
                        const SearchStats &Search);
 
@@ -79,6 +80,8 @@ public:
     unsigned MaxTermSize = 25;
     double EnumTimeoutSeconds = 30;
     unsigned MaxCegisIterations = 16;
+    /// Inputs sampled per call; more than Enumerator::MaxExamples fails
+    /// the call (the enumerator holds one signature bit per example).
     unsigned NumExamples = 24;
     uint64_t Seed = 0x5eed5eed;
     /// Try the bit-slice candidate generator (sygus/BitSlice.h) before
@@ -119,14 +122,6 @@ public:
   Solver &solver() { return S; }
   const Options &options() const { return Opts; }
 
-  /// The engine-wide compiled-evaluation cache: sampling, example
-  /// induction and bit-slice views evaluate through it, so guards, outputs
-  /// and aux bodies are compiled once per engine rather than re-walked per
-  /// example. (Enumerated candidates are evaluated on example lanes
-  /// instead; see term/LaneEval.h.)
-  CompiledEvalCache &evalCache() { return EvalCache; }
-  const CompiledEvalCache &evalCache() const { return EvalCache; }
-
   /// The engine-wide persistent enumeration banks (used when
   /// Options::ReuseBanks is set; see EnumeratorBank.h). Bank reuse hit and
   /// miss counters live in its stats().
@@ -135,10 +130,10 @@ public:
   /// The search counts since the last drainStats().
   const SearchStats &searchStats() const { return Search; }
 
-  /// Adds the compiled-eval, bank and search counters to the registry of
-  /// the solver's control (see recordEngineStats; the family comes from
-  /// the solver's session kind), then zeroes them. Like Solver::drainStats, an
-  /// engine drains when its work for a request ends.
+  /// Adds the bank and search counters to the registry of the solver's
+  /// control (see recordEngineStats; the family comes from the solver's
+  /// session kind), then zeroes them. Like Solver::drainStats, an engine
+  /// drains when its work for a request ends.
   void drainStats();
 
   /// Installs banks released by a previous engine over the same term
@@ -155,7 +150,8 @@ public:
   }
 
   /// Input assignments satisfying the guard (outputs defined), mixing
-  /// native random sampling with solver models for narrow guards. The
+  /// native random sampling with solver models for narrow guards. Draws
+  /// are evaluated on lanes (term/LaneEval.h), MaxLanes at a time. The
   /// models come from the solver's live session, whose scoped stack must
   /// hold Spec.Image.Guard (synthesize() asserts it before sampling).
   Result<std::vector<std::vector<Value>>>
@@ -176,7 +172,6 @@ private:
   Solver &S;
   Options Opts;
   std::vector<CallRecord> Calls;
-  CompiledEvalCache EvalCache;
   EnumeratorBankStore BankStore;
   SearchStats Search;
   /// Preimage tables for unary components, built on first use.

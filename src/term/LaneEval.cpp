@@ -22,10 +22,6 @@ namespace {
 using LaneBuffer = std::array<uint64_t, MaxLanes>;
 constexpr size_t InlineOperands = 4;
 
-uint64_t laneMask(size_t NumEx) {
-  return NumEx >= 64 ? ~uint64_t{0} : (uint64_t{1} << NumEx) - 1;
-}
-
 /// The lanes whose word is nonzero (boolean true).
 uint64_t truthy(const uint64_t *V, size_t N) {
   uint64_t M = 0;
@@ -340,6 +336,21 @@ uint64_t clearUndefined(uint64_t Defined, size_t N, uint64_t *Out) {
 }
 
 } // namespace
+
+uint64_t genic::evalLanes(TermRef T, LaneEnv Env, uint64_t Defined,
+                          size_t NumEx, uint64_t *Out) {
+  assert(NumEx <= MaxLanes && "more examples than lanes");
+  return clearUndefined(
+      evalNode(T, Env, Defined & laneMask(NumEx), NumEx, Out), NumEx, Out);
+}
+
+uint64_t genic::evalBoolLanes(TermRef T, LaneEnv Env, uint64_t Defined,
+                              size_t NumEx) {
+  if (!T->type().isBool())
+    return 0;
+  LaneBuffer V;
+  return evalLanes(T, Env, Defined, NumEx, V.data()) & truthy(V.data(), NumEx);
+}
 
 uint64_t genic::callLanes(const FuncDef *F, LaneEnv Args, uint64_t Defined,
                           size_t NumEx, uint64_t *Out) {

@@ -11,16 +11,19 @@
 /// (Value::rawBits(): bool as 0/1, Int as its two's-complement pattern,
 /// bit-vectors zero-extended from their width). A mask names the examples
 /// that take part; the result is the mask of examples on which the result
-/// is defined, with the value on example e in Out[e].
+/// is defined, with the value on example e in Out[e]
+/// (Value::fromRawBits() unpacks it).
 ///
 /// Semantics are exactly those of eval() in term/Eval.h, applied to each
 /// example on its own: ite evaluates only the taken branch of a lane,
 /// and/or stop at the first deciding operand of a lane, a call needs every
 /// argument defined and its domain to hold, and a variable that is unbound
-/// or bound to a lane of another type is undefined. This is the inner loop
-/// of the enumerative SyGuS engine: a candidate is one operator (or one
-/// auxiliary-function call) over its children's lanes, so one walk serves
-/// every example instead of one boxed evaluation per example.
+/// or bound to a lane of another type is undefined. One walk serves every
+/// example instead of one boxed evaluation per example. The enumerative
+/// SyGuS engine evaluates each candidate this way (one operator, or one
+/// auxiliary-function call, over its children's lanes); CEGIS evaluates
+/// guards, outputs and targets on batches of sampled inputs, and the
+/// projection walk of solver/Solver.cpp evaluates a centre's neighbours.
 /// tests/lane_eval_test.cpp holds the parity property.
 ///
 //===----------------------------------------------------------------------===//
@@ -39,6 +42,11 @@ namespace genic {
 /// Examples one lane evaluation covers: one bit of the mask each.
 inline constexpr size_t MaxLanes = 64;
 
+/// The mask of examples 0..NumEx-1.
+inline uint64_t laneMask(size_t NumEx) {
+  return NumEx >= 64 ? ~uint64_t{0} : (uint64_t{1} << NumEx) - 1;
+}
+
 /// One variable's lane: Raw[e] is its packed value on example e.
 struct Lane {
   const uint64_t *Raw = nullptr;
@@ -47,6 +55,19 @@ struct Lane {
 
 /// A lane environment: Var(i) is bound to Env[i].
 using LaneEnv = std::span<const Lane>;
+
+/// Evaluates \p T on every example e < \p NumEx whose bit is set in
+/// \p Defined, as eval() does on each example alone: Var(i) reads
+/// Env[i].Raw[e]. Returns the examples where \p T is defined, a subset of
+/// \p Defined; Out[e] holds the value there and 0 on every other
+/// e < NumEx. NumEx must not exceed MaxLanes.
+uint64_t evalLanes(TermRef T, LaneEnv Env, uint64_t Defined, size_t NumEx,
+                   uint64_t *Out);
+
+/// The examples among \p Defined (and e < \p NumEx) on which evalBool()
+/// holds: \p T is boolean, defined and true.
+uint64_t evalBoolLanes(TermRef T, LaneEnv Env, uint64_t Defined,
+                       size_t NumEx);
 
 /// Applies auxiliary function \p F to argument lanes on every example
 /// e < \p NumEx whose bit is set in \p Defined, as a Call node does: Var(i)

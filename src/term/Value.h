@@ -81,6 +81,16 @@ public:
   /// interpreter in runtime/FusedRule.h) and wants the untyped word.
   uint64_t rawBits() const { return Bits; }
 
+  /// The value of type \p Ty whose rawBits() is \p Raw (any nonzero word
+  /// is boolean true): unpacks a lane word of term/LaneEval.h.
+  static Value fromRawBits(const Type &Ty, uint64_t Raw) {
+    if (Ty.isBool())
+      return boolVal(Raw != 0);
+    if (Ty.isInt())
+      return intVal(static_cast<int64_t>(Raw));
+    return bitVecVal(Raw, Ty.width());
+  }
+
   bool operator==(const Value &Other) const {
     return Ty == Other.Ty && Bits == Other.Bits;
   }

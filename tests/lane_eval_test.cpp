@@ -68,31 +68,31 @@ void expectLanesMatch(const Examples &Ex, uint64_t Defined, uint64_t Got,
   }
 }
 
-/// Evaluates \p T over lanes as the body of a total function whose
-/// parameters are the lanes: callLanes walks the body as any term.
-uint64_t termLanes(TermRef T, LaneEnv Env, uint64_t Defined, size_t NumEx,
-                   uint64_t *Out) {
-  FuncDef Total;
-  Total.Body = T;
-  return callLanes(&Total, Env, Defined, NumEx, Out);
-}
-
-/// termLanes(T) against eval(T) on every example of \p Ex.
+/// evalLanes(T) against eval(T), and evalBoolLanes(T) against evalBool(T),
+/// on every example of \p Ex.
 void expectTermParity(TermRef T, const Examples &Ex, uint64_t Defined) {
   LaneColumns Cols(Ex);
   uint64_t Out[MaxLanes];
   std::fill_n(Out, MaxLanes, 0xDEADBEEF); // Lanes must all be written.
-  uint64_t Got = termLanes(T, Cols.Lanes, Defined, Ex.size(), Out);
+  uint64_t Got = evalLanes(T, Cols.Lanes, Defined, Ex.size(), Out);
   std::vector<std::optional<Value>> Reference;
-  for (const std::vector<Value> &Env : Ex)
-    Reference.push_back(eval(T, Env));
+  uint64_t Holds = 0;
+  for (size_t E = 0; E != Ex.size(); ++E) {
+    Reference.push_back(eval(T, Ex[E]));
+    if (Defined >> E & 1 && evalBool(T, Ex[E]))
+      Holds |= uint64_t{1} << E;
+  }
   // Values must also carry the term's type (rawBits() alone drops it).
   for (size_t E = 0; E != Ex.size(); ++E) {
     if (Reference[E] && (Defined >> E & 1)) {
       EXPECT_EQ(Reference[E]->type(), T->type()) << printTerm(T);
+      EXPECT_EQ(Value::fromRawBits(T->type(), Out[E]), *Reference[E])
+          << printTerm(T);
     }
   }
   expectLanesMatch(Ex, Defined, Got, Out, Reference, printTerm(T));
+  EXPECT_EQ(evalBoolLanes(T, Cols.Lanes, Defined, Ex.size()), Holds)
+      << printTerm(T);
 }
 
 /// A random mask over \p NumEx lanes: dense, sparse or a single lane.
@@ -417,11 +417,11 @@ TEST_F(LaneEvalTest, EmptyMaskEvaluatesNothing) {
   LaneColumns Cols(Ex);
   uint64_t Out[MaxLanes];
   std::fill_n(Out, MaxLanes, 7);
-  EXPECT_EQ(termLanes(T, Cols.Lanes, 0, Ex.size(), Out), 0u);
+  EXPECT_EQ(evalLanes(T, Cols.Lanes, 0, Ex.size(), Out), 0u);
   for (size_t E = 0; E != Ex.size(); ++E)
     EXPECT_EQ(Out[E], 0u);
   // Mask bits past NumEx are ignored.
-  EXPECT_EQ(std::popcount(termLanes(T, Cols.Lanes, ~uint64_t{0}, Ex.size(),
+  EXPECT_EQ(std::popcount(evalLanes(T, Cols.Lanes, ~uint64_t{0}, Ex.size(),
                                     Out)),
             24);
 }

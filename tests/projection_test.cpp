@@ -292,9 +292,10 @@ TEST_F(ProjectionTest, WalkAndSolverShareAFragmentedImage) {
 }
 
 TEST_F(ProjectionTest, WalkEvaluationsDrainIntoTheEvalCounters) {
-  // The concrete walk's compiled evaluations are work like any other
-  // compiled evaluation: drainStats adds them to the session family's
-  // "eval.<family>.*" counters, at least one per value the walk found.
+  // The concrete walk's evaluations are work like any other concrete
+  // evaluation: drainStats adds the inputs it evaluated to the session
+  // family's "eval.<family>.evals" counter, at least one per value the
+  // walk found.
   const CoderSpec *Spec = nullptr;
   for (const CoderSpec &C : coderCorpus())
     if (C.name() == "BASE64 encoder")
@@ -322,9 +323,6 @@ TEST_F(ProjectionTest, WalkEvaluationsDrainIntoTheEvalCounters) {
       Registry.counter("solver.shared.image.values.evaluated").value();
   EXPECT_GT(Evaluated, 0u);
   EXPECT_GE(Registry.counter("eval.shared.evals").value(), Evaluated);
-  EXPECT_GT(Registry.counter("eval.shared.compiles").value(), 0u);
-  EXPECT_GE(Registry.counter("eval.shared.lookups").value(),
-            Registry.counter("eval.shared.compiles").value());
 }
 
 TEST_F(ProjectionTest, CapBoundaryPinsTheChoiceFunction) {

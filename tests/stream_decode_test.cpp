@@ -34,6 +34,7 @@
 #include <chrono>
 #include <random>
 #include <thread>
+#include <type_traits>
 
 using namespace genic;
 
@@ -537,6 +538,27 @@ TEST_F(StreamDecoderUnit, FeedAfterFinishDoesNotTouchByteState) {
   EXPECT_EQ(Out, In);
 }
 
+TEST_F(StreamDecoderUnit, CompiledMachinesSurviveVectorGrowth) {
+  // Rules point into the machine's fused-program store, so a growing
+  // vector must move machines, never copy them.
+  static_assert(!std::is_copy_constructible_v<CompiledSeft>);
+  Seft A = example45();
+  std::vector<CompiledSeft> Machines;
+  for (unsigned K = 0; K != 9; ++K) {
+    Result<CompiledSeft> C = CompiledSeft::compile(A);
+    ASSERT_TRUE(C.isOk());
+    Machines.push_back(std::move(*C));
+  }
+  ValueList In = ints({5, 5});
+  auto Reference = A.transduce(In, 2);
+  ASSERT_EQ(Reference.size(), 1u);
+  for (const CompiledSeft &M : Machines) {
+    auto [Out, S] = streamDecodeChunked(M, In, 1);
+    EXPECT_TRUE(S.isOk()) << S.message();
+    EXPECT_EQ(Out, Reference.front());
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Fused-tier regression: no branch fusion across a jump join
 // ---------------------------------------------------------------------------
@@ -598,6 +620,69 @@ TEST_F(StreamDecoderUnit, IteGuardMachineMatchesTransduce) {
         EXPECT_TRUE(S.isOk()) << toString(In) << ": " << S.message();
         EXPECT_EQ(Out, Reference.front()) << toString(In);
       }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Unfused rules run through eval()
+// ---------------------------------------------------------------------------
+
+TEST_F(StreamDecoderUnit, UnfusedRuleMatchesTransduce) {
+  // ite(x0 == 0, x5 == 1, true) at lookahead 1 reads x5, outside the rule
+  // window, on the branch taken when x0 == 0: there the guard is undefined
+  // and the rule does not fire. fuseRule rejects out-of-window variables,
+  // so this rule runs through eval() while its lookahead-2 sibling (for
+  // x0 == 0, x1 == 7) fuses.
+  Seft A(1, 0, I, I);
+  TermRef X5 = F.mkVar(5, I);
+  TermRef Unfused = F.mkIte(F.mkEq(X0, F.mkInt(0)), F.mkEq(X5, F.mkInt(1)),
+                            F.mkTrue());
+  A.addTransition({0, 0, 1, Unfused, {F.mkIntOp(Op::IntAdd, X0, F.mkInt(1))}});
+  A.addTransition({0, 0, 2,
+                   F.mkAnd(F.mkEq(X0, F.mkInt(0)), F.mkEq(X1, F.mkInt(7))),
+                   {F.mkIntOp(Op::IntSub, X1, X0), X0}});
+  A.addTransition({0, Seft::FinalState, 0, F.mkTrue(), {}});
+  Result<CompiledSeft> C = CompiledSeft::compile(A);
+  ASSERT_TRUE(C.isOk());
+  EXPECT_EQ(C->numRules(), 3u);
+  EXPECT_LT(C->fusedRules(), C->numRules());
+  EXPECT_GT(C->fusedRules(), 0u);
+
+  std::mt19937_64 Rng(7);
+  std::vector<ValueList> Inputs = {ints({}),        ints({1, 2, 3}),
+                                   ints({0, 7, 5}), ints({0}),
+                                   ints({0, 1}),    ints({4, 0, 7, 0, 7, -2}),
+                                   ints({0, 7, 0})};
+  for (unsigned K = 0; K != 200; ++K) {
+    ValueList In;
+    for (size_t N = Rng() % 12; N; --N) {
+      static constexpr int64_t Pool[] = {0, 0, 7, 1, 5, -3};
+      In.push_back(Value::intVal(Pool[Rng() % 6]));
+    }
+    Inputs.push_back(std::move(In));
+  }
+  for (bool Audit : {false, true}) {
+    StreamDecoderOptions Opts;
+    Opts.CheckAmbiguity = Audit;
+    for (const ValueList &In : Inputs) {
+      auto Reference = A.transduce(In, 2);
+      ASSERT_LE(Reference.size(), 1u) << toString(In);
+      for (size_t Chunk : {size_t(1), size_t(2), size_t(3), size_t(64)}) {
+        auto [Out, S] = streamDecodeChunked(*C, In, Chunk, Opts);
+        if (Reference.empty()) {
+          EXPECT_FALSE(S.isOk()) << toString(In) << " chunk " << Chunk;
+        } else {
+          EXPECT_TRUE(S.isOk()) << toString(In) << ": " << S.message();
+          EXPECT_EQ(Out, Reference.front())
+              << toString(In) << " chunk " << Chunk << " audit " << Audit;
+        }
+      }
+      auto [Out, S] =
+          streamDecode(*C, In, [&Rng] { return Rng() % 4 + 1; }, Opts);
+      EXPECT_EQ(S.isOk(), !Reference.empty()) << toString(In);
+      if (S.isOk() && !Reference.empty())
+        EXPECT_EQ(Out, Reference.front()) << toString(In);
     }
   }
 }

@@ -480,12 +480,7 @@ int main(int Argc, char **Argv) {
 
         double Seconds = Span.seconds();
         const StreamDecoder::Stats &DS = Decoder.stats();
-        const CompiledEvalCache::Stats &ES = Compiled->cache().stats();
         MetricsRegistry &Reg = Tool.metrics();
-        Reg.counter("decode.eval.lookups").set(ES.Lookups);
-        Reg.counter("decode.eval.compiles").set(ES.Compiles);
-        Reg.counter("decode.eval.hits").set(ES.hits());
-        Reg.counter("decode.eval.evals").set(ES.Evals);
         Reg.counter("decode.rules.fired").set(DS.RulesFired);
         Reg.counter("decode.rules.fused").set(Compiled->fusedRules());
 
@@ -497,14 +492,8 @@ int main(int Argc, char **Argv) {
                       Seconds > 0 ? DS.BytesIn / Seconds / 1e6 : 0.0);
         DecodeSummary = Buf;
         std::snprintf(Buf, sizeof(Buf),
-                      "decode rules: %u of %u fused; eval cache: "
-                      "%llu lookups, %llu compiles, %llu hits, %llu evals, "
-                      "%llu rules fired\n",
+                      "decode rules: %u of %u fused; %llu rules fired\n",
                       Compiled->fusedRules(), Compiled->numRules(),
-                      (unsigned long long)ES.Lookups,
-                      (unsigned long long)ES.Compiles,
-                      (unsigned long long)ES.hits(),
-                      (unsigned long long)ES.Evals,
                       (unsigned long long)DS.RulesFired);
         DecodeStatsText = Buf;
 
