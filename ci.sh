@@ -18,7 +18,14 @@
 #      cegis-phase query must be incremental unless a retry ran; and a
 #      cegar query gate: the same runs' projection queries must not rise
 #      above their measured total; and a pre-pass gate: the same runs'
-#      size-<=5 SyGuS pre-passes must not rise above theirs.
+#      size-<=5 SyGuS pre-passes must not rise above theirs. Then a
+#      Table-1 count gate at --jobs 1: the UTF-16 encoder's injectivity
+#      queries and the UTF-8 encoder's inversion queries, pre-passes and
+#      enumerated candidates must not rise above their measured counts.
+#      The decode smoke requires every rule of the BASE16 inverse on the
+#      fused tier and an exact count of rules fired, and a warm-pool gate
+#      requires a repeated genicd request to skip the work its warm entry
+#      persists. Every gate here is a work count, not a timing.
 #   2. Sanitizers: rebuild with -fsanitize=address,undefined and re-run the
 #      suites that exercise new machinery with threads and lane evaluation
 #      (stack lane buffers read through raw pointers; plus the term/solver
@@ -38,16 +45,8 @@
 #      jobs x worker-procs cases, against a TSan-built genic-worker).
 #      Note z3 itself is not instrumented, so this validates our
 #      synchronization, not z3's.
-#   4. Bench smoke: one fast pass of bench_micro so perf regressions that
-#      crash or hang surface in CI, and regression gates against the
-#      committed baselines at --jobs 1: bench_table1 on the UTF-16 encoder
-#      isInjective timing (fails on >75% slowdown) and the UTF-8 encoder
-#      end-to-end inversion (>40%), bench_decode's BASE16 streaming decode
-#      (>60%), and bench_serve's BASE16 warm latency (>75%, plus a 2x
-#      warm-over-cold speedup floor). The slack comes from measured drift
-#      on this box.
 #
-# Usage: ./ci.sh [--skip-asan] [--skip-tsan] [--skip-bench]
+# Usage: ./ci.sh [--skip-asan] [--skip-tsan]
 #===------------------------------------------------------------------------===#
 
 set -euo pipefail
@@ -55,14 +54,12 @@ cd "$(dirname "$0")"
 
 SKIP_ASAN=0
 SKIP_TSAN=0
-SKIP_BENCH=0
 for Arg in "$@"; do
   case "$Arg" in
   --skip-asan) SKIP_ASAN=1 ;;
   --skip-tsan) SKIP_TSAN=1 ;;
-  --skip-bench) SKIP_BENCH=1 ;;
   *)
-    echo "usage: $0 [--skip-asan] [--skip-tsan] [--skip-bench]" >&2
+    echo "usage: $0 [--skip-asan] [--skip-tsan]" >&2
     exit 2
     ;;
   esac
@@ -213,17 +210,141 @@ if len(sys.argv) - 1 != 14 or Runs > 189 or Runs == 0:
              "over 14" % (Runs, len(sys.argv) - 1))
 PYEOF
 
+echo "=== table-1 count gate: injectivity and inversion work at --jobs 1 ==="
+# Deterministic counts, not timings, on the two costliest Table-1 rows.
+# The UTF-16 encoder's injectivity check sends 9 ti, cegar and ambiguity
+# queries over all session kinds (2 + 1 + 3 + 3). The UTF-8 encoder's rule
+# forks send 92 cegis and 89 inversion queries, and its synthesis runs 9
+# size-<=5 pre-passes over 46,282 enumerated candidates. Each bound is the
+# count measured when the gate was set; a rise means more solver or
+# enumeration work on these paths, and a zero means a counter went
+# missing.
+for Prog in UTF-16_encoder UTF-8_encoder; do
+  ./build/tools/genic invert programs/$Prog.genic --jobs 1 \
+    --metrics-json build/$Prog.table1.json > /dev/null
+done
+python3 - build/UTF-16_encoder.table1.json build/UTF-8_encoder.table1.json \
+  <<'PYEOF'
+import json, sys
+Utf16, Utf8 = (json.load(open(Path)) for Path in sys.argv[1:])
+def queries(M, Phase, Kind=None):
+    # solver.query.us.<phase>.<kind>; the .incremental family re-counts
+    # queries of the other kinds, so it is left out of the sum.
+    Prefix = "solver.query.us.%s." % Phase
+    return sum(H["count"] for Name, H in M["histograms"].items()
+               if Name.startswith(Prefix) and not Name.endswith(".incremental")
+               and (Kind is None or Name == Prefix + Kind))
+def sygus(M, Suffix):
+    return sum(V for K, V in M["counters"].items()
+               if K.startswith("sygus.") and K.endswith(Suffix))
+Checks = [
+    ("UTF-16 encoder ti + cegar + ambiguity queries",
+     sum(queries(Utf16, P) for P in ("ti", "cegar", "ambiguity")), 9),
+    ("UTF-8 encoder cegis.worker queries", queries(Utf8, "cegis", "worker"),
+     92),
+    ("UTF-8 encoder inversion.worker queries",
+     queries(Utf8, "inversion", "worker"), 89),
+    ("UTF-8 encoder pre-pass runs", sygus(Utf8, ".prepass.runs"), 9),
+    ("UTF-8 encoder enumerated candidates", sygus(Utf8, ".candidates"),
+     46282),
+]
+Failed = False
+for What, Value, Bound in Checks:
+    print("%s: %d (bound %d)" % (What, Value, Bound))
+    if Value > Bound or Value == 0:
+        Failed = True
+if Failed:
+    sys.exit("table-1 count gate: a count is zero or above its bound")
+PYEOF
+
+echo "=== warm pool gate: a warm genicd request skips the persisted work ==="
+# Deterministic counts, not timings, through the daemon socket. One
+# worker thread serves the BASE16 encoder twice at --jobs 1, and the
+# metrics snapshots around each request are diffed. The second request
+# must be served warm, and each count below tests one piece the warm
+# entry persists: the shared memo (no ti or ambiguity queries, no
+# shared-session solver queries), the checker pool (no checker-session
+# queries), the enumeration banks (no candidates enumerated, at least one
+# bank reused) and the rule forks (fewer inversion queries than cold).
+# Cold, the request sent 1 ti, 1 ambiguity, 2 shared and 2 checker
+# queries and 21 inversion queries, and enumerated 15,025 candidates;
+# warm, 0, 0, 0, 0 and 6, with 1 bank reused.
+WARM_SOCK=build/genicd-warm.sock
+rm -f "$WARM_SOCK"
+./build/tools/genicd --socket "$WARM_SOCK" --threads 1 \
+  > build/genicd-warm.log 2>&1 &
+WARM_PID=$!
+trap 'kill "$WARM_PID" 2>/dev/null || true' EXIT
+./build/tools/genicd-client --socket "$WARM_SOCK" --op ping \
+  --retry-seconds 10 > /dev/null
+./build/tools/genicd-client --socket "$WARM_SOCK" --op metrics \
+  --field payload > build/genicd-warm.0.json
+for I in 1 2; do
+  ./build/tools/genicd-client --socket "$WARM_SOCK" \
+    --file programs/BASE16_encoder.genic --id "$I" --jobs 1 \
+    --field warm > "build/genicd-warm.$I.warm"
+  ./build/tools/genicd-client --socket "$WARM_SOCK" --op metrics \
+    --field payload > "build/genicd-warm.$I.json"
+done
+./build/tools/genicd-client --socket "$WARM_SOCK" --op shutdown > /dev/null
+wait "$WARM_PID"
+trap - EXIT
+python3 - build/genicd-warm.0.json build/genicd-warm.1.json \
+  build/genicd-warm.2.json build/genicd-warm.2.warm <<'PYEOF'
+import json, sys
+Snaps = [json.load(open(Path)) for Path in sys.argv[1:4]]
+Warm = open(sys.argv[4]).read().strip()
+def total(M, Test):
+    Counts = dict(M["counters"])
+    Counts.update((K, H["count"]) for K, H in M["histograms"].items())
+    return sum(V for K, V in Counts.items() if Test(K))
+def delta(Request, Test):
+    return total(Snaps[Request], Test) - total(Snaps[Request - 1], Test)
+def queries(Phase):
+    Prefix = "solver.query.us.%s." % Phase
+    return lambda K: K.startswith(Prefix) and not K.endswith(".incremental")
+def counter(Name):
+    return lambda K: K == Name
+def family(Prefix, Suffix):
+    # Summed over session families: sygus.worker.candidates and so on.
+    return lambda K: K.startswith(Prefix + ".") and K.endswith(Suffix)
+Skipped = [("ti queries", queries("ti")),
+           ("ambiguity queries", queries("ambiguity")),
+           ("solver.shared.sat_queries", counter("solver.shared.sat_queries")),
+           ("solver.checker.sat_queries",
+            counter("solver.checker.sat_queries")),
+           ("sygus candidates", family("sygus", ".candidates"))]
+Failed = Warm != "true"
+print("second request warm: %s" % Warm)
+for What, Test in Skipped:
+    Cold, Hot = delta(1, Test), delta(2, Test)
+    print("%s: cold %d, warm %d (want > 0, then 0)" % (What, Cold, Hot))
+    Failed |= Cold == 0 or Hot != 0
+Reuse = delta(2, family("bank", ".reuse_hits"))
+print("bank reuse hits on the warm request: %d (want >= 1)" % Reuse)
+Failed |= Reuse < 1
+Cold, Hot = delta(1, queries("inversion")), delta(2, queries("inversion"))
+print("inversion queries: cold %d, warm %d (want warm < cold)" % (Cold, Hot))
+Failed |= Hot >= Cold
+if Failed:
+    sys.exit("warm pool gate: the warm request redid persisted work")
+PYEOF
+
 echo "=== decode smoke: traced --decode-file through trace-lint ==="
 # Compile the synthesized BASE16 inverse to bytecode and stream a hex file
 # through it: the trace must lint and carry the decode.stream span, the
 # metrics snapshot the decode counters, and the decoded output must match
-# the plaintext byte-for-byte.
+# the plaintext byte-for-byte. A count gate, not a timing, then checks
+# the fused tier: every rule of the inverse must compile to it, and the
+# 44-byte input must fire exactly 23 rules (22 output bytes plus the
+# final rule). A rule knocked back onto the generic tier, or a decode
+# that fires more rules than its input needs, fails here.
 printf 'streaming decode smoke' > build/decode.plain
 od -An -v -tx1 build/decode.plain | tr -d ' \n' | tr a-f A-F > build/decode.hex
 ./build/tools/genic invert programs/BASE16_encoder.genic --jobs 2 \
   --decode-file build/decode.hex --decode-out build/decode.out \
   --trace-out build/decode.trace.json \
-  --metrics-json build/decode.metrics.json --stats
+  --metrics-json build/decode.metrics.json --stats > build/decode.stats
 ./build/tools/trace-lint build/decode.trace.json
 if ! grep -qF '"decode.stream"' build/decode.trace.json; then
   echo "trace check: no decode.stream span in the decode run" >&2
@@ -236,6 +357,23 @@ for Key in '"decode.bytes"' '"decode.chunk.us' '"decode.rules.fired"'; do
   fi
 done
 cmp build/decode.plain build/decode.out
+python3 - build/decode.stats build/decode.metrics.json <<'PYEOF'
+import json, re, sys
+Match = re.search(r"^decode rules: (\d+) of (\d+) fused; (\d+) rules fired$",
+                  open(sys.argv[1]).read(), re.M)
+if not Match:
+    sys.exit("decode gate: no 'decode rules' line under --stats")
+Fused, Rules, Fired = map(int, Match.groups())
+C = json.load(open(sys.argv[2]))["counters"]
+print("decode rules: %d of %d fused (decode.rules.fused %s); %d rules fired "
+      "(decode.rules.fired %s, want 23)"
+      % (Fused, Rules, C.get("decode.rules.fused"), Fired,
+         C.get("decode.rules.fired")))
+if Rules == 0 or Fused != Rules or C.get("decode.rules.fused") != Rules:
+    sys.exit("decode gate: %d of %d rules fused, want all" % (Fused, Rules))
+if Fired != 23 or C.get("decode.rules.fired") != 23:
+    sys.exit("decode gate: %d rules fired, want 23" % Fired)
+PYEOF
 
 echo "=== trace-lint fixtures: interleaved requests + overflow rejection ==="
 # genicd serves many requests per thread, so the linter accepts multiple
@@ -765,51 +903,6 @@ if [ "$SKIP_TSAN" -eq 0 ]; then
   ./build-tsan/tools/trace-lint build-tsan/genicd-ci.trace.json
   validate_access_log build-tsan/genicd-ci.access.ndjson
   unset TSAN_OPTIONS
-fi
-
-if [ "$SKIP_BENCH" -eq 0 ]; then
-  echo "=== bench smoke: bench_micro ==="
-  cmake --build build -j --target bench_micro
-  (cd build && ./bench/bench_micro --benchmark_min_time=0.05)
-
-  echo "=== bench regression gate: isInjective + inversion vs baseline ==="
-  # Slack is set from measured day-to-day drift on this single-core box
-  # (same-binary sweeps vary by ~25-55% per program; see EXPERIMENTS.md
-  # "Incremental solver core"), so the gate catches hangs and 2x cliffs
-  # without flaking on container noise. The UTF-16 encoder's isInjective
-  # is a single hard surrogate-pair query and drifts the most.
-  cmake --build build -j --target bench_table1
-  (cd build && ./bench/bench_table1 --only "UTF-16 encoder" --jobs 1 \
-    --baseline ../BENCH_table1.json --max-regress 75 \
-    --json BENCH_table1.smoke.json)
-  (cd build && ./bench/bench_table1 --only "UTF-8 encoder" --jobs 1 \
-    --baseline ../BENCH_table1.json --max-regress 40 \
-    --json BENCH_table1.utf8.smoke.json)
-
-  echo "=== bench regression gate: streaming decode vs baseline ==="
-  # The BASE16 pair re-inverts in well under a second, so this gates the
-  # compiled runtime's MB/s against the committed BENCH_decode.json
-  # without re-running the 14-coder corpus. Slack matches the table1
-  # gates: wide enough for container noise, tight enough for a 2x cliff
-  # (e.g. a rule knocked off the fused tier back onto the generic one).
-  cmake --build build -j --target bench_decode
-  (cd build && ./bench/bench_decode --only BASE16 --jobs 1 \
-    --baseline ../BENCH_decode.json --max-regress 60 \
-    --json BENCH_decode.smoke.json)
-
-  echo "=== bench gate: resident serving, cold vs warm ==="
-  # The warm pool must actually skip work: the BASE16 pair re-serves from
-  # a warm entry (persisted lowered program, solver memo caches, rule
-  # forks, enumeration banks), and the mean warm speedup is gated at 2x —
-  # far under the committed ~10x (BENCH_serve.json), so it trips on "pool
-  # silently stopped hitting" rather than on container noise. Warm latency
-  # is additionally gated against the committed baseline with the same
-  # generous slack as the other gates on this box.
-  cmake --build build -j --target bench_serve
-  (cd build && ./bench/bench_serve --only BASE16 --jobs 1 \
-    --rps-seconds 1 --min-warm-speedup 2 \
-    --baseline ../BENCH_serve.json --max-regress 75 \
-    --json BENCH_serve.smoke.json)
 fi
 
 echo "=== ci.sh: all green ==="

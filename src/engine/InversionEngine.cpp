@@ -85,8 +85,7 @@ void registerRequestCounters(MetricsRegistry &Registry) {
 
 InversionEngine::InversionEngine(EngineConfig Config)
     : Config(std::move(Config)),
-      Pool(this->Config.WarmPrograms, this->Config.SolverTimeoutMs,
-           this->Config.SatCacheCap) {}
+      Pool(this->Config.WarmPrograms, this->Config.SolverTimeoutMs) {}
 
 InversionEngine::~InversionEngine() = default;
 
@@ -530,8 +529,7 @@ Result<EngineResponse> InversionEngine::serve(const std::string &Source,
 }
 
 GenicTool::GenicTool(InverterOptions Options)
-    : Engine(EngineConfig{Options, std::nullopt, std::nullopt,
-                          /*WarmPrograms=*/0}) {}
+    : Engine(EngineConfig{Options, std::nullopt, /*WarmPrograms=*/0}) {}
 
 GenicTool::~GenicTool() = default;
 

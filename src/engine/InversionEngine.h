@@ -63,8 +63,6 @@ struct EngineConfig {
   /// the solver default. Caller-owned contexts (runOnSession) are not
   /// touched.
   std::optional<unsigned> SolverTimeoutMs;
-  /// Sat-cache capacity for pool-created contexts; unset keeps the default.
-  std::optional<size_t> SatCacheCap;
   /// Warm-pool capacity in resident programs; 0 disables pooling (every
   /// serve() runs cold on a transient context).
   size_t WarmPrograms = 8;

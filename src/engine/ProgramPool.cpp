@@ -10,15 +10,11 @@
 
 using namespace genic;
 
-ProgramPool::Entry::Entry(std::optional<unsigned> SolverTimeoutMs,
-                          std::optional<size_t> SatCacheCap)
+ProgramPool::Entry::Entry(std::optional<unsigned> SolverTimeoutMs)
     // 20000 is SolverContext's own default per-query timeout; SolverContext
     // is fork-constructible but not movable, so the default is restated
     // here instead of delegating to the defaulted constructor.
-    : Ctx(SolverTimeoutMs.value_or(20000)) {
-  if (SatCacheCap)
-    Ctx.solver().setSatCacheCapacity(*SatCacheCap);
-}
+    : Ctx(SolverTimeoutMs.value_or(20000)) {}
 
 uint64_t ProgramPool::hashSource(const std::string &Source) {
   uint64_t H = 1469598103934665603ull; // FNV-1a offset basis.
@@ -55,7 +51,7 @@ ProgramPool::Checkout ProgramPool::acquire(const std::string &Source) {
     }
   }
   Checkout C;
-  C.E = std::make_shared<Entry>(SolverTimeoutMs, SatCacheCap);
+  C.E = std::make_shared<Entry>(SolverTimeoutMs);
   C.E->Key = Key;
   C.Lock = std::unique_lock<std::mutex>(C.E->InUse);
   return C;

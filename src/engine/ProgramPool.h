@@ -57,8 +57,7 @@ public:
   /// produced from it (reports hold TermRefs into its factory), which the
   /// shared_ptr ownership of checkouts and responses guarantees.
   struct Entry {
-    explicit Entry(std::optional<unsigned> SolverTimeoutMs,
-                   std::optional<size_t> SatCacheCap);
+    explicit Entry(std::optional<unsigned> SolverTimeoutMs);
 
     uint64_t Key = 0;
     SolverContext Ctx;
@@ -108,10 +107,8 @@ public:
   /// \p Capacity 0 disables pooling: every checkout is transient and
   /// publish() is a no-op, which is how the single-run CLI mode operates.
   explicit ProgramPool(size_t Capacity,
-                       std::optional<unsigned> SolverTimeoutMs = std::nullopt,
-                       std::optional<size_t> SatCacheCap = std::nullopt)
-      : Capacity(Capacity), SolverTimeoutMs(SolverTimeoutMs),
-        SatCacheCap(SatCacheCap) {}
+                       std::optional<unsigned> SolverTimeoutMs = std::nullopt)
+      : Capacity(Capacity), SolverTimeoutMs(SolverTimeoutMs) {}
 
   /// Checks out the entry for \p Source, creating a transient one on a miss
   /// (or when the resident entry is busy). Never blocks on another request.
@@ -148,7 +145,6 @@ public:
 private:
   size_t Capacity;
   std::optional<unsigned> SolverTimeoutMs;
-  std::optional<size_t> SatCacheCap;
 
   mutable std::mutex Mu; ///< Guards the maps, the tick, and TheStats.
   std::unordered_map<uint64_t, std::shared_ptr<Entry>> Entries;

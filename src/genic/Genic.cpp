@@ -166,11 +166,10 @@ std::string genic::formatStatsReport(const GenicReport &R,
       Sum("incremental.hits"))
     P("incremental: %llu scope pushes / %llu pops, %llu assumption "
       "batches (%llu literals), %llu incremental hits / %llu full "
-      "restarts, scoped cache %llu hit / %llu miss / %llu evicted\n",
+      "restarts\n",
       Sum("scope.pushes"), Sum("scope.pops"), Sum("assumption.batches"),
       Sum("assumption.literals"), Sum("incremental.hits"),
-      Sum("incremental.full_restarts"), Sum("cache.scoped.hits"),
-      Sum("cache.scoped.misses"), Sum("cache.scoped.evictions"));
+      Sum("incremental.full_restarts"));
   if (R.Timings.DeadlineRemainingSeconds >= 0)
     P("deadline: %.3fs remaining at exit%s\n",
       R.Timings.DeadlineRemainingSeconds,

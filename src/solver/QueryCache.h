@@ -106,40 +106,6 @@ private:
   uint64_t TheEvictions = 0;
 };
 
-/// Memo key for scoped (incremental) satisfiability answers. A scoped
-/// verdict is only reusable while the assertion stack that produced it is
-/// unchanged, so the key carries the owning session's scope generation —
-/// a monotone counter bumped by every push, pop, and scoped assertion.
-/// Popping a scope therefore invalidates its memoized answers for free:
-/// stale generations simply stop matching and age out with the next
-/// generation clear, without touching the global (stack-independent) memo.
-struct ScopedQueryKey {
-  uint64_t Generation;
-  /// Extra formula checked on top of the stack; null for "stack alone".
-  TermRef Formula;
-  /// Assumption literals, in dispatch order (the order is a pure function
-  /// of the caller's work order, so it is jobs-invariant and canonical).
-  std::vector<TermRef> Assumptions;
-
-  bool operator==(const ScopedQueryKey &O) const {
-    return Generation == O.Generation && Formula == O.Formula &&
-           Assumptions == O.Assumptions;
-  }
-};
-
-struct ScopedQueryKeyHash {
-  size_t operator()(const ScopedQueryKey &K) const {
-    size_t H = std::hash<uint64_t>()(K.Generation);
-    auto Mix = [&H](size_t V) {
-      H ^= V + 0x9e3779b97f4a7c15ULL + (H << 6) + (H >> 2);
-    };
-    Mix(std::hash<const void *>()(K.Formula));
-    for (TermRef A : K.Assumptions)
-      Mix(std::hash<const void *>()(A));
-    return H;
-  }
-};
-
 /// Satisfiability verdicts for guard-pair overlaps, shared across threads
 /// and BFS levels. Keys are TermRefs of the factory the automaton
 /// lives in (hash-consed, so stable for the whole injectivity check); the

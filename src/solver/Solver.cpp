@@ -169,9 +169,6 @@ void genic::recordSolverStats(MetricsRegistry &Registry,
   C("assumption.literals", S.AssumptionLiterals);
   C("incremental.hits", S.IncrementalHits);
   C("incremental.full_restarts", S.FullRestarts);
-  C("cache.scoped.hits", S.ScopedCacheHits);
-  C("cache.scoped.misses", S.ScopedCacheMisses);
-  C("cache.scoped.evictions", S.ScopedCacheEvictions);
   C("image.values.evaluated", S.ImageValuesEvaluated);
   C("image.values.solved", S.ImageValuesSolved);
   // Concrete evaluation counts with the SyGuS engine's (recordEngineStats).
@@ -195,7 +192,7 @@ public:
   std::unique_ptr<z3::context> Backend;
   Stats TheStats;
   unsigned TimeoutMs = 20000;
-  /// Robustness contract: cancellation token, fault plan, retry policy.
+  /// Robustness contract: cancellation token, fault plan, metrics.
   SolverControl Control;
   /// 1-based ordinal of backend queries dispatched by this session; the
   /// FaultPlan keys off it, so a fault schedule is a pure function of the
@@ -229,17 +226,11 @@ public:
   /// session answers exactly as the dropped one would have.
   std::vector<std::vector<TermRef>> Scopes =
       std::vector<std::vector<TermRef>>(1);
-  /// Bumped by every push, pop, and scoped assertion; keys the scoped memo
-  /// so stale answers die with their generation (no global-memo clears).
-  uint64_t ScopeGen = 0;
   /// Persistent backend mirror of Scopes, created lazily on the first
   /// scoped query. Purely an accelerator: any backend exception drops it
   /// and the next query rebuilds from Scopes, so a fault or cancellation
   /// mid-scope can never leak assertions into a reused session.
   std::unique_ptr<z3::solver> Inc;
-  /// Scoped Sat/Unsat answers keyed by (generation, formula, assumptions).
-  QueryCache<ScopedQueryKey, SatResult, ScopedQueryKeyHash> ScopedCache{
-      1u << 16, "solver.scoped"};
   /// When nonzero, translated variables are renamed v<i> -> b<tag>v<i>;
   /// checkSatBatch uses one tag per member so the members share no
   /// variables and the conjunction is satisfiable iff each member is.
@@ -699,6 +690,11 @@ public:
     std::chrono::steady_clock::time_point Start;
   };
 
+  /// Escalating retry policy: a query that comes back Unknown from a
+  /// timeout is retried once with this many times the soft timeout (still
+  /// clamped to the remaining global budget) before the Unknown surfaces.
+  static constexpr unsigned RetryTimeoutFactor = 2;
+
   z3::check_result checkUnmetered(z3::solver &S,
                                   const z3::expr_vector *Assumptions) {
     LastUnknown = UnknownCause::None;
@@ -710,13 +706,11 @@ public:
     ++TheStats.SatQueries;
     z3::check_result R = rawCheck(S, Assumptions);
     if (R == z3::unknown && LastUnknown == UnknownCause::Timeout &&
-        Control.RetryUnknown && !Control.Cancel.cancelled()) {
+        !Control.Cancel.cancelled()) {
       ++TheStats.Retries;
       ++TheStats.SatQueries;
-      unsigned Escalated = TimeoutMs == 0
-                               ? 0
-                               : saturatingMulMs(TimeoutMs,
-                                                 Control.RetryTimeoutFactor);
+      unsigned Escalated =
+          TimeoutMs == 0 ? 0 : saturatingMulMs(TimeoutMs, RetryTimeoutFactor);
       applyTimeout(effectiveTimeoutMs(Escalated));
       R = rawCheck(S, Assumptions);
       // Restore the base budget for later queries on this solver state
@@ -797,7 +791,6 @@ public:
 
   void pushScope() {
     Scopes.emplace_back();
-    ++ScopeGen;
     ++TheStats.ScopePushes;
     if (Inc) {
       try {
@@ -814,7 +807,6 @@ public:
     if (Scopes.size() <= 1)
       return;
     Scopes.pop_back();
-    ++ScopeGen;
     ++TheStats.ScopePops;
     if (Inc) {
       try {
@@ -829,7 +821,6 @@ public:
 
   void assertScoped(TermRef Formula) {
     Scopes.back().push_back(Formula);
-    ++ScopeGen;
     if (Inc) {
       try {
         Inc->add(translate(Formula));
@@ -1422,22 +1413,13 @@ unsigned Solver::scopeDepth() const {
   return static_cast<unsigned>(TheImpl->Scopes.size() - 1);
 }
 
-uint64_t Solver::scopeGeneration() const { return TheImpl->ScopeGen; }
-
 void Solver::assertFormula(TermRef Formula) {
   TheImpl->assertScoped(Formula);
 }
 
 SatResult Solver::checkSatAssuming(const std::vector<TermRef> &Assumptions,
                                    TermRef Formula) {
-  Impl &I = *TheImpl;
-  ScopedQueryKey Key{I.ScopeGen, Formula, Assumptions};
-  if (const SatResult *Cached = I.ScopedCache.find(Key))
-    return *Cached;
-  SatResult R = I.checkSatAssumingInc(Assumptions, Formula);
-  if (R != SatResult::Unknown)
-    I.ScopedCache.insert(Key, R);
-  return R;
+  return TheImpl->checkSatAssumingInc(Assumptions, Formula);
 }
 
 Result<std::optional<std::vector<Value>>>
@@ -1571,9 +1553,6 @@ const Solver::Stats &Solver::stats() const {
   S.ProjCacheHits = TheImpl->ProjCache.hits();
   S.ProjCacheMisses = TheImpl->ProjCache.misses();
   S.ProjCacheEvictions = TheImpl->ProjCache.evictions();
-  S.ScopedCacheHits = TheImpl->ScopedCache.hits();
-  S.ScopedCacheMisses = TheImpl->ScopedCache.misses();
-  S.ScopedCacheEvictions = TheImpl->ScopedCache.evictions();
   return S;
 }
 
@@ -1586,7 +1565,6 @@ void Solver::drainStats() {
   I.SatCache.resetCounters();
   I.ModelCache.resetCounters();
   I.ProjCache.resetCounters();
-  I.ScopedCache.resetCounters();
 }
 
 TermFactory &Solver::factory() { return TheImpl->Factory; }

@@ -66,12 +66,6 @@ struct SolverControl {
   /// Whether this session is a pooled/forked worker (drives FaultPlan
   /// scoping). Set automatically by the fork/pool plumbing.
   bool WorkerSession = false;
-  /// Escalating retry policy: a query that comes back Unknown from a
-  /// timeout is retried once with a larger soft timeout (still clamped to
-  /// the remaining global budget) before the Unknown is surfaced.
-  bool RetryUnknown = true;
-  /// Multiplier applied to the soft timeout on the retry.
-  unsigned RetryTimeoutFactor = 2;
   /// When set, every query's wall-clock latency is observed into the
   /// registry's "solver.query.us.<phase>.<kind>" histogram at the single
   /// check() chokepoint, and every Z3 context the session creates is
@@ -100,9 +94,10 @@ public:
   void setTimeoutMs(unsigned Milliseconds);
   unsigned timeoutMs() const;
 
-  /// Installs the robustness contract (cancellation, fault plan, retry
-  /// policy) this session runs under. Defaults to an inert control: no
-  /// deadline, no faults, retry enabled.
+  /// Installs the robustness contract (cancellation, fault plan, metrics)
+  /// this session runs under. Defaults to an inert control: no deadline,
+  /// no faults. A timed-out query is always retried once at twice the
+  /// soft timeout.
   void setControl(const SolverControl &Control);
   const SolverControl &control() const;
 
@@ -181,18 +176,12 @@ public:
   /// Opens a new assertion scope.
   void push();
 
-  /// Closes the innermost scope, retracting its assertions (and
-  /// invalidating their scoped-memo answers via the generation bump).
-  /// Popping with no open scope is a no-op.
+  /// Closes the innermost scope, retracting its assertions. Popping with
+  /// no open scope is a no-op.
   void pop();
 
   /// Number of open scopes (0 = base frame only).
   unsigned scopeDepth() const;
-
-  /// Monotone counter bumped by every push/pop/assertFormula. Scoped memo
-  /// answers are keyed by (generation, formula, assumptions), so a pop
-  /// invalidates them without clearing the global memo.
-  uint64_t scopeGeneration() const;
 
   /// Asserts \p Formula in the innermost scope; retracted by the matching
   /// pop. Asserting in the base frame persists for the session's lifetime.
@@ -200,10 +189,9 @@ public:
 
   /// Satisfiability of (asserted stack) /\ \p Formula /\ /\ Assumptions.
   /// \p Formula may be null ("stack plus assumptions alone"); it is checked
-  /// under an ephemeral scope, so nothing leaks into the session. Sat/Unsat
-  /// answers are memoized per scope generation. Deadlines, fault injection,
-  /// retry-on-Unknown, and latency metrics all flow through the same
-  /// chokepoint as one-shot queries.
+  /// under an ephemeral scope, so nothing leaks into the session. Deadlines,
+  /// fault injection, retry-on-Unknown, and latency metrics all flow
+  /// through the same chokepoint as one-shot queries.
   SatResult checkSatAssuming(const std::vector<TermRef> &Assumptions,
                              TermRef Formula = nullptr);
 
@@ -307,10 +295,6 @@ public:
     /// scoped query, plus every rebuild after a backend exception dropped
     /// the live session.
     uint64_t FullRestarts = 0;
-    /// Scoped (generation-keyed) memo traffic.
-    uint64_t ScopedCacheHits = 0;
-    uint64_t ScopedCacheMisses = 0;
-    uint64_t ScopedCacheEvictions = 0;
     /// Bit-vector image values that enumeration found by concrete
     /// evaluation, and those it took from solver models (see project()).
     uint64_t ImageValuesEvaluated = 0;

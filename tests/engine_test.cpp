@@ -81,7 +81,7 @@ TEST(ProgramPool, HashIsStableAndDiscriminates) {
 }
 
 TEST(ProgramPool, ColdCheckoutThenWarmHit) {
-  ProgramPool Pool(4, std::nullopt, std::nullopt);
+  ProgramPool Pool(4);
   ProgramPool::Checkout C = Pool.acquire(EncProgram);
   ASSERT_TRUE(C.E);
   EXPECT_FALSE(C.Warm);
@@ -102,7 +102,7 @@ TEST(ProgramPool, ColdCheckoutThenWarmHit) {
 }
 
 TEST(ProgramPool, BusyEntryYieldsTransientCheckout) {
-  ProgramPool Pool(4, std::nullopt, std::nullopt);
+  ProgramPool Pool(4);
   ProgramPool::Checkout First = Pool.acquire(EncProgram);
   Pool.publish(EncProgram, First);
   // First still holds the entry's lock: a second acquire of the same
@@ -116,7 +116,7 @@ TEST(ProgramPool, BusyEntryYieldsTransientCheckout) {
 }
 
 TEST(ProgramPool, CapacityEvictsLeastRecentlyUsed) {
-  ProgramPool Pool(1, std::nullopt, std::nullopt);
+  ProgramPool Pool(1);
   ProgramPool::Checkout A = Pool.acquire(EncProgram);
   Pool.publish(EncProgram, A);
   A.Lock.unlock();
@@ -130,7 +130,7 @@ TEST(ProgramPool, CapacityEvictsLeastRecentlyUsed) {
 }
 
 TEST(ProgramPool, ZeroCapacityDisablesPooling) {
-  ProgramPool Pool(0, std::nullopt, std::nullopt);
+  ProgramPool Pool(0);
   ProgramPool::Checkout C = Pool.acquire(EncProgram);
   Pool.publish(EncProgram, C);
   EXPECT_FALSE(C.Pooled);

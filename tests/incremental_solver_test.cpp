@@ -9,7 +9,7 @@
 /// push/pop/assume sequences must give the verdicts of a flat checkSat of
 /// the whole conjunction on a plain session, scoped queries must not steer
 /// getModel, modelAssuming must return models of the stack and its
-/// assumptions, scoped-memo entries must die with their scope, and injected
+/// assumptions, a verdict must die with its scope, and injected
 /// faults / exhausted deadlines that strike mid-scope must unwind without
 /// leaking assertions into later queries.
 ///
@@ -294,7 +294,7 @@ TEST_F(IncrementalSolverTest, BatchRepeatedFormulasShareVerdicts) {
 }
 
 // ---------------------------------------------------------------------------
-// Scoped memo semantics
+// Scope semantics
 // ---------------------------------------------------------------------------
 
 TEST_F(IncrementalSolverTest, PopInvalidatesScopedMemo) {
@@ -304,30 +304,12 @@ TEST_F(IncrementalSolverTest, PopInvalidatesScopedMemo) {
   S.push();
   S.assertFormula(Pin1);
   EXPECT_EQ(S.checkSatAssuming({Pin2}), SatResult::Unsat);
-  // Same key twice at the same generation: second answer is the memo's.
-  uint64_t Queries = S.stats().SatQueries;
   EXPECT_EQ(S.checkSatAssuming({Pin2}), SatResult::Unsat);
-  EXPECT_GE(S.stats().ScopedCacheHits, 1u);
-  EXPECT_EQ(S.stats().SatQueries, Queries);
   S.pop();
-  // The pop bumped the generation, so the memoized Unsat must not leak
-  // into the now-unconstrained stack.
+  // The Unsat answer belonged to the popped scope and must not leak into
+  // the now-unconstrained stack.
   EXPECT_EQ(S.checkSatAssuming({Pin2}), SatResult::Sat);
   EXPECT_EQ(S.scopeDepth(), 0u);
-}
-
-TEST_F(IncrementalSolverTest, GenerationIsMonotone) {
-  Solver S(F);
-  uint64_t G0 = S.scopeGeneration();
-  S.push();
-  uint64_t G1 = S.scopeGeneration();
-  S.assertFormula(F.mkEq(V0, F.mkBv(1, 8)));
-  uint64_t G2 = S.scopeGeneration();
-  S.pop();
-  uint64_t G3 = S.scopeGeneration();
-  EXPECT_LT(G0, G1);
-  EXPECT_LT(G1, G2);
-  EXPECT_LT(G2, G3);
 }
 
 TEST_F(IncrementalSolverTest, ScopedAssertionsRaiiBalances) {

@@ -31,8 +31,6 @@
 ///   --worker-binary PATH  explicit genic-worker path (default: env
 ///                  GENIC_WORKER, then next to the genic executable)
 ///   --entry NAME   override the entry transformation
-///   --sat-cache-cap N  cap the shared solver's memo tables at N entries
-///                  (0 disables memoization; default 1048576)
 ///   --stats        print SyGuS call records, per-rule timings,
 ///                  solver/evaluator cache counters, and robustness
 ///                  counters (retries, timeouts, degraded rules)
@@ -98,7 +96,7 @@ int usage() {
       "usage: genic <run|invert|check|eval> PROGRAM.genic [values...]\n"
       "       genic corpus [NAME] | genic verify ENC.genic DEC.genic\n"
       "  options: --no-aux --no-mining --no-slice --jobs N --entry NAME "
-      "--sat-cache-cap N --stats\n"
+      "--stats\n"
       "           --timeout-seconds S --solver-timeout-ms N "
       "--fault-inject SPEC\n"
       "           --trace-out FILE --metrics-json FILE\n"
@@ -141,7 +139,6 @@ int main(int Argc, char **Argv) {
   std::vector<std::string> Symbols;
   InverterOptions Options;
   bool Stats = false;
-  std::optional<size_t> SatCacheCap;
   double TimeoutSeconds = 0;
   std::optional<unsigned> SolverTimeoutMs;
   std::optional<std::string> FaultSpec;
@@ -172,14 +169,6 @@ int main(int Argc, char **Argv) {
       if (++I >= Argc)
         return usage();
       Entry = Argv[I];
-    } else if (Arg == "--sat-cache-cap") {
-      if (++I >= Argc)
-        return usage();
-      try {
-        SatCacheCap = std::stoull(Argv[I]);
-      } catch (...) {
-        return usage();
-      }
     } else if (Arg == "--timeout-seconds") {
       if (++I >= Argc)
         return usage();
@@ -395,8 +384,6 @@ int main(int Argc, char **Argv) {
     ForceInvert = true; // Decoding runs the inverse; make sure we build it.
 
   GenicTool Tool(Options);
-  if (SatCacheCap)
-    Tool.solver().setSatCacheCapacity(*SatCacheCap);
   if (SolverTimeoutMs)
     Tool.solver().setTimeoutMs(*SolverTimeoutMs);
   RequestContext &Req = Tool.request();

@@ -51,7 +51,7 @@
 ///     "bad-request" — a stuck or abusive peer cannot pin a thread.
 ///
 /// Engine options mirror the genic CLI: --jobs, --no-aux, --no-mining,
-/// --no-slice, --solver-timeout-ms, --sat-cache-cap, plus --warm-programs
+/// --no-slice, --solver-timeout-ms, plus --warm-programs
 /// for the pool capacity and --trace-out to write a span trace
 /// (request-tagged, see tools/trace-lint.cpp) on shutdown.
 ///
@@ -101,7 +101,7 @@ int usage() {
       "                         are answered \"overloaded\" (default 16)\n"
       "  --warm-programs N      warm pool capacity in programs (default 8)\n"
       "  --jobs N --no-aux --no-mining --no-slice\n"
-      "  --solver-timeout-ms N --sat-cache-cap N\n"
+      "  --solver-timeout-ms N\n"
       "  --worker-procs N       ship each request's verification shards to\n"
       "                         N out-of-process genic-worker processes\n"
       "                         (crash isolation; default 0 = in-process)\n"
@@ -725,11 +725,6 @@ int main(int Argc, char **Argv) {
         if (!V)
           return usage();
         Config.SolverTimeoutMs = static_cast<unsigned>(std::stoul(V));
-      } else if (Arg == "--sat-cache-cap") {
-        const char *V = NextArg();
-        if (!V)
-          return usage();
-        Config.SatCacheCap = std::stoull(V);
       } else if (Arg == "--worker-procs") {
         const char *V = NextArg();
         if (!V)
