@@ -18,7 +18,10 @@
 #      cegis-phase query must be incremental unless a retry ran; and a
 #      cegar query gate: the same runs' projection queries must not rise
 #      above their measured total; and a pre-pass gate: the same runs'
-#      size-<=5 SyGuS pre-passes must not rise above theirs. Then a
+#      size-<=5 SyGuS pre-passes must not rise above theirs; and a
+#      plain-core gate: no verdict query of those runs may need the
+#      default-solver retry. Then a Z3 context count gate at --jobs 1 on
+#      the UTF-16 and BASE64 encoders, and a
 #      Table-1 count gate at --jobs 1: the UTF-16 encoder's injectivity
 #      queries and the UTF-8 encoder's inversion queries, pre-passes and
 #      enumerated candidates must not rise above their measured counts.
@@ -189,7 +192,9 @@ echo "=== pre-pass gate: exhausted shallow enumerations stay skipped ==="
 # unless an earlier such pre-pass of the call found none: examples only
 # grow within a call, so none can match later either, and the pass is
 # skipped. The 14 coders ran 268 pre-passes at --jobs 4 before the skip
-# and 189 with it (106 of them hits, 79 skipped); a rise means exhausted
+# and 189 with it (106 of them hits, 79 skipped), then 184 (101 hits, 87
+# skipped) once the dead-rule check left the rule forks, whose Z3 history
+# the counterexamples follow (the bound); a rise means exhausted
 # pre-passes run again.
 python3 - build/*.cegis.json <<'PYEOF'
 import json, sys
@@ -202,19 +207,70 @@ for Path in sys.argv[1:]:
     Runs += total(".prepass.runs")
     Hits += total(".prepass.hits")
     Skipped += total(".prepass.skipped")
-print("%d pre-passes (%d hits), %d skipped over %d coders (bound 189)"
+print("%d pre-passes (%d hits), %d skipped over %d coders (bound 184)"
       % (Runs, Hits, Skipped, len(sys.argv) - 1))
 # Zero means the counters went missing: every coder synthesizes.
-if len(sys.argv) - 1 != 14 or Runs > 189 or Runs == 0:
-    sys.exit("pre-pass gate: %d pre-passes over %d coders, want 1 to 189 "
+if len(sys.argv) - 1 != 14 or Runs > 184 or Runs == 0:
+    sys.exit("pre-pass gate: %d pre-passes over %d coders, want 1 to 184 "
              "over 14" % (Runs, len(sys.argv) - 1))
 PYEOF
+
+echo "=== plain-core gate: verdicts decided without a default-solver retry ==="
+# A deterministic count, not a timing, over the same 14 runs. Verdict-only
+# queries (checkSat, isSat, isValid, equivalentUnder, checkSatBatch) run on
+# Z3's plain SMT core; one it leaves Unknown is retried on a default
+# solver and counted in solver.<family>.plain.fallbacks. The coders need
+# no such retry; a fallback here means the plain core stopped deciding a
+# query the default solver decides, and pays the default solver's set-up
+# again. A counter missing from a run fails the gate too.
+python3 - build/*.cegis.json <<'PYEOF'
+import json, sys
+Total = Families = 0
+for Path in sys.argv[1:]:
+    C = json.load(open(Path))["counters"]
+    Keys = [K for K in C if K.startswith("solver.")
+            and K.endswith(".plain.fallbacks")]
+    if not Keys:
+        sys.exit("plain-core gate: no plain.fallbacks counter in " + Path)
+    Families += len(Keys)
+    Total += sum(C[K] for K in Keys)
+print("%d plain-core fallbacks over %d coders (%d session families)"
+      % (Total, len(sys.argv) - 1, Families))
+if len(sys.argv) - 1 != 14 or Total != 0:
+    sys.exit("plain-core gate: %d fallbacks over %d coders, want 0 over 14"
+             % (Total, len(sys.argv) - 1))
+PYEOF
+
+echo "=== z3 context count gate: contexts created at --jobs 1 ==="
+# A deterministic count, not a timing. Each session builds its Z3 context
+# on its first query, so the number of contexts a run creates is the
+# number of sessions that reached Z3: the root, the checker pool, one per
+# projection task and live rule fork, and variable reduction's children.
+# Measured at --jobs 1 (the same over three runs): the UTF-16 encoder
+# creates 9 and the BASE64 encoder 22. A rise means more sessions pay for
+# a context (about 9 ms each); a zero means the counter went missing.
+for Spec in UTF-16_encoder:9 BASE64_encoder:22; do
+  Prog=${Spec%:*}
+  ./build/tools/genic invert programs/$Prog.genic --jobs 1 \
+    --metrics-json build/$Prog.contexts1.json > /dev/null
+  python3 - build/$Prog.contexts1.json "${Spec#*:}" <<'PYEOF'
+import json, sys
+Created = json.load(open(sys.argv[1]))["counters"].get(
+    "solver.backend.contexts", 0)
+Bound = int(sys.argv[2])
+print("%s: %d z3 contexts created (bound %d)" % (sys.argv[1], Created, Bound))
+if Created > Bound or Created == 0:
+    sys.exit("z3 context count gate: %d contexts created, want 1 to %d"
+             % (Created, Bound))
+PYEOF
+done
 
 echo "=== table-1 count gate: injectivity and inversion work at --jobs 1 ==="
 # Deterministic counts, not timings, on the two costliest Table-1 rows.
 # The UTF-16 encoder's injectivity check sends 9 ti, cegar and ambiguity
 # queries over all session kinds (2 + 1 + 3 + 3). The UTF-8 encoder's rule
-# forks send 92 cegis and 89 inversion queries, and its synthesis runs 9
+# forks send 92 cegis and 79 inversion queries (89 while the dead-rule
+# checks ran in the forks), and its synthesis runs 9
 # size-<=5 pre-passes over 46,282 enumerated candidates. Each bound is the
 # count measured when the gate was set; a rise means more solver or
 # enumeration work on these paths, and a zero means a counter went
@@ -243,7 +299,7 @@ Checks = [
     ("UTF-8 encoder cegis.worker queries", queries(Utf8, "cegis", "worker"),
      92),
     ("UTF-8 encoder inversion.worker queries",
-     queries(Utf8, "inversion", "worker"), 89),
+     queries(Utf8, "inversion", "worker"), 79),
     ("UTF-8 encoder pre-pass runs", sygus(Utf8, ".prepass.runs"), 9),
     ("UTF-8 encoder enumerated candidates", sygus(Utf8, ".candidates"),
      46282),
@@ -263,12 +319,14 @@ echo "=== warm pool gate: a warm genicd request skips the persisted work ==="
 # metrics snapshots around each request are diffed. The second request
 # must be served warm, and each count below tests one piece the warm
 # entry persists: the shared memo (no ti or ambiguity queries, no
-# shared-session solver queries), the checker pool (no checker-session
+# shared-session solver queries, and no cegar queries: the output
+# projections the cold request computed in forks are in the shared
+# projection memo), the checker pool (no checker-session
 # queries), the enumeration banks (no candidates enumerated, at least one
 # bank reused) and the rule forks (fewer inversion queries than cold).
-# Cold, the request sent 1 ti, 1 ambiguity, 2 shared and 2 checker
-# queries and 21 inversion queries, and enumerated 15,025 candidates;
-# warm, 0, 0, 0, 0 and 6, with 1 bank reused.
+# Cold, the request sent 1 ti, 5 cegar, 1 ambiguity, 3 shared and 2
+# checker queries and 20 inversion queries, and enumerated 15,025
+# candidates; warm, 0, 0, 0, 0, 0 and 6, with 1 bank reused.
 WARM_SOCK=build/genicd-warm.sock
 rm -f "$WARM_SOCK"
 ./build/tools/genicd --socket "$WARM_SOCK" --threads 1 \
@@ -309,6 +367,7 @@ def family(Prefix, Suffix):
     # Summed over session families: sygus.worker.candidates and so on.
     return lambda K: K.startswith(Prefix + ".") and K.endswith(Suffix)
 Skipped = [("ti queries", queries("ti")),
+           ("cegar queries", queries("cegar")),
            ("ambiguity queries", queries("ambiguity")),
            ("solver.shared.sat_queries", counter("solver.shared.sat_queries")),
            ("solver.checker.sat_queries",

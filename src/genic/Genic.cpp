@@ -112,12 +112,13 @@ std::string genic::formatStatsReport(const GenicReport &R,
     };
     P("  sat cache %llu hit / %llu miss / %llu evicted, model "
       "cache %llu/%llu/%llu, projection cache %llu/%llu/%llu, image "
-      "values %llu evaluated / %llu solved\n",
+      "values %llu evaluated / %llu solved, %llu plain fallbacks\n",
       C("sat.hits"), C("sat.misses"), C("sat.evictions"), C("model.hits"),
       C("model.misses"), C("model.evictions"), C("proj.hits"),
       C("proj.misses"), C("proj.evictions"),
       Counter("solver." + Family + ".image.values.evaluated"),
-      Counter("solver." + Family + ".image.values.solved"));
+      Counter("solver." + Family + ".image.values.solved"),
+      Counter("solver." + Family + ".plain.fallbacks"));
   };
   P("solver (shared): %llu sat queries, %llu QE calls (%llu fallbacks)\n",
     Counter("solver.shared.sat_queries"), Counter("solver.shared.qe_calls"),

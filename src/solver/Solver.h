@@ -134,6 +134,13 @@ public:
   /// Sat/Unsat answers are memoized per hash-consed formula pointer (see
   /// Stats::CacheHits); isValid and equivalentUnder share the memo because
   /// they reduce to checkSat of a negation.
+  ///
+  /// Verdict-only queries (these four and checkSatBatch) are decided on a
+  /// fresh solver over Z3's plain SMT core, which skips the default
+  /// solver's per-solver set-up (probes, tactic pipeline), by far the
+  /// larger cost of a small check. When the plain core answers Unknown,
+  /// the one escalated retry runs on a fresh default solver, so no verdict
+  /// is weaker than the default solver's (Stats::PlainFallbacks).
   SatResult checkSat(TermRef Formula);
 
   /// IsSat(phi) of §3.1; Unknown becomes an error (classified as Timeout /
@@ -165,7 +172,8 @@ public:
   // above and is mirrored into a persistent backend solver, so consecutive
   // scoped checks pay only for their delta. checkSatAssuming and
   // modelAssuming consult it. checkSat and getModel stay stack-independent:
-  // each runs on a fresh backend solver, so its answer depends only on the
+  // each runs on a fresh backend solver (the plain core for a verdict, the
+  // default solver for a model), so its answer depends only on the
   // formula, which is what keeps their memo tables sound. A model from
   // modelAssuming also depends on the session's history, so it is
   // reproducible only where that history is (a rule fork's is a function
@@ -210,7 +218,9 @@ public:
   /// variable-disjointly renamed, asserted under selector literals in one
   /// backend solver, and decided with at most a handful of
   /// check-sat-assuming rounds (a sat answer settles every pending member
-  /// at once; an unsat core narrows the suspects). A single pending member
+  /// at once; an unsat core narrows the suspects). The batch solver is a
+  /// fresh plain-core one, escalated to a default solver as checkSat's is.
+  /// A single pending member
   /// goes straight to checkSat, as does every member the batch cannot
   /// settle (Unknown), so a verdict is never weaker than k checkSat calls.
   /// Sat/Unsat answers land in the same global memo. Independent of the
@@ -246,6 +256,18 @@ public:
   /// plans reach it, and they fail the call as any other query does.
   Result<std::optional<TermRef>> project(const ImagePredicate &P,
                                          unsigned I);
+
+  /// The projection memo's answer for (\p P, \p I), or null; counted as a
+  /// projection-cache hit or miss. Parallel callers look here before they
+  /// fork a session to compute one.
+  const std::optional<TermRef> *cachedProjection(const ImagePredicate &P,
+                                                 unsigned I);
+
+  /// Records \p Psi as the projection of \p P at \p I: an answer computed
+  /// in a fork and cloned into this session's factory. project() and
+  /// cachedProjection() then answer it, as if this session had computed it.
+  void recordProjection(const ImagePredicate &P, unsigned I,
+                        std::optional<TermRef> Psi);
 
   // Introspection -------------------------------------------------------------
 
@@ -302,6 +324,10 @@ public:
     /// Inputs the concrete image walk evaluated, whole lane batches
     /// included.
     uint64_t ImageInputsEvaluated = 0;
+    /// Verdict-only queries the plain SMT core left Unknown, whose one
+    /// escalated retry ran on a default solver instead (each also counts
+    /// in Retries).
+    uint64_t PlainFallbacks = 0;
   };
   const Stats &stats() const;
 

@@ -78,6 +78,11 @@ public:
   /// Diagnostic message; empty for success statuses.
   const std::string &message() const { return Message; }
 
+  /// The same failure, its message prefixed by \p Context.
+  Status withContext(const std::string &Context) const {
+    return make(Code, Context + Message);
+  }
+
 private:
   static Status make(StatusCode C, std::string Message) {
     Status S;

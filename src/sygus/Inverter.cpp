@@ -51,11 +51,15 @@ struct RuleTask {
 /// The per-rule recovery synthesizer (§6): variable reduction, grammar
 /// mining, CEGIS, then the unrestricted fallback, all in \p Task's session;
 /// \p Task and the referenced objects must outlive the returned hook.
+/// \p AuxDegraded is the first auxiliary inversion that failed on a budget
+/// or backend fault: with a component missing for that reason, a search
+/// that comes up empty is no genuine negative, and reports that failure.
 RecoverySynthesizer
 makeRecoveryHook(RuleTask &Task, unsigned Rule,
                  const std::vector<const FuncDef *> &Components,
+                 const std::optional<Status> &AuxDegraded,
                  const InverterOptions &Opts) {
-  return [&Task, Rule, &Components, &Opts](
+  return [&Task, Rule, &Components, &AuxDegraded, &Opts](
              const ImagePredicate &P, unsigned XIndex,
              Type InputType) -> Result<TermRef> {
     Solver &S = Task.Ctx->solver();
@@ -104,6 +108,9 @@ makeRecoveryHook(RuleTask &Task, unsigned Rule,
       if (Retry)
         return Retry;
     }
+    if (AuxDegraded && G.status().code() == StatusCode::Error)
+      return AuxDegraded->withContext(G.status().message() +
+                                      ", with an auxiliary inverse missing: ");
     return G;
   };
 }
@@ -140,6 +147,7 @@ Inverter::invert(const Seft &A, const std::vector<const FuncDef *> &AuxFuncs) {
   // needs them) in declaration order, so the result is independent of the
   // jobs value.
   std::vector<const FuncDef *> Components;
+  std::optional<Status> AuxDegraded;
   if (Opts.UseAuxInversion) {
     std::vector<AuxTask> AuxTasks;
     for (const FuncDef *Fn : AuxFuncs) {
@@ -174,6 +182,8 @@ Inverter::invert(const Seft &A, const std::vector<const FuncDef *> &AuxFuncs) {
     for (AuxTask &Task : AuxTasks) {
       if (Task.Inv)
         SynthesizedAux.push_back(AuxBack.cloneFunc(*Task.Inv));
+      else if (!AuxDegraded && Task.Inv.status().code() != StatusCode::Error)
+        AuxDegraded = Task.Inv.status().withContext(Task.InvName + ": ");
       Engine.appendCalls(Task.Engine->calls());
     }
     AuxSessions = AuxTasks.size();
@@ -222,22 +232,45 @@ Inverter::invert(const Seft &A, const std::vector<const FuncDef *> &AuxFuncs) {
     }
   }
 
+  // Dead-rule checks, in rule order on the shared session before the fan
+  // out: a dead rule needs no fork work (its fork builds no Z3 context),
+  // a warm repeat answers from the shared sat memo, and a live rule's fork
+  // starts its Z3 history at the synthesis itself.
+  std::vector<bool> Live(Ts.size(), false);
+  {
+    MetricsPhaseScope Phase("inversion");
+    for (size_t I = 0; I != Ts.size(); ++I) {
+      std::optional<RuleInversionResult> Screened =
+          screenDeadRule(Ts[I], static_cast<unsigned>(I), S);
+      if (Screened)
+        Tasks[I].Result = std::move(*Screened);
+      else
+        Live[I] = true;
+    }
+  }
+
   // Fan out: rules are independent (Theorem 5.4 inverts them separately).
   const Type InTy = A.inputType(), OutTy = A.outputType();
   {
     FreezeGuard Quiesce(F);
-    ThreadPool Pool(std::min<size_t>(Opts.Jobs, Tasks.size()), "rule");
+    ThreadPool Pool(
+        std::min<size_t>(Opts.Jobs,
+                         std::count(Live.begin(), Live.end(), true)),
+        "rule");
     for (size_t I = 0; I != Tasks.size(); ++I) {
+      if (!Live[I])
+        continue;
       RuleTask *Task = &Tasks[I];
       const SeftTransition *T = &Ts[I];
       const std::vector<const FuncDef *> *Comps = &Components;
+      const std::optional<Status> *Degraded = &AuxDegraded;
       const InverterOptions *O = &Opts;
-      Pool.submit([Task, T, Comps, I, InTy, OutTy, O] {
+      Pool.submit([Task, T, Comps, Degraded, I, InTy, OutTy, O] {
         MetricsPhaseScope WorkerPhase("inversion");
         TraceSpan RuleSpan("invert.rule");
         RuleSpan.arg("rule", static_cast<int64_t>(I));
-        RecoverySynthesizer Hook =
-            makeRecoveryHook(*Task, static_cast<unsigned>(I), *Comps, *O);
+        RecoverySynthesizer Hook = makeRecoveryHook(
+            *Task, static_cast<unsigned>(I), *Comps, *Degraded, *O);
         Task->Result = invertOneRule(*T, static_cast<unsigned>(I), InTy,
                                      OutTy, Task->Ctx->solver(), Hook);
         Task->Result.Record.Retries +=

@@ -231,33 +231,43 @@ genic::buildOutputAutomaton(const Seft &A, Solver &S,
   // thread. Forking shares the rule's guard and outputs by pointer, so task
   // setup clones nothing. A fork builds its Z3 context on its first query,
   // on the pool thread, and drops it when its task ends; only the factory
-  // stays alive for the clone-back below.
+  // stays alive for the clone-back below. A projection the shared session
+  // already knows (an earlier build on this program recorded it) gets no
+  // fork: a warm request builds the automaton without a solver query.
   struct ProjTask {
-    std::unique_ptr<SolverContext> Ctx;
+    std::unique_ptr<SolverContext> Ctx; // null when the memo answered
     ImagePredicate P{nullptr, {}, 0};
     unsigned J = 0;
     Result<std::optional<TermRef>> Psi =
         Status::error("projection task did not run");
   };
   std::vector<ProjTask> Tasks;
+  size_t Forked = 0;
   for (unsigned Index = 0, E = Ts.size(); Index != E; ++Index) {
     const SeftTransition &T = Ts[Index];
     for (unsigned J = 0, K = T.Outputs.size(); J != K; ++J) {
       ProjTask Task;
-      Task.Ctx = std::make_unique<SolverContext>(S.factory(), S);
       Task.P.Guard = T.Guard;
       Task.P.Outputs.assign(T.Outputs.begin(), T.Outputs.end());
       Task.P.NumInputs = T.Lookahead;
       Task.J = J;
+      if (const std::optional<TermRef> *Known =
+              S.cachedProjection(Task.P, J)) {
+        Task.Psi = *Known;
+      } else {
+        Task.Ctx = std::make_unique<SolverContext>(S.factory(), S);
+        ++Forked;
+      }
       Tasks.push_back(std::move(Task));
     }
   }
 
-  ThreadPool TP(std::min<size_t>(std::max(1u, Opts.Jobs), Tasks.size()),
-                "proj");
+  ThreadPool TP(std::min<size_t>(std::max(1u, Opts.Jobs), Forked), "proj");
   {
     FreezeGuard Quiesce(S.factory());
     for (ProjTask &Task : Tasks) {
+      if (!Task.Ctx)
+        continue;
       ProjTask *T = &Task;
       TP.submit([T] {
         MetricsPhaseScope WorkerPhase("cegar");
@@ -271,7 +281,8 @@ genic::buildOutputAutomaton(const Seft &A, Solver &S,
 
   // Merge in rule/position order: projections clone back into the shared
   // factory (structurally identical terms re-intern to identical TermRefs,
-  // preserving the ambiguity check's guard dedup), and the empty-output
+  // preserving the ambiguity check's guard dedup) and into the shared
+  // session's projection memo, and the empty-output
   // epsilon gates run on the shared solver exactly as in the serial order.
   // A projection with no closed form enters as its existential predicate
   // phi(w) /\ Var(0) = f_J(w): the Lemma 4.14 product only asks whether
@@ -301,8 +312,11 @@ genic::buildOutputAutomaton(const Seft &A, Solver &S,
       for (unsigned J = 0, K = T.Outputs.size(); J != K; ++J) {
         ProjTask &Task = Tasks[TaskIdx++];
         Result<std::optional<TermRef>> Psi = std::move(Task.Psi);
-        if (Psi && *Psi)
-          Psi = std::optional<TermRef>(Back.clone(**Psi));
+        if (Psi && Task.Ctx) {
+          if (*Psi)
+            Psi = std::optional<TermRef>(Back.clone(**Psi));
+          S.recordProjection(Task.P, Task.J, *Psi);
+        }
         if (!Psi)
           // The fork's projection failed (worker-scoped fault, flaky
           // timeout). Retry once in the shared session — a fresh attempt

@@ -141,6 +141,29 @@ TermRef simplifyGuard(TermFactory &F, Solver &S, TermRef Guard) {
 
 } // namespace
 
+std::optional<RuleInversionResult>
+genic::screenDeadRule(const SeftTransition &T, unsigned Index, Solver &S) {
+  Timer RuleTimer;
+  const uint64_t RetriesBefore = S.stats().Retries;
+  Result<bool> Fires = S.isSat(T.Guard);
+  if (Fires && *Fires)
+    return std::nullopt;
+  RuleInversionResult R;
+  RuleInversionRecord &Record = R.Record;
+  Record.Rule = Index;
+  Record.Seconds = RuleTimer.seconds();
+  Record.Retries = static_cast<unsigned>(S.stats().Retries - RetriesBefore);
+  if (!Fires) {
+    Record.Outcome = outcomeForStatus(Fires.status());
+    Record.Error = "guard satisfiability: " + Fires.status().message();
+    return R;
+  }
+  // Dead rule (guard never fires): nothing to invert.
+  Record.Inverted = true;
+  Record.Outcome = RuleOutcome::Inverted;
+  return R;
+}
+
 RuleInversionResult genic::invertOneRule(const SeftTransition &T,
                                          unsigned Index,
                                          const Type &InputType,
@@ -157,23 +180,6 @@ RuleInversionResult genic::invertOneRule(const SeftTransition &T,
   };
 
   ImagePredicate P{T.Guard, T.Outputs, T.Lookahead};
-
-  // Dead rule (guard never fires): nothing to invert.
-  Result<bool> Fires = S.isSat(T.Guard);
-  if (!Fires) {
-    Record.Seconds = RuleTimer.seconds();
-    Record.Outcome = outcomeForStatus(Fires.status());
-    Record.Error = "guard satisfiability: " + Fires.status().message();
-    NoteRetries();
-    return R;
-  }
-  if (!*Fires) {
-    Record.Seconds = RuleTimer.seconds();
-    Record.Inverted = true;
-    Record.Outcome = RuleOutcome::Inverted;
-    NoteRetries();
-    return R;
-  }
 
   // Output functions g_i, one per original input position.
   SeftTransition Inv;
@@ -248,8 +254,12 @@ Result<InversionOutcome> genic::invertSeft(
 
   const auto &Ts = A.transitions();
   for (unsigned Index = 0, E = Ts.size(); Index != E; ++Index) {
-    RuleInversionResult R = invertOneRule(Ts[Index], Index, A.inputType(),
-                                          A.outputType(), S, Synthesize);
+    std::optional<RuleInversionResult> Screened =
+        screenDeadRule(Ts[Index], Index, S);
+    RuleInversionResult R =
+        Screened ? std::move(*Screened)
+                 : invertOneRule(Ts[Index], Index, A.inputType(),
+                                 A.outputType(), S, Synthesize);
     if (R.Transition)
       Out.Inverse.addTransition(std::move(*R.Transition));
     Out.Records.push_back(std::move(R.Record));

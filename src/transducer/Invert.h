@@ -94,7 +94,18 @@ struct RuleInversionResult {
   std::optional<SeftTransition> Transition;
 };
 
-/// Inverts one rule (Definition 5.2). \p Index is the rule's position in
+/// The dead-rule check of rule \p T (position \p Index): whether its guard
+/// can fire, decided on \p S. A rule that needs no synthesis gets its
+/// finished result: a dead rule is Inverted with no transition, and a
+/// failed check records its degraded outcome. A live rule gets
+/// std::nullopt and goes to invertOneRule. The parallel driver runs it on
+/// the shared session before the fan-out (Inverter.cpp), so a dead rule's
+/// fork never builds a Z3 context and the sat memo answers a repeat.
+std::optional<RuleInversionResult>
+screenDeadRule(const SeftTransition &T, unsigned Index, Solver &S);
+
+/// Inverts one live rule (Definition 5.2; see screenDeadRule). \p Index is
+/// the rule's position in
 /// its transducer (recorded for reporting); \p InputType and \p OutputType
 /// are the owning transducer's alphabet types. All terms (input and output)
 /// live in S.factory(). Rules are independent, so callers may run this for
@@ -106,7 +117,8 @@ RuleInversionResult invertOneRule(const SeftTransition &T, unsigned Index,
                                   const Type &OutputType, Solver &S,
                                   const RecoverySynthesizer &Synthesize);
 
-/// Inverts \p A rule by rule in order. \p A must be injective
+/// Inverts \p A rule by rule in order, each screened by screenDeadRule
+/// first, all on \p S. \p A must be injective
 /// (checkInjectivity); the guard psi is computed in exact quantifier-free
 /// form from the recoveries and the outputs with \p Synthesize. Per-rule
 /// synthesis failures are recorded and skipped.

@@ -9,7 +9,8 @@
 /// tests of the compiled and the lane evaluators against eval(). The terms
 /// call partial auxiliary functions shaped like the corpus coders': 'enc'
 /// total, 'dec' partial, 'dec2' partial and calling 'dec' (nested calls
-/// with two domain checks).
+/// with two domain checks). formula() draws call-free formulas over
+/// variables of any bit-vector width or Int, for solver verdict tests.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -95,6 +96,75 @@ public:
                       term(Rng, B8, NumVars, Depth - 1));
     }
     }
+  }
+
+  /// A random call-free formula over NumVars variables of type \p VarTy
+  /// (a bit-vector of width 1..64, or Int): Boolean structure over
+  /// comparisons and equalities of random terms of that type. Int terms
+  /// stay linear (products take a constant factor).
+  TermRef formula(std::mt19937_64 &Rng, const Type &VarTy, unsigned NumVars,
+                  unsigned Depth) {
+    auto Pick = [&](unsigned N) { return Rng() % N; };
+    auto Sub = [&] { return formula(Rng, VarTy, NumVars, Depth - 1); };
+    if (Depth > 0) {
+      switch (Pick(5)) {
+      case 0:
+        return F.mkNot(Sub());
+      case 1:
+        return F.mkAnd(Sub(), Sub());
+      case 2:
+        return F.mkOr(Sub(), Sub());
+      default:
+        break;
+      }
+    }
+    TermRef A = value(Rng, VarTy, NumVars, Depth);
+    TermRef B = value(Rng, VarTy, NumVars, Depth);
+    if (Pick(3) == 0)
+      return F.mkEq(A, B);
+    if (VarTy.isInt()) {
+      Op Cmp[] = {Op::IntLe, Op::IntLt, Op::IntGe, Op::IntGt};
+      return F.mkIntOp(Cmp[Pick(4)], A, B);
+    }
+    Op Cmp[] = {Op::BvUle, Op::BvUlt, Op::BvUge, Op::BvUgt,
+                Op::BvSle, Op::BvSlt, Op::BvSge, Op::BvSgt};
+    return F.mkBvOp(Cmp[Pick(8)], A, B);
+  }
+
+  /// A random call-free term of type \p Ty (bit-vector or Int) over
+  /// NumVars variables of that type.
+  TermRef value(std::mt19937_64 &Rng, const Type &Ty, unsigned NumVars,
+                unsigned Depth) {
+    auto Pick = [&](unsigned N) { return Rng() % N; };
+    auto Const = [&] {
+      if (Ty.isInt())
+        return F.mkInt(static_cast<int64_t>(Pick(41)) - 20);
+      return F.mkBv(Rng() & Value::maskOf(Ty.width()), Ty.width());
+    };
+    if (Depth == 0)
+      return Pick(3) ? F.mkVar(Pick(NumVars), Ty) : Const();
+    auto Sub = [&] { return value(Rng, Ty, NumVars, Depth - 1); };
+    if (Pick(6) == 0)
+      return F.mkIte(formula(Rng, Ty, NumVars, Depth - 1), Sub(), Sub());
+    if (Ty.isInt()) {
+      switch (Pick(4)) {
+      case 0:
+        return F.mkIntOp(Op::IntNeg, Sub());
+      case 1:
+        return F.mkIntOp(Op::IntMul, Const(), Sub());
+      case 2:
+        return F.mkIntOp(Op::IntSub, Sub(), Sub());
+      default:
+        return F.mkIntOp(Op::IntAdd, Sub(), Sub());
+      }
+    }
+    if (Pick(5) == 0) {
+      Op Un[] = {Op::BvNeg, Op::BvNot};
+      return F.mkBvOp(Un[Pick(2)], Sub());
+    }
+    Op Bin[] = {Op::BvAdd, Op::BvSub, Op::BvMul,  Op::BvAnd, Op::BvOr,
+                Op::BvXor, Op::BvShl, Op::BvLshr, Op::BvAshr};
+    return F.mkBvOp(Bin[Pick(9)], Sub(), Sub());
   }
 
 private:

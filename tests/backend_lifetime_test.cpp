@@ -92,6 +92,49 @@ TEST(BackendLifetimeTest, ForkThatNeverQueriesCreatesNoContext) {
   Fork.solver().pop();
 }
 
+TEST(BackendLifetimeTest, DeadRuleForkCreatesNoContext) {
+  MetricsRegistry M;
+  SolverContext Root;
+  attachMetrics(Root.solver(), M);
+  TermFactory &F = Root.factory();
+  const Type B8 = Type::bitVecTy(8);
+  TermRef X = F.mkVar(0, B8);
+  ASSERT_TRUE(Root.solver().isSat(F.mkTrue()).isOk());
+  M.reset();
+
+  // Rule 0 can never fire; rule 1, an empty finalizer, is live.
+  Seft A(1, 0, B8, B8);
+  A.addTransition({0, 0, 1,
+                   F.mkAnd(F.mkBvOp(Op::BvUlt, X, F.mkBv(3, 8)),
+                           F.mkBvOp(Op::BvUgt, X, F.mkBv(5, 8))),
+                   {X}});
+  A.addTransition({0, Seft::FinalState, 0, F.mkTrue(), {}});
+  InverterOptions Opts;
+  Opts.Jobs = 2;
+  Inverter Inv(Root.solver(), Opts);
+  Result<InversionOutcome> Out = Inv.invert(A, {});
+  ASSERT_TRUE(Out.isOk()) << Out.status().message();
+  ASSERT_EQ(Out->Records.size(), 2u);
+  EXPECT_TRUE(Out->Records[0].Inverted);
+  EXPECT_EQ(Out->Records[0].Outcome, RuleOutcome::Inverted);
+  ASSERT_EQ(Out->Inverse.transitions().size(), 1u);
+  EXPECT_EQ(Out->Inverse.transitions()[0].To, Seft::FinalState);
+  // The shared session decided the dead-rule checks (the finalizer's
+  // guard from the memo the set-up query filled); only the live rule's
+  // fork built a context.
+  EXPECT_EQ(M.histogram("solver.query.us.inversion.shared").count(), 1u);
+  EXPECT_EQ(contextsCreated(M), 1u);
+
+  // A warm repeat answers the checks from the shared sat memo.
+  M.reset();
+  Out = Inv.invert(A, {});
+  ASSERT_TRUE(Out.isOk()) << Out.status().message();
+  EXPECT_TRUE(Out->Records[0].Inverted);
+  EXPECT_EQ(Out->Inverse.transitions().size(), 1u);
+  EXPECT_EQ(M.histogram("solver.query.us.inversion.shared").count(), 0u);
+  EXPECT_EQ(contextsCreated(M), 0u);
+}
+
 /// The UTF-16 encoder lowered into a root session that already holds a
 /// context, as a pipeline's shared session does.
 class Utf16Lifetime : public ::testing::TestWithParam<unsigned> {

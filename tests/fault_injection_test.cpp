@@ -340,10 +340,15 @@ TEST(PipelineFaultTest, ReportByteIdenticalAcrossJobsUnderFaults) {
 }
 
 TEST(PipelineFaultTest, WorkerFaultsDegradeRulesNotTheRun) {
-  // Rule inversion runs entirely in per-rule forked sessions, so
-  // persistent worker faults degrade every rule to a Timeout outcome
-  // while the checks (masked serially) still pass; the partial inverse
-  // plus per-rule report is emitted and the exit code says "budget".
+  // Synthesis runs in forked sessions (auxiliary and per-rule), so
+  // persistent worker faults degrade the rule that needs it to a Timeout
+  // outcome: the auxiliary inversion its recovery calls times out, and a
+  // search without that component is no genuine negative. The dead-rule
+  // checks run on the shared session, and the empty-output finalizer's
+  // inverse is exact by construction (an undecided guard simplification
+  // keeps the guard), so it still inverts. The checks (masked serially)
+  // still pass; the partial inverse plus per-rule report is emitted and
+  // the exit code says "budget".
   RunResult R = runTool(B16Full, "unknown@1x0:workers", 2);
   ASSERT_TRUE(R.Ok) << R.Error;
   EXPECT_EQ(R.Det, PO::Ok);
@@ -353,8 +358,8 @@ TEST(PipelineFaultTest, WorkerFaultsDegradeRulesNotTheRun) {
   EXPECT_FALSE(R.InversionComplete);
   ASSERT_EQ(R.Rules.size(), 2u);
   EXPECT_EQ(R.Rules[0], RuleOutcome::Timeout);
-  EXPECT_EQ(R.Rules[1], RuleOutcome::Timeout);
-  EXPECT_EQ(R.RulesDegraded, 2u);
+  EXPECT_EQ(R.Rules[1], RuleOutcome::Inverted);
+  EXPECT_EQ(R.RulesDegraded, 1u);
   EXPECT_EQ(R.Exit, ExitBudgetExhausted);
   EXPECT_NE(R.Report.find("Timeout"), std::string::npos);
 }
