@@ -1409,6 +1409,8 @@ Solver::~Solver() = default;
 
 void Solver::releaseBackend() { TheImpl->dropBackend(); }
 
+bool Solver::hasBackend() const { return TheImpl->Backend != nullptr; }
+
 int64_t Solver::liveBackendContexts() {
   return LiveBackends.load(std::memory_order_relaxed);
 }

@@ -125,6 +125,9 @@ public:
   /// memory is bounded by the tasks running, not by the tasks created.
   void releaseBackend();
 
+  /// Whether the session holds a Z3 context now.
+  bool hasBackend() const;
+
   /// Z3 contexts alive in this process, across all sessions.
   static int64_t liveBackendContexts();
 

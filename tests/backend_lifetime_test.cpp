@@ -135,6 +135,25 @@ TEST(BackendLifetimeTest, DeadRuleForkCreatesNoContext) {
   EXPECT_EQ(contextsCreated(M), 0u);
 }
 
+TEST(BackendLifetimeTest, DeadRuleChecksLeaveTheRootWithoutAContext) {
+  // An inversion-only request: no earlier phase built the root's context,
+  // so the one the dead-rule checks build is dropped before the fan-out.
+  SolverContext Root;
+  TermFactory &F = Root.factory();
+  const Type B8 = Type::bitVecTy(8);
+  TermRef X = F.mkVar(0, B8);
+  Seft A(1, 0, B8, B8);
+  A.addTransition({0, 0, 1, F.mkBvOp(Op::BvUlt, X, F.mkBv(0, 8)), {X}});
+  A.addTransition({0, Seft::FinalState, 0, F.mkTrue(), {}});
+  Inverter Inv(Root.solver(), InverterOptions());
+  Result<InversionOutcome> Out = Inv.invert(A, {});
+  ASSERT_TRUE(Out.isOk()) << Out.status().message();
+  EXPECT_TRUE(Out->complete());
+  EXPECT_EQ(Out->Inverse.transitions().size(), 1u);
+  EXPECT_FALSE(Root.solver().hasBackend());
+  EXPECT_EQ(Root.solver().stats().SatQueries, 2u);
+}
+
 /// The UTF-16 encoder lowered into a root session that already holds a
 /// context, as a pipeline's shared session does.
 class Utf16Lifetime : public ::testing::TestWithParam<unsigned> {
