@@ -84,6 +84,10 @@ int64_t maxVarIndex(TermRef T) {
 /// them is what keeps the emitted programs close to hand-written size
 /// (Figure 6).
 TermRef simplifyGuard(TermFactory &F, Solver &S, TermRef Guard) {
+  // A constant guard (an empty-output finalizer's folds to true) has
+  // nothing to drop; asking would build the session's Z3 context for it.
+  if (Guard->isConst())
+    return Guard;
   std::vector<TermRef> Conjuncts;
   if (Guard->op() == Op::And)
     Conjuncts.assign(Guard->children().begin(), Guard->children().end());

@@ -120,10 +120,12 @@ TEST(BackendLifetimeTest, DeadRuleForkCreatesNoContext) {
   ASSERT_EQ(Out->Inverse.transitions().size(), 1u);
   EXPECT_EQ(Out->Inverse.transitions()[0].To, Seft::FinalState);
   // The shared session decided the dead-rule checks (the finalizer's
-  // guard from the memo the set-up query filled); only the live rule's
-  // fork built a context.
+  // guard from the memo the set-up query filled). The dead rule got no
+  // fork, and the live finalizer's fork asked Z3 nothing (its inverse
+  // guard is the constant true), so no fork built a context.
   EXPECT_EQ(M.histogram("solver.query.us.inversion.shared").count(), 1u);
-  EXPECT_EQ(contextsCreated(M), 1u);
+  EXPECT_EQ(M.histogram("solver.query.us.inversion.worker").count(), 0u);
+  EXPECT_EQ(contextsCreated(M), 0u);
 
   // A warm repeat answers the checks from the shared sat memo.
   M.reset();

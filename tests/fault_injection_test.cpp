@@ -345,8 +345,8 @@ TEST(PipelineFaultTest, WorkerFaultsDegradeRulesNotTheRun) {
   // outcome: the auxiliary inversion its recovery calls times out, and a
   // search without that component is no genuine negative. The dead-rule
   // checks run on the shared session, and the empty-output finalizer's
-  // inverse is exact by construction (an undecided guard simplification
-  // keeps the guard), so it still inverts. The checks (masked serially)
+  // inversion sends no query (its inverse guard is the constant true), so
+  // it still inverts. The checks (masked serially)
   // still pass; the partial inverse plus per-rule report is emitted and
   // the exit code says "budget".
   RunResult R = runTool(B16Full, "unknown@1x0:workers", 2);
