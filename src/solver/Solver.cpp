@@ -796,14 +796,7 @@ public:
     z3::solver S = makePlainSolver();
     S.add(E);
     bool Plain = true;
-    switch (check(S, nullptr, /*IncrementalQuery=*/false, &Plain)) {
-    case z3::sat:
-      return SatResult::Sat;
-    case z3::unsat:
-      return SatResult::Unsat;
-    default:
-      return SatResult::Unknown;
-    }
+    return toSatResult(check(S, nullptr, /*IncrementalQuery=*/false, &Plain));
   }
 
   // -- Scoped sessions -------------------------------------------------------
